@@ -11,6 +11,7 @@ two-sided ideal and that the quotient has a nondegenerate trace form.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -314,7 +315,7 @@ def preset(name: str, p: int) -> Alg:
     """Named algebras: lambda1/2/3, truncpoly(n), ground_field."""
     validate_prime(p)
     if name == "ground_field":
-        return _truncated_polynomial_algebra(1, p)._replace_name("ground_field")
+        return dataclasses.replace(_truncated_polynomial_algebra(1, p), name="ground_field")
     if name == "lambda1":
         pos = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
         return _matrix_units_algebra(pos, set(), p, "lambda1")
@@ -331,22 +332,6 @@ def preset(name: str, p: int) -> Alg:
             raise ValueError("truncpoly(n) needs n >= 1")
         return _truncated_polynomial_algebra(n, p)
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-
-
-def _replace_name(self: Alg, name: str) -> Alg:
-    return Alg(
-        p=self.p,
-        dim=self.dim,
-        labels=self.labels,
-        structconst=self.structconst,
-        unit=self.unit,
-        idempotents=self.idempotents,
-        radical=self.radical,
-        name=name,
-    )
-
-
-Alg._replace_name = _replace_name  # type: ignore[attr-defined]
 
 
 def opposite(a: Alg) -> Alg:

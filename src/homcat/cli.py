@@ -15,15 +15,15 @@ import sys
 
 from homcat.algebras import preset
 from homcat.derived import tilting_check
-from homcat.exercises import Options, Report, available_exercises, run_exercise
-from homcat.modules import (
-    ar_quiver,
-    classify_indecomposables,
-    direct_sum,
-    projective_module,
-    quotient_module,
-    socle,
+from homcat.exercises import (
+    Options,
+    Report,
+    _ext_table_rows,
+    _tilting_modules,
+    available_exercises,
+    run_exercise,
 )
+from homcat.modules import ar_quiver, classify_indecomposables
 from homcat.stable import stable_ar_quiver
 
 EMIT_KINDS = ("ar-quiver", "stable-ar-quiver", "ext-table", "tilting-report")
@@ -91,39 +91,19 @@ def _cmd_verify(args) -> int:
 
 
 def _ext_table_json(algebra_name: str, p: int) -> dict:
-    from homcat.complexes import cohomology_data, hom_complex, stalk
-    from homcat.derived import proj_resolution
-
     alg = preset(algebra_name, p)
     mods = classify_indecomposables(alg)
     labels = ["m" + "".join(str(d) for d in m.dim_vector()) for m in mods]
-    rows = []
-    for i, m in enumerate(mods):
-        res = proj_resolution(m)
-        for j, n in enumerate(mods):
-            if res.res.is_zero():
-                dims = {d: 0 for d in range(5)}
-            else:
-                hc = hom_complex(res.res, stalk(n, 0))
-                dims = {d: cohomology_data(hc.cx, d).module.dim for d in range(5)}
-            for d in range(5):
-                rows.append({"src": labels[i], "dst": labels[j], "degree": d, "dim": dims[d]})
+    rows = [
+        {"src": labels[i], "dst": labels[j], "degree": d, "dim": dim}
+        for i, j, d, dim in _ext_table_rows(alg, mods, 4, 12)
+    ]
     return {"algebra": algebra_name, "prime": p, "rows": rows}
 
 
 def _tilting_report_json(algebra_name: str, p: int) -> dict:
-    base = preset("lambda1", p)
-    p1 = projective_module(base, 0)
-    p2 = projective_module(base, 1)
-    if algebra_name == "lambda2":
-        module, _, _ = direct_sum([p1, p2, quotient_module(p2, socle(p2)[1].mat)[0]])
-    elif algebra_name == "lambda3":
-        from homcat.modules import radical_submodule
-
-        module, _, _ = direct_sum(
-            [quotient_module(p1, radical_submodule(p1))[0], p1, projective_module(base, 2)]
-        )
-    else:
+    module = _tilting_modules(preset("lambda1", p)).get(algebra_name)
+    if module is None:
         raise ValueError("tilting reports target lambda2 or lambda3")
     report = tilting_check(module, preset(algebra_name, p))
     return {

@@ -6,6 +6,7 @@ Sign conventions, fixed once and used everywhere:
 * cone(f)^n  =  X^{n+1} (+) Y^n  with differential  [[-d_X, 0], [f, d_Y]]
 * homotopy:     phi^n - psi^n = d_Y^{n-1} h^n + h^{n+1} d_X^n
 * Hom complex:  (D phi)^(j) = d_y phi^(j) - (-1)^n phi^(j+1) d_x
+* squares:      left o w o right - target = d s + s d  (``solve_squares``)
 
 With these choices the long exact sequence of a cone and the rotation axiom
 hold with no case analysis.
@@ -13,7 +14,9 @@ hold with no case analysis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -44,6 +47,8 @@ __all__ = [
     "cohomology_map",
     "cone_complex",
     "null_homotopy",
+    "squares_system",
+    "solve_squares",
     "hom_complex",
     "HomComplex",
     "hom_k_dim",
@@ -307,6 +312,7 @@ class DegreewiseSolver:
     space, so every solution component automatically intertwines the algebra
     action.  Equations are sums of terms L @ Var @ R equal to a right-hand
     side, flattened row-major into one F_p system over the coefficients.
+    Equations may be added before later variables.
     """
 
     def __init__(self, p: int):
@@ -366,6 +372,16 @@ class DegreewiseSolver:
             out[key] = Mat(self.p, acc)
         return out
 
+    def _system(self) -> Mat:
+        """All equations stacked; rows added before later variables are
+        zero-padded, since those variables do not occur in them."""
+        out = np.zeros((sum(r.shape[0] for r in self.rows), self.size), dtype=np.int64)
+        top = 0
+        for r in self.rows:
+            out[top : top + r.shape[0], : r.shape[1]] = r
+            top += r.shape[0]
+        return Mat(self.p, out)
+
     def solve(self) -> dict | None:
         """Combined matrices per key, or None when inconsistent."""
         if self.size == 0:
@@ -374,9 +390,8 @@ class DegreewiseSolver:
             return {key: Mat.zeros(self.p, r, c) for key, (r, c) in self.shapes.items()}
         if not self.rows:
             return self._decode(np.zeros(self.size, dtype=np.int64))
-        system = Mat(self.p, np.vstack(self.rows))
         target = Mat(self.p, np.concatenate(self.rhs).reshape(-1, 1))
-        sol = solve(system, target)
+        sol = solve(self._system(), target)
         if sol is None:
             return None
         return self._decode(sol.a[:, 0])
@@ -388,9 +403,87 @@ class DegreewiseSolver:
         if not self.rows:
             basis_vecs = np.eye(self.size, dtype=np.int64)
         else:
-            system = Mat(self.p, np.vstack(self.rows))
-            basis_vecs = kernel_basis(system).a
+            basis_vecs = kernel_basis(self._system()).a
         return [self._decode(basis_vecs[:, t]) for t in range(basis_vecs.shape[1])]
+
+
+def squares_system(ends: tuple[Cx, Cx] | None, squares) -> DegreewiseSolver:
+    """The unsolved linear system behind ``solve_squares``.
+
+    Unknowns, in column order: the components w^n (keys ``("w", n)``) when
+    ``ends`` is given, constrained by the chain condition; then, square by
+    square, the homotopy components s^n: X^n -> Y^(n-1) of square k (keys
+    ``(k, n)``), where X -> Y are the endpoints of that square's target.
+    """
+    p = (ends[0] if ends is not None else squares[0][2].src).alg.p
+    solver = DegreewiseSolver(p)
+    if ends is not None:
+        src, dst = ends
+        degs = _combined_degrees(src, dst)
+        for n in degs:
+            if src.obj(n).dim and dst.obj(n).dim:
+                solver.add_var(("w", n), src.obj(n), dst.obj(n))
+        for n in degs:
+            rows, cols = dst.obj(n + 1).dim, src.obj(n).dim
+            if rows and cols:
+                solver.add_eq(
+                    [
+                        (("w", n + 1), None, src.diff(n).mat, +1),
+                        (("w", n), dst.diff(n).mat, None, -1),
+                    ],
+                    Mat.zeros(p, rows, cols),
+                )
+    for k, (left, right, target) in enumerate(squares):
+        x, y = target.src, target.dst
+        degs = _combined_degrees(x, y)
+        for n in degs:
+            if x.obj(n).dim and y.obj(n - 1).dim:
+                solver.add_var((k, n), x.obj(n), y.obj(n - 1))
+        for n in degs:
+            rows, cols = y.obj(n).dim, x.obj(n).dim
+            if rows == 0 or cols == 0:
+                continue
+            terms = [((k, n), y.diff(n - 1).mat, None, +1), ((k, n + 1), None, x.diff(n).mat, +1)]
+            lmat = left.component(n).mat if left is not None else None
+            rmat = right.component(n).mat if right is not None else None
+            if ends is not None:
+                terms.append((("w", n), lmat, rmat, -1))
+                solver.add_eq(terms, -target.component(n).mat)
+            else:
+                known = [m for m in (lmat, rmat) if m is not None]
+                const = reduce(operator.matmul, known) if known else Mat.identity(p, cols)
+                solver.add_eq(terms, const - target.component(n).mat)
+    return solver
+
+
+def solve_squares(
+    ends: tuple[Cx, Cx] | None, squares
+) -> tuple[CMap | None, list[Htp]] | None:
+    """Solve jointly for a chain map w and one homotopy per square.
+
+    ``ends`` is (source, target) of w, or None for no w.  Each square is
+    ``(left, right, target)`` with chain maps, None standing for an identity,
+    and asks for s with left o w o right - target = d s + s d (left o right
+    when there is no w; so ``(phi, None, psi)`` certifies phi ~ psi).
+    Returns w (None without ends) with one verified Htp per square, or None:
+    exactly when the linear system has no solution.
+    """
+    sol = squares_system(ends, squares).solve()
+    if sol is None:
+        return None
+    w = None
+    if ends is not None:
+        src, dst = ends
+        w_comps = {n: MMap(src.obj(n), dst.obj(n), m) for (key, n), m in sol.items() if key == "w"}
+        w = CMap.build(src, dst, w_comps)
+    htps = []
+    for k, (left, right, target) in enumerate(squares):
+        x, y = target.src, target.dst
+        known = [f for f in (left, w, right) if f is not None]
+        phi = reduce(operator.matmul, known) if known else CMap.identity(x)
+        comps = {n: MMap(x.obj(n), y.obj(n - 1), m) for (j, n), m in sol.items() if j == k}
+        htps.append(Htp(phi, target, comps))
+    return w, htps
 
 
 def null_homotopy(phi: CMap, psi: CMap | None = None) -> Htp | None:
@@ -402,32 +495,8 @@ def null_homotopy(phi: CMap, psi: CMap | None = None) -> Htp | None:
         psi = CMap.zero(phi.src, phi.dst)
     if phi.src != psi.src or phi.dst != psi.dst:
         raise ValidationError("maps must share endpoints")
-    x, y = phi.src, phi.dst
-    solver = DegreewiseSolver(x.alg.p)
-    degs = _combined_degrees(x, y)
-    for n in degs:
-        if x.obj(n).dim and y.obj(n - 1).dim:
-            solver.add_var(n, x.obj(n), y.obj(n - 1))
-    for n in degs:
-        delta = phi.component(n) - psi.component(n)
-        if x.obj(n).dim == 0 or y.obj(n).dim == 0:
-            continue
-        solver.add_eq(
-            [
-                (n, y.diff(n - 1).mat, None, +1),
-                (n + 1, None, x.diff(n).mat, +1),
-            ],
-            delta.mat,
-        )
-    sol = solver.solve()
-    if sol is None:
-        return None
-    comps = {
-        n: MMap(x.obj(n), y.obj(n - 1), m)
-        for n, m in sol.items()
-        if m.rows and m.cols
-    }
-    return Htp(phi, psi, comps)
+    out = solve_squares(None, [(phi, None, psi)])
+    return None if out is None else out[1][0]
 
 
 # -- cohomology -------------------------------------------------------------------
@@ -670,7 +739,6 @@ def hom_complex(x: Cx, y: Cx) -> HomComplex:
     mods = {n: make_module(ground, [Mat.identity(p, len(basis.get(n, [])))]) for n in range(lo, hi + 1)}
     diffs = []
     for n in range(lo, hi):
-        rows = []
         src_items = basis.get(n, [])
         dmat = np.zeros((len(basis.get(n + 1, [])), len(src_items)), dtype=np.int64)
         sign = 1 if n % 2 == 0 else -1
@@ -732,7 +800,7 @@ def truncate(x: Cx, n: int) -> Cx:
     return make_complex(x.alg, x.lo, objects, diffs)
 
 
-def direct_sum_cx(xs: list[Cx], alg: Alg | None = None) -> tuple[Cx, list[CMap], list[CMap]]:
+def direct_sum_cx(xs: list[Cx]) -> tuple[Cx, list[CMap], list[CMap]]:
     """Degreewise biproduct with canonical injections and projections."""
     if not xs:
         raise ValidationError("direct_sum_cx of an empty list needs at least one complex")

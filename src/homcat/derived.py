@@ -19,7 +19,6 @@ from homcat.complexes import (
     Cx,
     DegreewiseSolver,
     HomComplex,
-    Htp,
     _combined_degrees,
     cohomology_data,
     cohomology_dims,
@@ -29,6 +28,7 @@ from homcat.complexes import (
     make_complex,
     shift,
     shift_map,
+    solve_squares,
     stalk,
     zero_complex,
 )
@@ -363,53 +363,10 @@ def is_iso_in_D(f: CMap, cap: int = 12) -> tuple[bool, dict | None]:
         if hmap.src.dim != hmap.dst.dim or inverse(hmap.mat) is None:
             return False, None
     res = resolve_complex(f.dst, cap)
-    p = f.src.alg.p
-    solver = DegreewiseSolver(p)
-    pcx, src = res.res, f.src
-    for n in _combined_degrees(pcx, src):
-        if pcx.obj(n).dim and src.obj(n).dim:
-            solver.add_var(("g", n), pcx.obj(n), src.obj(n))
-        if pcx.obj(n).dim and f.dst.obj(n - 1).dim:
-            solver.add_var(("h", n), pcx.obj(n), f.dst.obj(n - 1))
-    for n in _combined_degrees(pcx, src):
-        rows = src.obj(n + 1).dim
-        cols = pcx.obj(n).dim
-        if rows and cols:
-            solver.add_eq(
-                [
-                    (("g", n + 1), None, pcx.diff(n).mat, +1),
-                    (("g", n), src.diff(n).mat, None, -1),
-                ],
-                Mat.zeros(p, rows, cols),
-            )
-    for n in _combined_degrees(pcx, f.dst):
-        rows = f.dst.obj(n).dim
-        cols = pcx.obj(n).dim
-        if rows == 0 or cols == 0:
-            continue
-        solver.add_eq(
-            [
-                (("g", n), f.component(n).mat, None, +1),
-                (("h", n), f.dst.diff(n - 1).mat, None, -1),
-                (("h", n + 1), None, pcx.diff(n).mat, -1),
-            ],
-            res.comparison.component(n).mat,
-        )
-    sol = solver.solve()
-    if sol is None:
+    out = solve_squares((res.res, f.src), [(f, None, res.comparison)])
+    if out is None:
         raise ValidationError("internal inconsistency: lift through a quasi-iso failed")
-    g_comps = {
-        n: MMap(pcx.obj(n), src.obj(n), sol[("g", n)])
-        for n in _combined_degrees(pcx, src)
-        if ("g", n) in sol and sol[("g", n)].rows and sol[("g", n)].cols
-    }
-    g = CMap.build(pcx, src, g_comps)
-    h_comps = {
-        n: MMap(pcx.obj(n), f.dst.obj(n - 1), sol[("h", n)])
-        for n in _combined_degrees(pcx, f.dst)
-        if ("h", n) in sol and sol[("h", n)].rows and sol[("h", n)].cols
-    }
-    cert_htp = Htp(f @ g, res.comparison, h_comps)
+    g, (cert_htp,) = out
     if not _verify_quasi_iso(g):
         raise ValidationError("internal inconsistency: lifted inverse is not a quasi-iso")
     return True, {"resolution": res, "lift": g, "round_trip": cert_htp}
@@ -450,7 +407,6 @@ def dg_end(p_cx: Cx) -> DGAlg:
     if not all(_certify_projective(ob) for ob in p_cx.objects):
         raise ValidationError("dg endomorphisms require projective components")
     hc = hom_complex(p_cx, p_cx)
-    p = p_cx.alg.p
     mult = {}
     degrees = [n for n in hc.cx.degrees() if hc.degree_dim(n)]
     for m in degrees:
@@ -629,7 +585,6 @@ def idempotent_slice(alg: Alg, indices, x: Cx) -> Cx:
         if objects[k].dim == 0 or objects[k + 1].dim == 0:
             diffs.append(MMap.zero(objects[k], objects[k + 1]))
             continue
-        d = x.diffs[k] if k < len(x.diffs) else None
         restricted = solve(bases[k + 1], x.diff(x.lo + k).mat @ bases[k])
         if restricted is None:
             raise ValidationError("differential does not preserve the slice")
@@ -702,50 +657,12 @@ def end_algebra(t: Mod) -> tuple[Alg, list[MMap]]:
 
 def _lift_endomorphism(res: Resolution, gamma: MMap) -> CMap:
     """Lift an endomorphism of the resolved module to the resolution."""
-    pcx = res.res
     target_map = CMap.build(res.target, res.target, {0: gamma})
-    p = pcx.alg.p
-    solver = DegreewiseSolver(p)
-    for n in pcx.degrees():
-        if pcx.obj(n).dim:
-            solver.add_var(("g", n), pcx.obj(n), pcx.obj(n))
-        if pcx.obj(n).dim and res.target.obj(n - 1).dim:
-            solver.add_var(("h", n), pcx.obj(n), res.target.obj(n - 1))
-    for n in pcx.degrees():
-        rows = pcx.obj(n + 1).dim
-        cols = pcx.obj(n).dim
-        if rows and cols:
-            solver.add_eq(
-                [
-                    (("g", n + 1), None, pcx.diff(n).mat, +1),
-                    (("g", n), pcx.diff(n).mat, None, -1),
-                ],
-                Mat.zeros(p, rows, cols),
-            )
-    # (comparison o lift) ~ (gamma o comparison) via homotopy h
-    rhs = target_map @ res.comparison
-    for n in pcx.degrees():
-        rows = res.target.obj(n).dim
-        cols = pcx.obj(n).dim
-        if rows == 0 or cols == 0:
-            continue
-        solver.add_eq(
-            [
-                (("g", n), res.comparison.component(n).mat, None, +1),
-                (("h", n), res.target.diff(n - 1).mat, None, -1),
-                (("h", n + 1), None, pcx.diff(n).mat, -1),
-            ],
-            rhs.component(n).mat,
-        )
-    sol = solver.solve()
-    if sol is None:
+    # comparison o lift ~ gamma o comparison, with a verified homotopy
+    out = solve_squares((res.res, res.res), [(res.comparison, None, target_map @ res.comparison)])
+    if out is None:
         raise ValidationError("endomorphism lift failed")
-    comps = {
-        n: MMap(pcx.obj(n), pcx.obj(n), sol[("g", n)])
-        for n in pcx.degrees()
-        if ("g", n) in sol
-    }
-    return CMap.build(pcx, pcx, comps)
+    return out[0]
 
 
 class _IsoRegistry:

@@ -28,11 +28,9 @@ __all__ = [
     "column_space",
     "quotient_structure",
     "in_column_span",
-    "spans_equal",
     "hstack",
     "vstack",
     "block_diag",
-    "kron",
     "is_nilpotent",
 ]
 
@@ -165,9 +163,6 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def entry(self, i: int, j: int) -> Fp:
-        return Fp(int(self.a[i, j]), self.p)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Mat") -> None:
@@ -268,11 +263,6 @@ def block_diag(mats: list[Mat], p: int | None = None) -> Mat:
     return Mat(p, out)
 
 
-def kron(a: Mat, b: Mat) -> Mat:
-    a._check(b)
-    return Mat(a.p, np.kron(a.a, b.a) % a.p)
-
-
 # -- elimination ------------------------------------------------------------
 
 
@@ -361,12 +351,6 @@ def column_space(m: Mat) -> Mat:
 
 def in_column_span(basis: Mat, vecs: Mat) -> bool:
     return solve(basis, vecs) is not None
-
-
-def spans_equal(a: Mat, b: Mat) -> bool:
-    if a.rows != b.rows:
-        return False
-    return in_column_span(a, b) and in_column_span(b, a)
 
 
 def span_key(m: Mat) -> bytes:

@@ -32,8 +32,8 @@ from homcat.linalg import (
     kernel_basis,
     quotient_structure,
     rank,
-    rref,
     solve,
+    span_key,
 )
 from homcat.quivers import Quiver
 
@@ -53,7 +53,6 @@ __all__ = [
     "radical_submodule",
     "projective_cover",
     "dual_module",
-    "dual_map",
     "injective_envelope",
     "is_isomorphic",
     "decompose",
@@ -410,11 +409,6 @@ def dual_module(m: Mod, target_alg: Alg | None = None) -> Mod:
     return make_module(aop, [a.transpose() for a in m.action])
 
 
-def dual_map(f: MMap, src_dual: Mod, dst_dual: Mod) -> MMap:
-    """Dual of f: dual(f.dst) -> dual(f.src) with the transposed matrix."""
-    return MMap(dst_dual, src_dual, f.mat.transpose())
-
-
 def injective_envelope(m: Mod) -> tuple[Mod, MMap]:
     """Minimal injective extension, computed by duality:
 
@@ -616,11 +610,6 @@ def decompose(m: Mod, seed: int = 0) -> list[tuple[Mod, int]]:
 # -- classification of indecomposables -------------------------------------------
 
 
-def _span_key(basis: Mat) -> bytes:
-    red, pivots = rref(Mat(basis.p, basis.a.T))
-    return Mat(basis.p, red.a[: len(pivots), :]).key()
-
-
 def _enumerate_submodule_spans(m: Mod) -> list[Mat]:
     """All submodules of m as canonical column bases (small fields only).
 
@@ -642,12 +631,12 @@ def _enumerate_submodule_spans(m: Mod) -> list[Mat]:
             v[lead + 1 :] = rest
             gens = (stacked @ v) % p  # (algdim, n)
             span = column_space(Mat(p, gens.T))
-            cyclics.setdefault(_span_key(span), span)
+            cyclics.setdefault(span_key(span), span)
     cyclic_list = list(cyclics.values())
     zero = Mat.zeros(p, n, 0)
-    found: dict[bytes, Mat] = {_span_key(zero): zero}
+    found: dict[bytes, Mat] = {span_key(zero): zero}
     for c in cyclic_list:
-        found.setdefault(_span_key(c), c)
+        found.setdefault(span_key(c), c)
     queue = list(found.values())
     while queue:
         w = queue.pop()
@@ -655,7 +644,7 @@ def _enumerate_submodule_spans(m: Mod) -> list[Mat]:
             if c.cols == 0 or in_column_span(w, c):
                 continue
             joined = column_space(hstack([w, c]))
-            key = _span_key(joined)
+            key = span_key(joined)
             if key not in found:
                 found[key] = joined
                 queue.append(joined)
@@ -674,12 +663,12 @@ def _pir_pair_spans(alg: Alg, total: Mod) -> list[Mat]:
     stacked = np.stack([a.a for a in total.action])  # (algdim, 2n, 2n)
     found: dict[bytes, Mat] = {}
     zero = Mat.zeros(p, total.dim, 0)
-    found[_span_key(zero)] = zero
+    found[span_key(zero)] = zero
 
     def _record(u: np.ndarray, w: np.ndarray) -> None:
         gens = np.concatenate([(stacked @ u) % p, (stacked @ w) % p], axis=0)
         span = column_space(Mat(p, gens.T))
-        found.setdefault(_span_key(span), span)
+        found.setdefault(span_key(span), span)
 
     for a in range(n + 1):
         u = np.zeros(2 * n, dtype=np.int64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from homcat.algebras import Alg
-from homcat.complexes import Cx, cohomology_data, make_complex
+from homcat.complexes import Cx, cohomology_data, make_complex, squares_system
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, kernel_basis, rank
 from homcat.modules import (
@@ -175,8 +175,6 @@ def complete_resolution(m: Mod, window: tuple[int, int] = (-4, 4)) -> CompleteRe
             )
     alg = m.alg
     # negative side: iterated projective covers, ending with cover(m)
-    neg_objects = []
-    neg_maps = []  # epimorphisms P(Omega^k m) ->> Omega^k m and inclusions
     current = m
     covers = []
     for _ in range(-lo):
@@ -261,7 +259,7 @@ def _interior_h0(x: Cx, y: Cx) -> int:
     if lo > hi:
         raise ValidationError("window too small: empty interior")
 
-    def restricted(comps: dict) -> np.ndarray:
+    def restricted(comps: dict[int, Mat]) -> np.ndarray:
         parts = []
         for n in range(lo, hi + 1):
             f = comps.get(n)
@@ -269,26 +267,14 @@ def _interior_h0(x: Cx, y: Cx) -> int:
             if f is None:
                 parts.append(np.zeros(size, dtype=np.int64))
             else:
-                parts.append(f.mat.a.reshape(-1) if isinstance(f, MMap) else f.a.reshape(-1))
+                parts.append(f.a.reshape(-1))
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     # chain maps solved degreewise (much cheaper than the full Hom complex)
-    from homcat.complexes import DegreewiseSolver, _combined_degrees
-
-    solver = DegreewiseSolver(p)
-    degs = _combined_degrees(x, y)
-    for n in degs:
-        if x.obj(n).dim and y.obj(n).dim:
-            solver.add_var(n, x.obj(n), y.obj(n))
-    for n in degs:
-        rows = y.obj(n + 1).dim
-        cols = x.obj(n).dim
-        if rows and cols:
-            solver.add_eq(
-                [(n + 1, None, x.diff(n).mat, +1), (n, y.diff(n).mat, None, -1)],
-                Mat.zeros(p, rows, cols),
-            )
-    v_cols = [restricted(sol) for sol in solver.nullspace()]
+    v_cols = [
+        restricted({n: m for (_, n), m in sol.items()})
+        for sol in squares_system((x, y), []).nullspace()
+    ]
     b_cols = []
     for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 2):
         if x.obj(n).dim == 0 or y.obj(n - 1).dim == 0:
@@ -297,10 +283,10 @@ def _interior_h0(x: Cx, y: Cx) -> int:
             comps = {}
             lead = y.diff(n - 1) @ h
             if not lead.is_zero():
-                comps[n] = lead
+                comps[n] = lead.mat
             trail = h @ x.diff(n - 1)
             if not trail.is_zero():
-                comps[n - 1] = trail
+                comps[n - 1] = trail.mat
             b_cols.append(restricted(comps))
     v_rank = rank(Mat(p, np.stack(v_cols, axis=1))) if v_cols else 0
     b_rank = rank(Mat(p, np.stack(b_cols, axis=1))) if b_cols else 0

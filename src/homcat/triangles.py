@@ -18,7 +18,6 @@ from homcat.complexes import (
     CMap,
     ConeParts,
     Cx,
-    DegreewiseSolver,
     Htp,
     chain_map_basis,
     cohomology_map,
@@ -28,6 +27,7 @@ from homcat.complexes import (
     null_homotopy,
     shift,
     shift_map,
+    solve_squares,
     zero_complex,
     _combined_degrees,
 )
@@ -157,64 +157,6 @@ def cone_triangle(f: CMap) -> Tri:
     return Tri(f=f, g=iota, h=pi, kind="cone", comp_certs=(h1, h2, h3), cone_cmp=None)
 
 
-def _add_chain_map_vars(solver: DegreewiseSolver, name: str, src: Cx, dst: Cx) -> None:
-    for n in _combined_degrees(src, dst):
-        if src.obj(n).dim and dst.obj(n).dim:
-            solver.add_var((name, n), src.obj(n), dst.obj(n))
-
-
-def _add_chain_condition(solver: DegreewiseSolver, name: str, src: Cx, dst: Cx) -> None:
-    for n in _combined_degrees(src, dst):
-        rows = dst.obj(n + 1).dim
-        cols = src.obj(n).dim
-        if rows == 0 or cols == 0:
-            continue
-        solver.add_eq(
-            [
-                ((name, n + 1), None, src.diff(n).mat, +1),
-                ((name, n), dst.diff(n).mat, None, -1),
-            ],
-            Mat.zeros(solver.p, rows, cols),
-        )
-
-
-def _add_htp_vars(solver: DegreewiseSolver, name: str, src: Cx, dst: Cx) -> None:
-    for n in _combined_degrees(src, dst):
-        if src.obj(n).dim and dst.obj(n - 1).dim:
-            solver.add_var((name, n), src.obj(n), dst.obj(n - 1))
-
-
-def _square_eq(solver, left_terms, rhs_map: CMap, htp_name: str, src: Cx, dst: Cx) -> None:
-    """Add equations: (left terms)^n - rhs^n = (d s + s d)^n for all degrees."""
-    for n in _combined_degrees(src, dst):
-        rows = dst.obj(n).dim
-        cols = src.obj(n).dim
-        if rows == 0 or cols == 0:
-            continue
-        terms = [t(n) for t in left_terms]
-        terms.append(((htp_name, n), dst.diff(n - 1).mat, None, -1))
-        terms.append(((htp_name, n + 1), None, src.diff(n).mat, -1))
-        solver.add_eq(terms, rhs_map.component(n).mat)
-
-
-def _extract_cmap(sol: dict, name: str, src: Cx, dst: Cx) -> CMap:
-    comps = {}
-    for key, mat in sol.items():
-        if key[0] == name:
-            n = key[1]
-            comps[n] = MMap(src.obj(n), dst.obj(n), mat)
-    return CMap.build(src, dst, comps)
-
-
-def _extract_htp(sol: dict, name: str, phi: CMap, psi: CMap) -> Htp:
-    comps = {}
-    for key, mat in sol.items():
-        if key[0] == name and mat.rows and mat.cols:
-            n = key[1]
-            comps[n] = MMap(phi.src.obj(n), phi.dst.obj(n - 1), mat)
-    return Htp(phi, psi, comps)
-
-
 def certify_triangle(f: CMap, g: CMap, h: CMap) -> Tri:
     """Verify exactness by solving for a homotopy equivalence to cone(f).
 
@@ -226,61 +168,14 @@ def certify_triangle(f: CMap, g: CMap, h: CMap) -> Tri:
     certs = _composite_certs(f, g, h)
     c, parts = cone_complex(f)
     z = g.dst
-    p = f.src.alg.p
-    solver = DegreewiseSolver(p)
-    _add_chain_map_vars(solver, "w", c, z)
-    _add_htp_vars(solver, "s1", f.dst, z)
-    _add_htp_vars(solver, "s2", c, shift(f.src, 1))
-    _add_chain_condition(solver, "w", c, z)
-    _square_eq(
-        solver,
-        [lambda n: (("w", n), None, parts.iota.component(n).mat, +1)],
-        g,
-        "s1",
-        f.dst,
-        z,
-    )
-    _square_eq(
-        solver,
-        [lambda n: (("w", n), h.component(n).mat, None, +1)],
-        parts.pi,
-        "s2",
-        c,
-        shift(f.src, 1),
-    )
-    sol = solver.solve()
-    if sol is None:
+    out = solve_squares((c, z), [(None, parts.iota, g), (h, None, parts.pi)])
+    if out is None:
         raise ValidationError("no comparison map onto the cone: triangle is not exact")
-    w = _extract_cmap(sol, "w", c, z)
-    s1 = _extract_htp(sol, "s1", w @ parts.iota, g)
-    s2 = _extract_htp(sol, "s2", h @ w, parts.pi)
-    inv_solver = DegreewiseSolver(p)
-    _add_chain_map_vars(inv_solver, "v", z, c)
-    _add_htp_vars(inv_solver, "s3", z, z)
-    _add_htp_vars(inv_solver, "s4", c, c)
-    _add_chain_condition(inv_solver, "v", z, c)
-    _square_eq(
-        inv_solver,
-        [lambda n: (("v", n), w.component(n).mat, None, +1)],
-        CMap.identity(z),
-        "s3",
-        z,
-        z,
-    )
-    _square_eq(
-        inv_solver,
-        [lambda n: (("v", n), None, w.component(n).mat, +1)],
-        CMap.identity(c),
-        "s4",
-        c,
-        c,
-    )
-    inv_sol = inv_solver.solve()
-    if inv_sol is None:
+    w, (s1, s2) = out
+    inv = solve_squares((z, c), [(w, None, CMap.identity(z)), (None, w, CMap.identity(c))])
+    if inv is None:
         raise ValidationError("comparison map admits no homotopy inverse")
-    v = _extract_cmap(inv_sol, "v", z, c)
-    s3 = _extract_htp(inv_sol, "s3", w @ v, CMap.identity(z))
-    s4 = _extract_htp(inv_sol, "s4", v @ w, CMap.identity(c))
+    v, (s3, s4) = inv
     return Tri(
         f=f, g=g, h=h, kind="iso-to-cone", comp_certs=certs, cone_cmp=(w, v, s1, s2, s3, s4)
     )
@@ -527,37 +422,13 @@ def fill_in(tri: Tri, tri2: Tri, phi1: CMap, phi2: CMap) -> tuple[CMap, Htp, Htp
         raise ValidationError("fill-in maps have mismatched endpoints")
     if null_homotopy(phi2 @ tri.f, tri2.f @ phi1) is None:
         raise ValidationError("input square does not commute up to homotopy")
-    p = tri.x.alg.p
-    z, z2 = tri.z, tri2.z
-    solver = DegreewiseSolver(p)
-    _add_chain_map_vars(solver, "phi3", z, z2)
-    _add_htp_vars(solver, "s1", tri.y, z2)
-    _add_htp_vars(solver, "s2", z, shift(tri2.x, 1))
-    _add_chain_condition(solver, "phi3", z, z2)
-    rhs_g = tri2.g @ phi2
-    _square_eq(
-        solver,
-        [lambda n: (("phi3", n), None, tri.g.component(n).mat, +1)],
-        rhs_g,
-        "s1",
-        tri.y,
-        z2,
+    out = solve_squares(
+        (tri.z, tri2.z),
+        [(None, tri.g, tri2.g @ phi2), (tri2.h, None, shift_map(phi1, 1) @ tri.h)],
     )
-    rhs_h = shift_map(phi1, 1) @ tri.h
-    _square_eq(
-        solver,
-        [lambda n: (("phi3", n), tri2.h.component(n).mat, None, +1)],
-        rhs_h,
-        "s2",
-        z,
-        shift(tri2.x, 1),
-    )
-    sol = solver.solve()
-    if sol is None:
+    if out is None:
         raise ValidationError("fill-in system unsolvable; input squares inconsistent")
-    phi3 = _extract_cmap(sol, "phi3", z, z2)
-    s1 = _extract_htp(sol, "s1", phi3 @ tri.g, rhs_g)
-    s2 = _extract_htp(sol, "s2", tri2.h @ phi3, rhs_h)
+    phi3, (s1, s2) = out
     return phi3, s1, s2
 
 

@@ -38,6 +38,17 @@ def test_verify_writes_deterministic_report(tmp_path):
     assert all(set(row) == {"name", "expected", "got", "pass"} for row in payload["checks"])
 
 
+def test_verify_1_7_2_runs_with_default_samples():
+    assert main(["verify", "1.7.2"]) == 0
+
+
+def test_verify_1_7_3_writes_json(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "1.7.3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is True
+
+
 def test_verify_list(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 from homcat.algebras import preset
 from homcat.complexes import (
     CMap,
+    DegreewiseSolver,
     Htp,
     chain_map_basis,
     cohomology_data,
@@ -19,9 +20,11 @@ from homcat.complexes import (
     null_homotopy,
     shift,
     shift_map,
+    solve_squares,
     stalk,
     truncate,
 )
+from homcat.derived import proj_resolution
 from homcat.errors import ValidationError
 from homcat.linalg import Mat, rank
 from homcat.modules import (
@@ -133,6 +136,43 @@ def test_null_homotopy_cases():
     c, _ = cone_complex(CMap.identity(x))
     cert = null_homotopy(CMap.identity(c))
     assert cert is not None
+
+
+def test_degreewise_solver_equation_before_later_variable():
+    s = simple_module(L1, 0)
+    solver = DegreewiseSolver(101)
+    solver.add_var("a", s, s)
+    solver.add_eq([("a", None, None, +1)], Mat.identity(101, 1).scale(2))
+    solver.add_var("b", s, s)
+    solver.add_eq([("a", None, None, +1), ("b", None, None, +1)], Mat.identity(101, 1).scale(5))
+    sol = solver.solve()
+    assert sol["a"] == Mat.identity(101, 1).scale(2)
+    assert sol["b"] == Mat.identity(101, 1).scale(3)
+
+
+def test_solve_squares_lifts_endomorphism_through_resolution():
+    m = simple_module(L1, 0)
+    res = proj_resolution(m)
+    assert len(res.res.objects) > 1
+    gamma = MMap.identity(m).scale(3)
+    target_map = CMap.build(res.target, res.target, {0: gamma})
+    rhs = target_map @ res.comparison
+    out = solve_squares((res.res, res.res), [(res.comparison, None, rhs)])
+    assert out is not None
+    w, (htp,) = out
+    assert w.src == res.res and w.dst == res.res
+    assert htp.phi == res.comparison @ w and htp.psi == rhs
+    Htp(htp.phi, htp.psi, htp.comps)  # re-verifies the homotopy identity
+    assert cohomology_map(w, 0).mat == Mat.identity(101, 1).scale(3)
+
+
+def test_solve_squares_none_when_square_cannot_commute():
+    x = stalk(simple_module(L1, 0), 0)
+    assert solve_squares((x, x), [(CMap.zero(x, x), None, CMap.identity(x))]) is None
+    # without w the same builder certifies phi ~ psi
+    idm = CMap.identity(x)
+    (w, (htp,)) = solve_squares(None, [(idm, None, idm)])
+    assert w is None and htp.phi == idm and htp.psi == idm
 
 
 def test_homotopy_invariance_of_cohomology():
