@@ -12,6 +12,7 @@ two-sided ideal and that the quotient has a nondegenerate trace form.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -102,7 +103,7 @@ class Alg:
         return powers
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Alg)
             and self.p == other.p
             and self.dim == other.dim
@@ -312,7 +313,16 @@ def _truncated_polynomial_algebra(n: int, p: int) -> Alg:
 
 
 def preset(name: str, p: int) -> Alg:
-    """Named algebras: lambda1/2/3, truncpoly(n), ground_field."""
+    """Named algebras: lambda1/2/3, truncpoly(n), ground_field.
+
+    Each (name, p) is built and validated once and then shared, so repeated
+    calls return the same object and equality tests on it are identity tests.
+    """
+    return _build_preset(name, p)
+
+
+@functools.lru_cache(maxsize=32)
+def _build_preset(name: str, p: int) -> Alg:
     validate_prime(p)
     if name == "ground_field":
         return dataclasses.replace(_truncated_polynomial_algebra(1, p), name="ground_field")
@@ -585,23 +595,67 @@ def algebra_to_json(alg: Alg) -> dict:
     }
 
 
+def _json_field(data: dict, field: str, default=None):
+    if field in data:
+        return data[field]
+    if default is None:
+        raise ValidationError(f"algebra JSON is missing field {field!r}", witness=field)
+    return default
+
+
+def _json_int(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"algebra JSON field {field!r} must be an integer, got {value!r}", witness=field)
+    return int(value)
+
+
+def _json_ints(value, field: str, length: int) -> list[int]:
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise ValidationError(f"algebra JSON field {field!r} must be a list of {length} integers", witness=field)
+    return [_json_int(x, field) for x in value]
+
+
+def _json_vectors(data: dict, field: str, dim: int) -> list[list[int]]:
+    value = _json_field(data, field, [])
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"algebra JSON field {field!r} must be a list", witness=field)
+    return [_json_ints(v, f"{field}[{t}]", dim) for t, v in enumerate(value)]
+
+
 def algebra_from_json(data: dict) -> Alg:
-    p = int(data["prime"])
-    dim = int(data["dim"])
+    """Rebuild and re-validate an algebra.
+
+    Every field is checked before it is used: a missing or malformed field
+    raises ValidationError whose witness names it (``structconst[3]`` for the
+    fourth entry); a bad prime raises as in ``validate_prime``.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError("algebra JSON must be an object")
+    p = _json_int(_json_field(data, "prime"), "prime")
+    validate_prime(p)
+    dim = _json_int(_json_field(data, "dim"), "dim")
+    if dim < 1:
+        raise ValidationError(f"algebra JSON field 'dim' must be positive, got {dim}", witness="dim")
+    entries = _json_field(data, "structconst")
+    if not isinstance(entries, (list, tuple)):
+        raise ValidationError("algebra JSON field 'structconst' must be a list", witness="structconst")
     c = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i, j, k, v in data["structconst"]:
-        c[i, j, k] = v
-    rad_cols = data.get("radical", [])
-    rad = np.zeros((dim, len(rad_cols)), dtype=np.int64)
-    for t, col in enumerate(rad_cols):
-        rad[:, t] = col
-    return make_algebra(
-        dim,
-        c,
-        data["unit"],
-        data.get("idempotents", []),
-        Mat(p, rad),
-        p,
-        labels=data.get("labels"),
-        name=data.get("name", "algebra"),
-    )
+    for t, entry in enumerate(entries):
+        field = f"structconst[{t}]"
+        i, j, k, v = _json_ints(entry, field, 4)
+        if not all(0 <= x < dim for x in (i, j, k)):
+            raise ValidationError(f"algebra JSON field {field!r} has an index outside [0, {dim})", witness=field)
+        c[i, j, k] = v % p
+    unit = _json_ints(_json_field(data, "unit"), "unit", dim)
+    idempotents = _json_vectors(data, "idempotents", dim)
+    rad_cols = _json_vectors(data, "radical", dim)
+    labels = data.get("labels")
+    if labels is not None and (
+        not isinstance(labels, (list, tuple)) or len(labels) != dim or not all(isinstance(x, str) for x in labels)
+    ):
+        raise ValidationError(f"algebra JSON field 'labels' must be a list of {dim} strings", witness="labels")
+    name = data.get("name", "algebra")
+    if not isinstance(name, str):
+        raise ValidationError("algebra JSON field 'name' must be a string", witness="name")
+    rad = np.array(rad_cols, dtype=np.int64).T.reshape(dim, len(rad_cols))
+    return make_algebra(dim, c, unit, idempotents, Mat(p, rad), p, labels=labels, name=name)

@@ -15,6 +15,7 @@ import sys
 
 from homcat.algebras import preset
 from homcat.derived import tilting_check
+from homcat.errors import GuardError
 from homcat.exercises import (
     Options,
     Report,
@@ -73,7 +74,7 @@ def _cmd_verify(args) -> int:
     for exercise_id in ids:
         try:
             report = run_exercise(exercise_id, options)
-        except ValueError as err:
+        except (ValueError, GuardError) as err:
             print(str(err), file=sys.stderr)
             return 2
         reports.append(report)

@@ -188,9 +188,9 @@ class CMap:
             if f.src != self.src.obj(n) or f.dst != self.dst.obj(n):
                 raise ValidationError(f"component {n} has mismatched endpoints")
         for n in range(min(self.src.lo, self.dst.lo) - 1, max(self.src.hi, self.dst.hi) + 1):
-            lhs = self.component(n + 1) @ self.src.diff(n)
-            rhs = self.dst.diff(n) @ self.component(n)
-            if lhs.mat != rhs.mat:
+            lhs = self.component(n + 1).mat @ self.src.diff(n).mat
+            rhs = self.dst.diff(n).mat @ self.component(n).mat
+            if lhs != rhs:
                 raise ValidationError(
                     f"chain condition fails at degree {n}", witness=n
                 )
@@ -286,9 +286,9 @@ class Htp:
             if h.src != x.obj(n) or h.dst != y.obj(n - 1):
                 raise ValidationError(f"homotopy component {n} has wrong endpoints")
         for n in _combined_degrees(x, y):
-            delta = self.phi.component(n) - self.psi.component(n)
-            rebuilt = y.diff(n - 1) @ self.component(n) + self.component(n + 1) @ x.diff(n)
-            if delta.mat != rebuilt.mat:
+            delta = self.phi.component(n).mat - self.psi.component(n).mat
+            rebuilt = y.diff(n - 1).mat @ self.component(n).mat + self.component(n + 1).mat @ x.diff(n).mat
+            if delta != rebuilt:
                 raise ValidationError(f"homotopy identity fails at degree {n}", witness=n)
 
     def component(self, n: int) -> MMap:

@@ -6,6 +6,11 @@ out in the four workhorses here: ``rref``, ``kernel_basis``, ``solve`` and
 columns), so storage is dense int64 numpy arrays with entries reduced mod p,
 and elimination uses deterministic pivoting (first nonzero entry in column
 order) so every output is reproducible.
+
+The modulus is bounded by ``MAX_PRIME`` = 2^21: a product of two n x n
+matrices then sums n * (p-1)^2 < 2^63 for every n < 2^21, so int64 never
+overflows, and the primality test stays under ~1,450 trial divisions.  Larger
+moduli raise ``GuardError`` instead of returning wrapped-around entries.
 """
 
 from __future__ import annotations
@@ -14,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from homcat.errors import GuardError
+
 __all__ = [
+    "MAX_PRIME",
     "Fp",
     "Mat",
     "is_prime",
@@ -46,30 +54,24 @@ def is_prime(p: int) -> bool:
     return True
 
 
+MAX_PRIME = 2**21
+
+
 def validate_prime(p: int) -> None:
-    if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
+    """Raise ValueError unless p is a prime integer, GuardError above MAX_PRIME."""
+    if not isinstance(p, (int, np.integer)):
         raise ValueError(f"modulus must be a prime integer, got {p!r}")
-
-
-_INV_TABLES: dict[int, np.ndarray] = {}
-
-
-def _inv_table(p: int) -> np.ndarray:
-    """Table of multiplicative inverses mod p (index 0 unused)."""
-    tab = _INV_TABLES.get(p)
-    if tab is None:
-        tab = np.zeros(p, dtype=np.int64)
-        for x in range(1, p):
-            tab[x] = pow(x, p - 2, p)
-        _INV_TABLES[p] = tab
-    return tab
+    if p > MAX_PRIME:
+        raise GuardError(f"modulus {p} exceeds MAX_PRIME = 2**21; int64 products could overflow")
+    if not is_prime(int(p)):
+        raise ValueError(f"modulus must be a prime integer, got {p!r}")
 
 
 def inv_mod(x: int, p: int) -> int:
     x = int(x) % p
     if x == 0:
         raise ZeroDivisionError(f"0 is not invertible mod {p}")
-    return int(_inv_table(p)[x])
+    return pow(x, -1, p)
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,15 @@ class Mat:
         self.p = int(p)
         self.a = arr
 
+    @classmethod
+    def _reduced(cls, p: int, arr: np.ndarray) -> "Mat":
+        """Wrap an int64 array already reduced mod an already validated p."""
+        m = cls.__new__(cls)
+        arr.flags.writeable = False
+        m.p = p
+        m.a = arr
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -173,18 +184,18 @@ class Mat:
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return Mat(self.p, (self.a @ other.a) % self.p)
+        return Mat._reduced(self.p, (self.a @ other.a) % self.p)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
-        return Mat(self.p, self.a + other.a)
+        return Mat._reduced(self.p, (self.a + other.a) % self.p)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check(other)
-        return Mat(self.p, self.a.astype(np.int64) - other.a)
+        return Mat._reduced(self.p, (self.a - other.a) % self.p)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.p, -self.a.astype(np.int64))
+        return Mat._reduced(self.p, -self.a % self.p)
 
     def scale(self, k: int) -> "Mat":
         return Mat(self.p, self.a * (int(k) % self.p))
@@ -214,7 +225,7 @@ class Mat:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Mat)
             and self.p == other.p
             and self.shape == other.shape
@@ -268,7 +279,6 @@ def block_diag(mats: list[Mat], p: int | None = None) -> Mat:
 
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """In-place reduced row echelon form of ``a`` mod p; returns pivots."""
-    inv = _inv_table(p)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -281,7 +291,7 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr], :] = a[[pr, r], :]
-        a[r, :] = (a[r, :] * inv[a[r, c]]) % p
+        a[r, :] = (a[r, :] * pow(int(a[r, c]), -1, p)) % p
         col = a[:, c].copy()
         col[r] = 0
         a -= np.outer(col, a[r, :])

@@ -89,7 +89,7 @@ class Mod:
         return b"".join(m.key() for m in self.action) or b"0"
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Mod)
             and self.alg == other.alg
             and self.dim == other.dim
@@ -117,12 +117,21 @@ class MMap:
                 f"homomorphism matrix has shape {self.mat.shape}, expected "
                 f"{(self.dst.dim, self.src.dim)}"
             )
-        for i in range(self.src.alg.dim):
-            if self.mat @ self.src.action[i] != self.dst.action[i] @ self.mat:
-                raise ValidationError(
-                    f"matrix does not commute with the action of basis element {i}",
-                    witness=i,
-                )
+        p = self.mat.p
+        if p != self.src.alg.p or p != self.dst.alg.p:
+            raise ValueError(f"mixed moduli {p} and {self.src.alg.p}, {self.dst.alg.p}")
+        f = self.mat.a
+        if not f.any():
+            return  # the zero map commutes with every action
+        src = np.stack([m.a for m in self.src.action])
+        dst = np.stack([m.a for m in self.dst.action])
+        bad = np.flatnonzero(np.any((f @ src - dst @ f) % p, axis=(1, 2)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(
+                f"matrix does not commute with the action of basis element {i}",
+                witness=i,
+            )
 
     def __matmul__(self, other: "MMap") -> "MMap":
         if other.dst != self.src:

@@ -170,3 +170,38 @@ def test_json_round_trip():
         b = algebra_from_json(algebra_to_json(a))
         assert a == b
         assert b.labels == a.labels
+
+
+def test_presets_are_interned_and_equality_stays_structural():
+    a = preset("lambda1", 3)
+    assert preset("lambda1", 3) is a
+    b = algebra_from_json(algebra_to_json(a))
+    assert b is not a and b == a
+    assert opposite(opposite(a)) == a
+
+
+def _json_truncpoly2():
+    return algebra_to_json(preset("truncpoly(2)", 3))
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        pytest.param(lambda d: d.pop("structconst"), "structconst", id="missing-structconst"),
+        pytest.param(lambda d: d.pop("prime"), "prime", id="missing-prime"),
+        pytest.param(lambda d: d.__setitem__("dim", "2"), "dim", id="string-dim"),
+        pytest.param(lambda d: d["structconst"].__setitem__(0, [0, 0, 0]), "structconst[0]", id="3-element-entry"),
+        pytest.param(lambda d: d["structconst"].__setitem__(0, [5, 0, 0, 1]), "structconst[0]", id="index-too-large"),
+        pytest.param(lambda d: d["structconst"].__setitem__(1, [0, -1, 1, 1]), "structconst[1]", id="negative-index"),
+        pytest.param(lambda d: d.__setitem__("unit", [1]), "unit", id="short-unit"),
+        pytest.param(lambda d: d["radical"].__setitem__(0, [0, 1, 0]), "radical[0]", id="long-radical-column"),
+        pytest.param(lambda d: d["idempotents"].__setitem__(0, [1]), "idempotents[0]", id="short-idempotent"),
+        pytest.param(lambda d: d.__setitem__("labels", ["1"]), "labels", id="short-labels"),
+    ],
+)
+def test_json_rejects_malformed_fields(corrupt, field):
+    data = _json_truncpoly2()
+    corrupt(data)
+    with pytest.raises(ValidationError) as err:
+        algebra_from_json(data)
+    assert err.value.witness == field

@@ -129,3 +129,8 @@ def test_console_script_entry():
     )
     assert result.returncode == 0
     assert "tilting" in result.stdout
+
+
+def test_verify_refuses_a_prime_above_the_bound(capsys):
+    assert main(["verify", "1.2.1", "--prime", str(2**31 - 1)]) == 2
+    assert "MAX_PRIME" in capsys.readouterr().err

@@ -269,3 +269,29 @@ def test_hom_bilinearity_of_composition():
     assert null_homotopy(lhs, rhs) is not None  # in fact equal on the nose
     d = random_chain_map(x, y, rng)
     assert null_homotopy(a @ (c + d), a @ c + a @ d) is not None
+
+
+def _three_term_complex():
+    """P --0--> P --id--> P in degrees 0, 1, 2 (P the first projective)."""
+    p = projective_module(L1, 0)
+    ident = MMap.identity(p)
+    return make_complex(L1, 0, [p, p, p], [MMap.zero(p, p), ident]), ident
+
+
+def test_chain_condition_failure_reports_its_degree():
+    x, ident = _three_term_complex()
+    CMap(x, x, {0: ident, 1: ident, 2: ident})
+    with pytest.raises(ValidationError, match="chain condition") as err:
+        CMap(x, x, {0: ident, 1: ident})
+    assert err.value.witness == 1
+
+
+def test_homotopy_identity_failure_reports_its_degree():
+    p = projective_module(L1, 0)
+    ident = MMap.identity(p)
+    x = make_complex(L1, 0, [p, p], [ident])  # contractible: id ~ 0 via h^1 = id
+    idx, zero = CMap.identity(x), CMap.zero(x, x)
+    Htp(idx, zero, {1: ident})
+    with pytest.raises(ValidationError, match="homotopy identity") as err:
+        Htp(idx, zero, {1: ident.scale(2)})
+    assert err.value.witness == 0

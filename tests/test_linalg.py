@@ -219,3 +219,49 @@ def test_quotient_structure_properties(m):
     assert (proj @ m).is_zero()
     assert rank(proj) == m.rows - r
     assert proj @ sec == Mat.identity(m.p, m.rows - r)
+
+
+def test_modulus_above_bound_is_refused():
+    from homcat.errors import GuardError
+    from homcat.linalg import MAX_PRIME, validate_prime
+
+    validate_prime(2_097_143)  # the largest prime below MAX_PRIME = 2**21
+    assert MAX_PRIME == 2**21
+    with pytest.raises(GuardError, match="MAX_PRIME"):
+        Mat(2**31 - 1, np.full((4, 4), 2**31 - 2))
+    with pytest.raises(GuardError, match="MAX_PRIME"):
+        validate_prime(2**61 - 1)  # trial division here would not finish
+    with pytest.raises(ValueError):
+        validate_prime(2_097_151)  # composite below the bound
+
+
+def test_inverse_and_rref_at_a_large_prime():
+    from homcat.linalg import inv_mod
+
+    p = 1_000_003
+    for x in (1, 2, 5, 999_999, p - 1):
+        assert x * inv_mod(x, p) % p == 1
+    m = Mat(p, [[2, 5, 7], [4, 10, 1], [p - 1, 3, 0]])
+    r, pivots = rref(m)
+    assert r == Mat.identity(p, 3) and pivots == (0, 1, 2)
+    inv = inverse(m)
+    assert inv is not None and m @ inv == Mat.identity(p, 3)
+    # a matrix of rank 2: the third row is the sum of the first two
+    s = Mat(p, [[2, 5, 7], [4, 10, 1], [6, 15, 8]])
+    _, pivots = rref(s)
+    assert pivots == (0, 2)
+    assert (s @ kernel_basis(s)).is_zero() and kernel_basis(s).cols == 1
+
+
+def test_arithmetic_results_are_reduced():
+    p = 7
+    a = Mat(p, [[3, 6], [0, 5]])
+    b = Mat(p, [[6, 6], [1, 2]])
+    for got, want in (
+        (a @ b, [[24, 30], [5, 10]]),
+        (a + b, [[9, 12], [1, 7]]),
+        (a - b, [[-3, 0], [-1, 3]]),
+        (-a, [[-3, -6], [0, -5]]),
+    ):
+        assert got == Mat(p, want)
+        assert got.a.min() >= 0 and got.a.max() < p and not got.a.flags.writeable

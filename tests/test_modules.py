@@ -360,3 +360,37 @@ def test_field_independence_of_ar_arrows():
         arrows2 = sorted((label(q2, s), label(q2, t), m) for s, t, m in q2.arrows)
         arrows3 = sorted((label(q3, s), label(q3, t), m) for s, t, m in q3.arrows)
         assert arrows2 == arrows3
+
+
+def test_mmap_rejects_non_commuting_matrix_with_first_failing_basis_index():
+    r = regular_module(L1)
+    # right multiplications on the regular module are not left-module maps;
+    # (action index, first basis index it fails to commute with)
+    for k, first_bad in ((0, 1), (3, 1), (5, 2)):
+        with pytest.raises(ValidationError, match="commute") as err:
+            MMap(r, r, r.action[k])
+        assert err.value.witness == first_bad
+
+
+def test_mmap_check_matches_the_per_basis_loop():
+    r = regular_module(L1)
+    p = projective_module(L1, 0)
+    rng = np.random.default_rng(5)
+    mats = [Mat(101, rng.integers(0, 101, size=(r.dim, p.dim))) for _ in range(20)]
+    mats += [f.mat for f in hom_space(p, r)]
+    for f in mats:
+        bad = [i for i in range(L1.dim) if f @ p.action[i] != r.action[i] @ f]
+        if not bad:
+            assert MMap(p, r, f).mat == f
+            continue
+        with pytest.raises(ValidationError) as err:
+            MMap(p, r, f)
+        assert err.value.witness == bad[0]
+
+
+def test_mmap_zero_matrix_of_wrong_shape_is_rejected():
+    p = projective_module(L1, 0)
+    s = simple_module(L1, 2)
+    MMap(p, s, Mat.zeros(101, s.dim, p.dim))
+    with pytest.raises(ValidationError, match="shape"):
+        MMap(p, s, Mat.zeros(101, p.dim, s.dim))
