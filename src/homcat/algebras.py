@@ -599,19 +599,19 @@ def _json_field(data: dict, field: str, default=None):
     if field in data:
         return data[field]
     if default is None:
-        raise ValidationError(f"algebra JSON is missing field {field!r}", witness=field)
+        raise ValidationError(f"JSON is missing field {field!r}", witness=field)
     return default
 
 
 def _json_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"algebra JSON field {field!r} must be an integer, got {value!r}", witness=field)
+        raise ValidationError(f"JSON field {field!r} must be an integer, got {value!r}", witness=field)
     return int(value)
 
 
 def _json_ints(value, field: str, length: int) -> list[int]:
     if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise ValidationError(f"algebra JSON field {field!r} must be a list of {length} integers", witness=field)
+        raise ValidationError(f"JSON field {field!r} must be a list of {length} integers", witness=field)
     return [_json_int(x, field) for x in value]
 
 

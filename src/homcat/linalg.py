@@ -9,12 +9,13 @@ order) so every output is reproducible.
 
 The modulus is bounded by ``MAX_PRIME`` = 2^21: a product of two n x n
 matrices then sums n * (p-1)^2 < 2^63 for every n < 2^21, so int64 never
-overflows, and the primality test stays under ~1,450 trial divisions.  Larger
-moduli raise ``GuardError`` instead of returning wrapped-around entries.
+overflows.  Larger moduli raise ``GuardError`` instead of returning
+wrapped-around entries.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "inv_mod",
     "rref",
     "rank",
+    "is_invertible",
     "kernel_basis",
     "solve",
     "inverse",
@@ -43,14 +45,24 @@ __all__ = [
 ]
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@functools.lru_cache(maxsize=64)  # every Mat construction validates its modulus
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: its twelve prime bases are proven exact for n < 2^64."""
+    n = int(n)
+    if n >= 2**64:
+        raise GuardError(f"is_prime is proven exact only below 2**64, got {n}")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -176,9 +188,11 @@ class Mat:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "Mat") -> None:
+    def _check(self, other: "Mat", op: str | None = None) -> None:
         if self.p != other.p:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
+        if op is not None and self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other)
@@ -187,11 +201,11 @@ class Mat:
         return Mat._reduced(self.p, (self.a @ other.a) % self.p)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check(other)
+        self._check(other, "+")
         return Mat._reduced(self.p, (self.a + other.a) % self.p)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other)
+        self._check(other, "-")
         return Mat._reduced(self.p, (self.a - other.a) % self.p)
 
     def __neg__(self) -> "Mat":
@@ -309,7 +323,11 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_rref_array(m.a.copy(), m.p)[1])
+
+
+def is_invertible(m: Mat) -> bool:
+    return m.rows == m.cols and rank(m) == m.rows
 
 
 def kernel_basis(m: Mat) -> Mat:

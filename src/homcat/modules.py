@@ -28,10 +28,12 @@ from homcat.linalg import (
     hstack,
     in_column_span,
     inverse,
+    is_invertible,
     is_nilpotent,
     kernel_basis,
     quotient_structure,
     rank,
+    rref,
     solve,
     span_key,
 )
@@ -242,10 +244,7 @@ def quotient_module(m: Mod, sub_basis: Mat) -> tuple[Mod, MMap]:
 
 def projective_module(alg: Alg, j: int) -> Mod:
     """The right ideal e_j * A inside the regular module."""
-    reg = regular_module(alg)
-    basis = column_space(alg.left_mult(alg.idempotents[j]))
-    sub, _ = submodule(reg, basis)
-    return sub
+    return _projective_with_inclusion(alg, j)[0]
 
 
 def _projective_with_inclusion(alg: Alg, j: int) -> tuple[Mod, Mat]:
@@ -437,87 +436,96 @@ def injective_envelope(m: Mod) -> tuple[Mod, MMap]:
     return env, mono
 
 
-# -- isomorphism testing ---------------------------------------------------------
+# -- isomorphism testing and Krull-Schmidt ----------------------------------------
 
 
-def _rank_arr(a: np.ndarray, p: int) -> int:
-    from homcat.linalg import _rref_array
+def _singular_shift(g: Mat) -> Mat | None:
+    """g - lambda for the first eigenvalue lambda of g in F_p, or None if g has none.
 
-    return len(_rref_array(a.copy(), p)[1])
-
-
-def _invertible_arr(a: np.ndarray, p: int) -> bool:
-    return a.shape[0] == a.shape[1] and _rank_arr(a, p) == a.shape[0]
-
-
-def _nilpotent_arr(a: np.ndarray, p: int) -> bool:
-    n = a.shape[0]
-    if n == 0:
-        return True
-    x = a % p
-    e = 1
-    while e < n:
-        x = (x @ x) % p
-        e *= 2
-    return not x.any()
+    Tries lambda = tr(g)/n first when p does not divide n (the eigenvalue of
+    every g with a nilpotent shift), then 0, 1, ..., p-1.
+    """
+    p, n = g.p, g.rows
+    first = [int(np.trace(g.a)) * pow(n, -1, p) % p] if n % p else []
+    eye = np.eye(n, dtype=np.int64)
+    for lam in itertools.chain(first, range(p)):
+        shift = Mat(p, g.a - lam * eye)
+        if not is_invertible(shift):
+            return shift
+    return None
 
 
-def _combine_arr(mats: list[np.ndarray], coeffs, p: int) -> np.ndarray:
-    out = np.zeros(mats[0].shape, dtype=np.int64)
-    for c, f in zip(coeffs, mats):
-        if c:
-            out = out + int(c) * f
-    return out % p
+def _split_or_certify(m: Mod, basis: list[MMap]) -> Mat | None:
+    """A singular, non-nilpotent endomorphism of m, or None when End(m) is local.
 
+    A basis endomorphism whose eigenvalue shift is not nilpotent is returned.
+    Otherwise the span R of the shifts is closed under products: a product
+    outside R is returned if it is not nilpotent (it is singular, having a
+    nilpotent factor) and joins R otherwise.  A product-closed span of
+    nilpotents is a nilpotent ideal, since its semisimple quotient cannot be
+    spanned by nilpotents; then End(m) = R + F_p is local.
 
-def _invertible_combination(basis: list[MMap], seed: int = 0) -> MMap | None:
-    """Deterministic sweep for an invertible combination of hom-basis maps:
-    basis elements, a greedy rank-increasing accumulation, exhaustive
-    enumeration over small fields, then seeded random draws."""
-    if not basis:
+    If some basis element has no eigenvalue in F_p, every element of End(m)
+    is tested instead (GuardError above 3^9 of them): End(m) is local exactly
+    when each one is nilpotent or invertible.
+    """
+    p, n, d = m.alg.p, m.dim, len(basis)
+    shifts = []
+    for g in basis:
+        s = _singular_shift(g.mat)
+        if s is not None and not is_nilpotent(s):
+            return s
+        shifts.append(s)
+    if None in shifts:
+        if p**d > 3**9:
+            raise GuardError(f"an endomorphism has no eigenvalue in F_{p}, and {p}^{d} elements exceed the 3^9 sweep")
+        mats = np.stack([g.mat.a for g in basis])
+        for coeffs in itertools.product(range(p), repeat=d):
+            f = Mat(p, np.tensordot(coeffs, mats, axes=1))
+            if not is_invertible(f) and not is_nilpotent(f):
+                return f
         return None
-    p = basis[0].mat.p
-    n = basis[0].mat.rows
-    src, dst = basis[0].src, basis[0].dst
-    mats = [f.mat.a for f in basis]
+    span = [s.a for s in shifts if s.a.any()]
+    while span:
+        stack = np.stack(span)
+        red, pivots = rref(Mat(p, stack.reshape(len(span), n * n)))
+        prods = np.einsum("iab,jbc->ijac", stack, stack).reshape(-1, n * n) % p
+        residue = (prods - prods[:, list(pivots)] @ red.a[: len(pivots)]) % p
+        outside = np.flatnonzero(residue.any(axis=1))
+        if outside.size == 0:
+            return None
+        prod = Mat(p, prods[outside[0]].reshape(n, n))
+        if not is_nilpotent(prod):
+            return prod
+        span.append(prod.a)
+    return None
 
-    def _found(a: np.ndarray) -> MMap:
-        return MMap(src, dst, Mat(p, a))
 
-    for a in mats:
-        if _invertible_arr(a, p):
-            return _found(a)
-    acc = np.zeros((n, n), dtype=np.int64)
-    best = 0
-    for a in mats:
-        cand = (acc + a) % p
-        r = _rank_arr(cand, p)
-        if r > best:
-            acc, best = cand, r
-    if best == n:
-        return _found(acc)
-    if p ** len(basis) <= 3**12:
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            cand = _combine_arr(mats, coeffs, p)
-            if _invertible_arr(cand, p):
-                return _found(cand)
+def _indecomposable_iso(x: Mod, y: Mod) -> MMap | None:
+    """An isomorphism between indecomposables, or None (exact).
+
+    X and Y are isomorphic exactly when some g o f, with f and g from the
+    Hom bases of (X, Y) and (Y, X), is invertible: the non-units of the
+    local ring End(X) form the subspace rad End(X), which cannot contain the
+    identity g' o f' of an isomorphism.  Then f is the isomorphism.
+    """
+    if x.dim != y.dim or x.dim_vector() != y.dim_vector():
         return None
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        coeffs = rng.integers(0, p, size=len(basis))
-        if coeffs.any() and _invertible_arr(_combine_arr(mats, coeffs, p), p):
-            return _found(_combine_arr(mats, coeffs, p))
+    back = hom_space(y, x)
+    for f in hom_space(x, y):
+        if any(is_invertible(g.mat @ f.mat) for g in back):
+            return f
     return None
 
 
 def is_isomorphic(m: Mod, n: Mod) -> MMap | None:
-    """A verified isomorphism m -> n, or None.
+    """A verified isomorphism m -> n, or None; exact at every prime.
 
-    Soundness is unconditional (any returned map is invertible and
-    intertwines); the search over combinations is exhaustive over small
-    fields and randomized with a fixed seed over large ones.
+    Returns a Hom basis element when one is invertible.  Otherwise both
+    modules are decomposed and their summands matched pairwise
+    (``_indecomposable_iso``); the matched isomorphisms are assembled
+    through the inclusions and projections and checked on construction.
+    Raises GuardError when a decomposition does (see ``decompose_with_maps``).
     """
     if m.alg != n.alg or m.dim != n.dim:
         return None
@@ -525,65 +533,41 @@ def is_isomorphic(m: Mod, n: Mod) -> MMap | None:
         return MMap.zero(m, n)
     if m.dim_vector() != n.dim_vector():
         return None
-    return _invertible_combination(hom_space(m, n))
+    for f in hom_space(m, n):
+        if is_invertible(f.mat):
+            return f
+    targets = decompose_with_maps(n)
+    total = Mat.zeros(m.alg.p, n.dim, m.dim)
+    for x, _, proj_x in decompose_with_maps(m):
+        for k, (y, inc_y, _) in enumerate(targets):
+            f = _indecomposable_iso(x, y)
+            if f is not None:
+                total = total + inc_y.mat @ f.mat @ proj_x.mat
+                del targets[k]
+                break
+        else:
+            return None
+    if not is_invertible(total):
+        raise ValidationError("internal inconsistency: matched summands do not assemble an isomorphism")
+    return MMap(m, n, total)
 
 
-# -- Krull-Schmidt decomposition -------------------------------------------------
-
-
-def _endo_candidates(mats: list[np.ndarray], p: int, seed: int = 0):
-    """Candidate endomorphism matrices for Fitting splits, deterministic order:
-    the basis, eigenvalue shifts of the basis, pairwise sums/differences, then
-    an exhaustive (small field) or seeded random coefficient sweep."""
-    for a in mats:
-        yield a
-    n = mats[0].shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    for a in mats:
-        for lam in range(1, p):
-            yield (a - lam * eye) % p
-    for a, b in itertools.combinations(mats, 2):
-        yield (a + b) % p
-        yield (a - b) % p
-    if p ** len(mats) <= 3**9:
-        for coeffs in itertools.product(range(p), repeat=len(mats)):
-            if any(coeffs):
-                yield _combine_arr(mats, coeffs, p)
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(150):
-            coeffs = rng.integers(0, p, size=len(mats))
-            if coeffs.any():
-                yield _combine_arr(mats, coeffs, p)
-
-
-def _splitting_endo(m: Mod, basis: list[MMap], seed: int = 0) -> MMap | None:
-    """An endomorphism that is neither nilpotent nor invertible, if found."""
-    p = m.alg.p
-    mats = [f.mat.a for f in basis]
-    for a in _endo_candidates(mats, p, seed):
-        if _nilpotent_arr(a, p):
-            continue
-        if not _invertible_arr(a, p):
-            return MMap(m, m, Mat(p, a))
-    return None
-
-
-def decompose_with_maps(m: Mod, seed: int = 0) -> list[tuple[Mod, MMap, MMap]]:
+def decompose_with_maps(m: Mod) -> list[tuple[Mod, MMap, MMap]]:
     """Indecomposable summands with inclusion/projection maps.
 
-    Splits along Fitting decompositions ker(f^N) + im(f^N) of non-nilpotent
-    non-invertible endomorphisms; a summand is declared indecomposable when
-    the candidate sweep (exhaustive over small fields) finds no such
-    endomorphism.
+    Splits along Fitting decompositions ker(f^N) + im(f^N) of singular,
+    non-nilpotent endomorphisms; a summand is returned only once its
+    endomorphism ring is certified local (``_split_or_certify``), so the
+    result is exact at every prime.  Raises GuardError when a Hom basis
+    endomorphism has no eigenvalue in F_p (as for a residue field larger
+    than F_p), no basis element splits, and End has more than 3^9 elements.
     """
     if m.dim == 0:
         return []
-    basis = hom_space(m, m)
-    f = _splitting_endo(m, basis, seed)
+    f = _split_or_certify(m, hom_space(m, m))
     if f is None:
         return [(m, MMap.identity(m), MMap.identity(m))]
-    power = f.mat.power(1 << (m.dim.bit_length()))
+    power = f.power(1 << (m.dim.bit_length()))
     ker = kernel_basis(power)
     img = column_space(power)
     u = hstack([ker, img])
@@ -596,14 +580,14 @@ def decompose_with_maps(m: Mod, seed: int = 0) -> list[tuple[Mod, MMap, MMap]]:
         part, inc = submodule(m, basis_mat)
         proj = MMap(m, part, Mat(m.alg.p, u_inv.a[offset : offset + part.dim, :]))
         offset += part.dim
-        for piece, pinc, pproj in decompose_with_maps(part, seed):
+        for piece, pinc, pproj in decompose_with_maps(part):
             out.append((piece, inc @ pinc, pproj @ proj))
     return out
 
 
-def decompose(m: Mod, seed: int = 0) -> list[tuple[Mod, int]]:
+def decompose(m: Mod) -> list[tuple[Mod, int]]:
     """Indecomposable summands grouped by isomorphism, with multiplicities."""
-    parts = [piece for piece, _, _ in decompose_with_maps(m, seed)]
+    parts = [piece for piece, _, _ in decompose_with_maps(m)]
     parts.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
     grouped: list[tuple[Mod, int]] = []
     for piece in parts:
@@ -638,25 +622,26 @@ def _enumerate_submodule_spans(m: Mod) -> list[Mat]:
             v = np.zeros(n, dtype=np.int64)
             v[lead] = 1
             v[lead + 1 :] = rest
-            gens = (stacked @ v) % p  # (algdim, n)
-            span = column_space(Mat(p, gens.T))
-            cyclics.setdefault(span_key(span), span)
+            gens = Mat(p, (stacked @ v).T)  # one column per algebra basis element
+            key = span_key(gens)
+            if key not in cyclics:
+                cyclics[key] = column_space(gens)
     cyclic_list = list(cyclics.values())
     zero = Mat.zeros(p, n, 0)
     found: dict[bytes, Mat] = {span_key(zero): zero}
-    for c in cyclic_list:
-        found.setdefault(span_key(c), c)
+    for key, c in cyclics.items():
+        found.setdefault(key, c)
     queue = list(found.values())
     while queue:
         w = queue.pop()
         for c in cyclic_list:
             if c.cols == 0 or in_column_span(w, c):
                 continue
-            joined = column_space(hstack([w, c]))
-            key = span_key(joined)
+            gens = hstack([w, c])
+            key = span_key(gens)
             if key not in found:
-                found[key] = joined
-                queue.append(joined)
+                found[key] = column_space(gens)
+                queue.append(found[key])
     return list(found.values())
 
 
@@ -675,9 +660,10 @@ def _pir_pair_spans(alg: Alg, total: Mod) -> list[Mat]:
     found[span_key(zero)] = zero
 
     def _record(u: np.ndarray, w: np.ndarray) -> None:
-        gens = np.concatenate([(stacked @ u) % p, (stacked @ w) % p], axis=0)
-        span = column_space(Mat(p, gens.T))
-        found.setdefault(span_key(span), span)
+        gens = Mat(p, np.concatenate([stacked @ u, stacked @ w], axis=0).T)
+        key = span_key(gens)
+        if key not in found:
+            found[key] = column_space(gens)
 
     for a in range(n + 1):
         u = np.zeros(2 * n, dtype=np.int64)
@@ -719,7 +705,7 @@ def _cheap_invariant(m: Mod) -> tuple:
     return (m.dim, m.dim_vector(), tuple(rad_series), socle(m)[0].dim)
 
 
-def classify_indecomposables(alg: Alg, seed: int = 0) -> list[Mod]:
+def classify_indecomposables(alg: Alg) -> list[Mod]:
     """Complete duplicate-free list of indecomposables, small fields only.
 
     Enumerates submodules of all pairwise sums of indecomposable projectives,
@@ -754,7 +740,7 @@ def classify_indecomposables(alg: Alg, seed: int = 0) -> list[Mod]:
                     _add(quotient_module(total, span)[0])
     pieces: dict[bytes, Mod] = {}
     for mod in candidates.values():
-        for piece, _, _ in decompose_with_maps(mod, seed):
+        for piece, _, _ in decompose_with_maps(mod):
             pieces.setdefault(piece.key(), piece)
     by_invariant: dict[tuple, list[Mod]] = {}
     for piece in sorted(pieces.values(), key=lambda x: (x.dim, x.dim_vector(), x.key())):
@@ -814,60 +800,38 @@ def known_indecomposables(alg: Alg) -> list[Mod]:
 # -- AR quiver --------------------------------------------------------------------
 
 
-def local_end_radical(m: Mod, basis: list[MMap] | None = None) -> list[MMap]:
+def local_end_radical(m: Mod) -> list[MMap]:
     """Basis of the maximal ideal of a local endomorphism algebra.
 
     For each basis endomorphism g there is exactly one scalar lambda with
     g - lambda * id nilpotent (split local case); those differences span the
     radical.  Raises if some g has no such scalar.
     """
-    if basis is None:
-        basis = hom_space(m, m)
     p = m.alg.p
-    eye = Mat.identity(p, m.dim)
     gens: list[Mat] = []
-    for g in basis:
-        for lam in range(p):
-            cand = g.mat - eye.scale(lam)
-            if is_nilpotent(cand):
-                gens.append(cand)
-                break
-        else:
+    for g in hom_space(m, m):
+        shift = _singular_shift(g.mat)
+        if shift is None or not is_nilpotent(shift):
             raise ValidationError("endomorphism algebra is not split local")
+        gens.append(shift)
     cols = _vec(gens, p, m.dim, m.dim)
     reduced = column_space(cols)
     return [MMap(m, m, Mat(p, reduced.a[:, t].reshape(m.dim, m.dim))) for t in range(reduced.cols)]
 
 
-def _rad_hom_basis(ind: list[Mod], hom: dict, i: int, j: int) -> list[MMap]:
-    """Basis of rad(X_i, X_j): all of Hom for distinct vertices, the maximal
-    ideal of End for a vertex with itself."""
-    if i == j:
-        return local_end_radical(ind[i], hom[(i, i)])
-    return hom[(i, j)]
-
-
 def ar_quiver(alg: Alg, indecomposables: list[Mod] | None = None) -> Quiver:
     """Arrow multiplicities are dim rad(X,Y) / rad^2(X,Y) over the classified
-    indecomposables, with rad^2 spanned by two-step composites."""
+    indecomposables, with rad^2 spanned by two-step composites; rad(X, Y) is
+    all of Hom for distinct vertices, the maximal ideal of End for a vertex
+    with itself."""
     ind = indecomposables if indecomposables is not None else classify_indecomposables(alg)
-    return _quiver_from_rad(alg, ind, _rad_hom_basis_factory(ind))
-
-
-def _rad_hom_basis_factory(ind: list[Mod]):
-    hom = {}
-    for i in range(len(ind)):
-        for j in range(len(ind)):
-            hom[(i, j)] = hom_space(ind[i], ind[j])
-    def rad_basis(i: int, j: int) -> list[MMap]:
-        return _rad_hom_basis(ind, hom, i, j)
-    return rad_basis
-
-
-def _quiver_from_rad(alg: Alg, ind: list[Mod], rad_basis) -> Quiver:
     p = alg.p
     n = len(ind)
-    rad = {(i, j): rad_basis(i, j) for i in range(n) for j in range(n)}
+    rad = {
+        (i, j): local_end_radical(ind[i]) if i == j else hom_space(ind[i], ind[j])
+        for i in range(n)
+        for j in range(n)
+    }
     arrows = []
     for i in range(n):
         for j in range(n):
@@ -884,11 +848,5 @@ def _quiver_from_rad(alg: Alg, ind: list[Mod], rad_basis) -> Quiver:
             mult = rank(rad_vec) - rank(rad2_vec)
             if mult > 0:
                 arrows.append((i, j, mult))
-    vertices = tuple(_vertex_label(m) for m in ind)
+    vertices = tuple(("m" + "".join(str(d) for d in m.dim_vector()), m.dim) for m in ind)
     return Quiver(vertices=vertices, arrows=tuple(arrows))
-
-
-def _vertex_label(m: Mod) -> tuple[str, int]:
-    dv = m.dim_vector()
-    label = "m" + "".join(str(d) for d in dv)
-    return (label, m.dim)

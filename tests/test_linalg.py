@@ -1,6 +1,8 @@
 """Elimination-layer tests: frozen small cases plus randomized invariants."""
 
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from homcat.linalg import (
     column_space,
     in_column_span,
     inverse,
+    is_invertible,
     is_nilpotent,
     is_prime,
     kernel_basis,
@@ -31,6 +34,22 @@ def test_prime_validation():
         Mat.zeros(6, 2, 2)
     with pytest.raises(ValueError):
         Fp(1, 10)
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    from homcat.errors import GuardError
+
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**4) if is_prime(n) != trial_division(n)] == []
+    for carmichael in (561, 1105, 41041):
+        assert not is_prime(carmichael)
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) * (2**31 + 11))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(GuardError):
+        is_prime(2**64 + 1)
 
 
 def test_fp_arithmetic():
@@ -146,6 +165,8 @@ def test_inverse_and_nilpotence():
     assert mi is not None and m @ mi == Mat.identity(3, 2)
     assert inverse(Mat.from_rows(5, [[1, 2], [2, 1]])) is not None
     assert inverse(Mat.from_rows(3, [[1, 2], [2, 4]])) is None
+    assert is_invertible(m) and not is_invertible(Mat.from_rows(3, [[1, 2], [2, 4]]))
+    assert not is_invertible(Mat.zeros(3, 2, 3))
     assert is_nilpotent(Mat.from_rows(5, [[0, 1], [0, 0]]))
     assert not is_nilpotent(Mat.identity(5, 2))
 
@@ -230,7 +251,7 @@ def test_modulus_above_bound_is_refused():
     with pytest.raises(GuardError, match="MAX_PRIME"):
         Mat(2**31 - 1, np.full((4, 4), 2**31 - 2))
     with pytest.raises(GuardError, match="MAX_PRIME"):
-        validate_prime(2**61 - 1)  # trial division here would not finish
+        validate_prime(2**61 - 1)  # prime, but above the bound
     with pytest.raises(ValueError):
         validate_prime(2_097_151)  # composite below the bound
 
@@ -265,3 +286,10 @@ def test_arithmetic_results_are_reduced():
     ):
         assert got == Mat(p, want)
         assert got.a.min() >= 0 and got.a.max() < p and not got.a.flags.writeable
+
+
+def test_sum_and_difference_reject_mismatched_shapes():
+    row, square = Mat(5, [[1, 2]]), Mat(5, [[1, 2], [3, 4]])
+    for op in (lambda: row + square, lambda: row - square, lambda: square - row):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op()

@@ -4,7 +4,7 @@ Krull-Schmidt, classification, AR quivers."""
 import numpy as np
 import pytest
 
-from homcat.algebras import preset
+from homcat.algebras import algebra_from_json, preset
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, kernel_basis, rank
 from homcat.modules import (
@@ -244,15 +244,72 @@ def test_decompose_with_maps_reassembles():
     assert acc == MMap.identity(total)
 
 
-def test_decompose_deterministic_across_seeds():
-    total, _, _ = direct_sum(
-        [projective_module(L1_3, 0), projective_module(L1_3, 1), simple_module(L1_3, 2)]
+def test_decompose_direct_sum_into_its_summands():
+    p1, p2, s3 = projective_module(L1_3, 0), projective_module(L1_3, 1), simple_module(L1_3, 2)
+    total, _, _ = direct_sum([p1, p2, s3])
+    parts = decompose(total)
+    assert [(m.dim, m.dim_vector(), mult) for m, mult in parts] == [
+        (1, (0, 0, 1), 1),
+        (2, (0, 1, 1), 1),
+        (3, (1, 1, 1), 1),
+    ]
+    for (m, _), summand in zip(parts, [s3, p2, p1]):
+        assert is_isomorphic(m, summand) is not None
+
+
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "truncpoly(4)"])
+def test_decompose_and_isomorphism_at_a_large_prime(name):
+    # at p = 10007 no coefficient sweep is possible; the answers are certified
+    alg = preset(name, 10007)
+    known = known_indecomposables(alg)
+    total, _, _ = direct_sum(known)
+    parts = decompose(total)
+    assert [mult for _, mult in parts] == [1] * len(known)
+    for k in known:
+        assert sum(1 for m, _ in parts if is_isomorphic(m, k) is not None) == 1
+    swapped, _, _ = direct_sum(known[::-1])
+    iso = is_isomorphic(total, swapped)
+    assert iso is not None and rank(iso.mat) == total.dim
+    if name == "truncpoly(4)":
+        # same dimension and dimension vector, different summands
+        other, _, _ = direct_sum([known[0], known[0], known[3], known[3]])
+        assert other.dim == total.dim and is_isomorphic(total, other) is None
+
+
+def _gaussian_integers(p):
+    """k[x]/(x^2 + 1): a field with p^2 elements when p = 3 mod 4."""
+    return algebra_from_json(
+        {
+            "prime": p,
+            "dim": 2,
+            "structconst": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, p - 1]],
+            "unit": [1, 0],
+            "idempotents": [[1, 0]],
+            "radical": [],
+        }
     )
-    outcomes = []
-    for seed in (0, 1, 7):
-        parts = decompose(total, seed=seed)
-        outcomes.append(sorted((m.dim, m.dim_vector(), mult) for m, mult in parts))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_non_split_residue_field_is_decided_by_the_exhaustive_sweep(p):
+    reg = regular_module(_gaussian_integers(p))
+    assert [(m.dim, mult) for m, mult in decompose(reg)] == [(2, 1)]
+    (rep, mult), = decompose(direct_sum([reg, reg])[0])
+    assert mult == 2 and is_isomorphic(rep, reg) is not None
+
+
+def test_non_split_residue_field_above_the_sweep_bound_is_refused():
+    with pytest.raises(GuardError):
+        decompose(regular_module(_gaussian_integers(10007)))
+
+
+def test_isomorphism_of_swapped_sum_without_invertible_basis_element():
+    a, b = simple_module(L1, 0), projective_module(L1, 1)
+    ab, _, _ = direct_sum([a, b])
+    ba, _, _ = direct_sum([b, a])
+    assert not any(rank(f.mat) == ab.dim for f in hom_space(ab, ba))
+    iso = is_isomorphic(ab, ba)
+    assert iso is not None and rank(iso.mat) == ab.dim
 
 
 def test_classify_guards():

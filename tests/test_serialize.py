@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from homcat.algebras import preset
-from homcat.complexes import cohomology_dims, stalk
+from homcat.complexes import cohomology_dims, make_complex, stalk
 from homcat.errors import ValidationError
-from homcat.modules import projective_module, simple_module
+from homcat.modules import hom_space, projective_module, simple_module
 from homcat.samples import random_complex
 from homcat.serialize import complex_from_json, complex_to_json, module_from_json
 
@@ -47,3 +47,26 @@ def test_from_json_revalidates():
     data["modules"][0]["action"][0][0][0] = 7
     with pytest.raises(ValidationError):
         complex_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        pytest.param(lambda d: d["modules"][0].pop("dim"), "dim", id="missing-dim"),
+        pytest.param(lambda d: d["modules"][0]["action"].pop(), "action", id="short-action"),
+        pytest.param(lambda d: d["modules"][0]["action"][1].pop(), "action[1]", id="short-action-matrix"),
+        pytest.param(lambda d: d.pop("support"), "support", id="missing-support"),
+        pytest.param(lambda d: d["differentials"][0].pop(), "differentials[0]", id="short-differential"),
+        pytest.param(lambda d: d["differentials"][0][0].append(0), "differentials[0]", id="long-differential-row"),
+        pytest.param(lambda d: d["differentials"].append([]), "differentials", id="extra-differential"),
+        pytest.param(lambda d: d["modules"].__setitem__(1, "proj:7"), "proj:7", id="bad-reference-index"),
+    ],
+)
+def test_complex_json_rejects_malformed_fields(corrupt, field):
+    p2, p1 = projective_module(L1, 1), projective_module(L1, 0)
+    data = complex_to_json(make_complex(L1, 0, [p2, p1], [hom_space(p2, p1)[0]]))
+    assert complex_from_json(data).obj(1) == p1
+    corrupt(data)
+    with pytest.raises(ValidationError) as err:
+        complex_from_json(data)
+    assert err.value.witness == field
