@@ -3,9 +3,18 @@
 Everything downstream (module categories, complexes, derived Homs) bottoms
 out in the four workhorses here: ``rref``, ``kernel_basis``, ``solve`` and
 ``quotient_structure``.  Matrices are small at desk scale (at most ~100
-columns), so storage is dense int64 numpy arrays with entries reduced mod p,
-and elimination uses deterministic pivoting (first nonzero entry in column
-order) so every output is reproducible.
+columns), so storage is dense int64 numpy arrays with entries reduced mod p.
+
+Elimination runs on Python-int rows (``ndarray.tolist``), not numpy calls:
+the typical system is a 10 x 10 to 10 x 20 matrix at p = 2 or 3 with a fifth
+of its entries nonzero, where per-call overhead outweighs vector width (the
+MeatAxe setting of many small sparse eliminations).  Only rows with a
+nonzero entry in the pivot column are updated, and Python ints cannot
+overflow at any p.  Pivoting is deterministic (first nonzero entry in column
+order), so every output is reproducible; the reduced row echelon form is
+unique anyway.  Dense large systems pay for this: a random 100 x 100 matrix
+at p = 101 takes about 12 times as long as with a numpy row-update loop
+(``BENCH_5.json``); no suite builds one.
 
 The modulus is bounded by ``MAX_PRIME`` = 2^21: a product of two n x n
 matrices then sums n * (p-1)^2 < 2^63 for every n < 2^21, so int64 never
@@ -134,7 +143,10 @@ class Mat:
 
     def __init__(self, p: int, a) -> None:
         validate_prime(p)
-        arr = np.asarray(a, dtype=np.int64)
+        arr = np.asarray(a)
+        if arr.dtype.kind in "fc" and arr.size:  # an empty float array truncates nothing
+            raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         arr = np.mod(arr, p)
@@ -212,14 +224,16 @@ class Mat:
         return Mat._reduced(self.p, -self.a % self.p)
 
     def scale(self, k: int) -> "Mat":
-        return Mat(self.p, self.a * (int(k) % self.p))
+        return Mat._reduced(self.p, self.a * (int(k) % self.p) % self.p)
 
     def transpose(self) -> "Mat":
-        return Mat(self.p, self.a.T)
+        return Mat._reduced(self.p, self.a.T)
 
     def power(self, e: int) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
+        if e < 0:
+            raise ValueError(f"negative matrix power {e}")
         result = Mat.identity(self.p, self.rows)
         base = self
         while e > 0:
@@ -231,7 +245,7 @@ class Mat:
 
     def take_columns(self, idx) -> "Mat":
         idx = list(idx)
-        return Mat(self.p, self.a[:, idx].reshape(self.rows, len(idx)))
+        return Mat._reduced(self.p, self.a[:, idx].reshape(self.rows, len(idx)))
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -257,18 +271,21 @@ class Mat:
         return self.shape[0].to_bytes(4, "little") + self.shape[1].to_bytes(4, "little") + self.a.tobytes()
 
 
-def hstack(mats: list[Mat]) -> Mat:
+def _common_modulus(mats: list[Mat], op: str) -> int:
     if not mats:
-        raise ValueError("hstack of empty list")
-    p = mats[0].p
-    return Mat(p, np.hstack([m.a for m in mats]))
+        raise ValueError(f"{op} of empty list")
+    moduli = {m.p for m in mats}
+    if len(moduli) != 1:
+        raise ValueError(f"{op} of mixed moduli {sorted(moduli)}")
+    return mats[0].p
+
+
+def hstack(mats: list[Mat]) -> Mat:
+    return Mat._reduced(_common_modulus(mats, "hstack"), np.hstack([m.a for m in mats]))
 
 
 def vstack(mats: list[Mat]) -> Mat:
-    if not mats:
-        raise ValueError("vstack of empty list")
-    p = mats[0].p
-    return Mat(p, np.vstack([m.a for m in mats]))
+    return Mat._reduced(_common_modulus(mats, "vstack"), np.vstack([m.a for m in mats]))
 
 
 def block_diag(mats: list[Mat], p: int | None = None) -> Mat:
@@ -276,7 +293,7 @@ def block_diag(mats: list[Mat], p: int | None = None) -> Mat:
         if p is None:
             raise ValueError("block_diag of empty list needs an explicit modulus")
         return Mat.zeros(p, 0, 0)
-    p = mats[0].p
+    p = _common_modulus(mats, "block_diag")
     r = sum(m.rows for m in mats)
     c = sum(m.cols for m in mats)
     out = np.zeros((r, c), dtype=np.int64)
@@ -285,41 +302,47 @@ def block_diag(mats: list[Mat], p: int | None = None) -> Mat:
         out[i : i + m.rows, j : j + m.cols] = m.a
         i += m.rows
         j += m.cols
-    return Mat(p, out)
+    return Mat._reduced(p, out)
 
 
 # -- elimination ------------------------------------------------------------
 
 
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """In-place reduced row echelon form of ``a`` mod p; returns pivots."""
-    rows, cols = a.shape
+    """In-place reduced row echelon form of ``a`` (entries in [0, p)); returns pivots."""
+    rows = a.tolist()
+    n = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    for c in range(a.shape[1]):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr], :] = a[[pr, r], :]
-        a[r, :] = (a[r, :] * pow(int(a[r, c]), -1, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a -= np.outer(col, a[r, :])
-        a %= p
+        row = rows[i]
+        rows[i] = rows[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = [x * inv % p for x in row]
+        rows[r] = row
+        for k, other in enumerate(rows):
+            f = other[c]
+            if f and k != r:
+                rows[k] = [(x - f * y) % p for x, y in zip(other, row)]
         pivots.append(c)
         r += 1
+        if r == n:
+            break
+    if pivots:
+        a[...] = rows
     return a, pivots
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the strictly increasing pivot columns."""
-    a = m.a.copy()
-    a, pivots = _rref_array(a, m.p)
-    return Mat(m.p, a), tuple(pivots)
+    a, pivots = _rref_array(m.a.copy(), m.p)
+    return Mat._reduced(m.p, a), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -340,7 +363,7 @@ def kernel_basis(m: Mat) -> Mat:
         basis[f, k] = 1
         for i, pc in enumerate(pivots):
             basis[pc, k] = (-int(r.a[i, f])) % p
-    return Mat(p, basis)
+    return Mat._reduced(p, basis)
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -356,7 +379,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     x = np.zeros((n, b.cols), dtype=np.int64)
     for i, pc in enumerate(pivots):
         x[pc, :] = red[i, n:]
-    return Mat(a.p, x)
+    return Mat._reduced(a.p, x)
 
 
 def inverse(m: Mat) -> Mat | None:
@@ -383,8 +406,8 @@ def in_column_span(basis: Mat, vecs: Mat) -> bool:
 
 def span_key(m: Mat) -> bytes:
     """Canonical key of the column span (column-reduced basis bytes)."""
-    red, pivots = rref(Mat(m.p, m.a.T))
-    return Mat(m.p, red.a[: len(pivots), :]).key()
+    red, pivots = rref(m.transpose())
+    return Mat._reduced(m.p, red.a[: len(pivots), :]).key()
 
 
 def quotient_structure(ambient_dim: int, sub: Mat) -> tuple[Mat, Mat]:
@@ -401,18 +424,18 @@ def quotient_structure(ambient_dim: int, sub: Mat) -> tuple[Mat, Mat]:
     basis = column_space(sub)
     r = basis.cols
     # pivot coordinates of the span, found on the transpose
-    _, pivot_coords = rref(Mat(p, basis.a.T))
+    _, pivot_coords = rref(basis.transpose())
     free = [i for i in range(n) if i not in set(pivot_coords)]
     # complement spanned by standard basis vectors at the free coordinates
     comp = np.zeros((n, n - r), dtype=np.int64)
     for k, f in enumerate(free):
         comp[f, k] = 1
-    full = Mat(p, np.hstack([basis.a, comp]))
+    full = Mat._reduced(p, np.hstack([basis.a, comp]))
     full_inv = inverse(full)
     if full_inv is None:  # complement choice always works; defensive
         raise ValueError("internal error: complement did not complete a basis")
-    proj = Mat(p, full_inv.a[r:, :])
-    section = Mat(p, comp)
+    proj = Mat._reduced(p, full_inv.a[r:, :])
+    section = Mat._reduced(p, comp)
     return proj, section
 
 

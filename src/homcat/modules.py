@@ -23,6 +23,7 @@ from homcat.algebras import Alg, algebra_generators, opposite, preset
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import (
     Mat,
+    _rref_array,
     block_diag,
     column_space,
     hstack,
@@ -439,20 +440,88 @@ def injective_envelope(m: Mod) -> tuple[Mod, MMap]:
 # -- isomorphism testing and Krull-Schmidt ----------------------------------------
 
 
+def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a modulo b over F_p; coefficient lists, constant term first, b[-1] != 0."""
+    a = [x % p for x in a]
+    d = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1, d - 1, -1):
+        f = a[i] * inv % p
+        if f:
+            for j, y in enumerate(b):
+                a[i - d + j] = (a[i - d + j] - f * y) % p
+    a = a[:d]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _poly_rem(prod, mod, p)
+
+
+def _poly_eval(a: list[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _minimal_polynomial(g: Mat) -> list[int]:
+    """Monic minimal polynomial of g, constant term first.
+
+    A Krylov solve on the vectorized powers I, g, ..., g^n: their reduced
+    echelon form has pivots 0..d-1, and column d expresses g^d in the lower
+    powers, the first relation among them.
+    """
+    p, n = g.p, g.rows
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(n):
+        powers.append(powers[-1] @ g.a % p)
+    red, pivots = _rref_array(np.stack([q.ravel() for q in powers], axis=1), p)
+    d = len(pivots)
+    return [-x % p for x in red[:d, d].tolist()] + [1]
+
+
 def _singular_shift(g: Mat) -> Mat | None:
     """g - lambda for the first eigenvalue lambda of g in F_p, or None if g has none.
 
-    Tries lambda = tr(g)/n first when p does not divide n (the eigenvalue of
-    every g with a nilpotent shift), then 0, 1, ..., p-1.
+    The order is tr(g)/n first when p does not divide n (the eigenvalue of
+    every g with a nilpotent shift), then 0, 1, ..., p-1.  Past the first,
+    the eigenvalues in F_p are the roots of h = gcd(mu_g, x^p - x), with x^p
+    reduced mod the minimal polynomial mu_g by square-and-multiply: h = 1
+    decides "no eigenvalue" exactly, and a linear h gives the root.
     """
     p, n = g.p, g.rows
-    first = [int(np.trace(g.a)) * pow(n, -1, p) % p] if n % p else []
     eye = np.eye(n, dtype=np.int64)
-    for lam in itertools.chain(first, range(p)):
-        shift = Mat(p, g.a - lam * eye)
+    if n % p:
+        shift = Mat(p, g.a - int(np.trace(g.a)) * pow(n, -1, p) % p * eye)
         if not is_invertible(shift):
             return shift
-    return None
+    mu = _minimal_polynomial(g)
+    xp, base, e = [1], _poly_rem([0, 1], mu, p), p
+    while e:
+        if e & 1:
+            xp = _poly_mulmod(xp, base, mu, p)
+        e >>= 1
+        if e:
+            base = _poly_mulmod(base, base, mu, p)
+    xp_minus_x = xp + [0] * (2 - len(xp))
+    xp_minus_x[1] -= 1
+    h, r = mu, _poly_rem(xp_minus_x, mu, p)
+    while r:
+        h, r = r, _poly_rem(h, r, p)
+    if len(h) == 1:
+        return None
+    if len(h) == 2:
+        lam = -h[0] * pow(h[1], -1, p) % p
+    else:
+        lam = next(x for x in range(p) if not _poly_eval(h, x, p))
+    return Mat(p, g.a - lam * eye)
 
 
 def _split_or_certify(m: Mod, basis: list[MMap]) -> Mat | None:

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from homcat.linalg import (
     Fp,
     Mat,
+    _rref_array,
     block_diag,
     column_space,
+    hstack,
     in_column_span,
     inverse,
     is_invertible,
@@ -24,6 +26,7 @@ from homcat.linalg import (
     rank,
     rref,
     solve,
+    vstack,
 )
 
 
@@ -293,3 +296,71 @@ def test_sum_and_difference_reject_mismatched_shapes():
     for op in (lambda: row + square, lambda: row - square, lambda: square - row):
         with pytest.raises(ValueError, match="shape mismatch"):
             op()
+
+
+def _numpy_rref(a, p):
+    """The numpy row-update kernel the Python-int kernel replaced; the reference."""
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr], :] = a[[pr, r], :]
+        a[r, :] = (a[r, :] * pow(int(a[r, c]), -1, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a -= np.outer(col, a[r, :])
+        a %= p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@st.composite
+def elimination_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 101, 2_097_143]))
+    r = draw(st.integers(min_value=0, max_value=9))
+    c = draw(st.integers(min_value=0, max_value=12))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))  # all-zero, sparse, half, dense
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return p, rng.integers(1, p, size=(r, c)) * (rng.random((r, c)) < density)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+def test_elimination_kernel_matches_the_numpy_reference(case):
+    p, a = case
+    got, got_pivots = _rref_array(a.copy(), p)
+    want, want_pivots = _numpy_rref(a.copy(), p)
+    assert got_pivots == want_pivots
+    assert got.dtype == np.int64 and got.shape == a.shape
+    assert np.array_equal(got, want)
+
+
+def test_stacking_rejects_mixed_moduli():
+    five, seven = Mat(5, [[1]]), Mat(7, [[1]])
+    for stack in (hstack, vstack, block_diag):
+        with pytest.raises(ValueError, match="mixed moduli"):
+            stack([five, seven])
+        assert stack([five, five]).p == 5
+
+
+def test_negative_power_is_refused():
+    m = Mat(5, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="negative"):
+        m.power(-1)
+    assert m.power(0) == Mat.identity(5, 2) and m.power(3) == m @ m @ m
+
+
+def test_float_and_complex_entries_are_refused():
+    for data in ([[1.5, 2]], [[1.0, 2.0]], np.array([[1 + 2j]])):
+        with pytest.raises(ValueError, match="integers"):
+            Mat(5, data)
+    assert Mat(5, np.array([[True, False]])) == Mat(5, [[1, 0]])
+    assert Mat(5, np.zeros((0, 3))).shape == (0, 3)

@@ -1,12 +1,17 @@
 """Module category tests: constructors, Hom, (co)kernels, covers, envelopes,
 Krull-Schmidt, classification, AR quivers."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcat.algebras import algebra_from_json, preset
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, kernel_basis, rank
+from homcat.linalg import Mat, is_invertible, kernel_basis, rank
 from homcat.modules import (
     ar_quiver,
     classify_indecomposables,
@@ -31,6 +36,7 @@ from homcat.modules import (
     top,
     zero_module,
     MMap,
+    _singular_shift,
 )
 
 L1 = preset("lambda1", 101)
@@ -301,6 +307,39 @@ def test_non_split_residue_field_is_decided_by_the_exhaustive_sweep(p):
 def test_non_split_residue_field_above_the_sweep_bound_is_refused():
     with pytest.raises(GuardError):
         decompose(regular_module(_gaussian_integers(10007)))
+
+
+@pytest.mark.parametrize("p", [100003, 2097143])
+def test_no_eigenvalue_is_decided_without_scanning_the_field(p):
+    reg = regular_module(_gaussian_integers(p))
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="no eigenvalue"):
+        decompose(reg)
+    assert time.perf_counter() - start < 0.1
+
+
+def _scanned_shift(g):
+    """The rank-per-candidate eigenvalue scan the gcd test replaced; the reference."""
+    p, n = g.p, g.rows
+    first = [int(np.trace(g.a)) * pow(n, -1, p) % p] if n % p else []
+    for lam in itertools.chain(first, range(p)):
+        shift = Mat(p, g.a - lam * np.eye(n, dtype=np.int64))
+        if not is_invertible(shift):
+            return shift
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 101]), st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+def test_singular_shift_picks_the_scanned_eigenvalue(p, n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, p, size=(n, n))
+    if seed % 2:  # triangular with at most two eigenvalues, in a permuted basis
+        cut = int(rng.integers(0, n + 1))
+        eigenvalues = [int(rng.integers(0, p))] * cut + [int(rng.integers(0, p))] * (n - cut)
+        perm = rng.permutation(n)
+        g = (np.triu(g, 1) + np.diag(eigenvalues))[perm][:, perm]
+    assert _singular_shift(Mat(p, g)) == _scanned_shift(Mat(p, g))
 
 
 def test_isomorphism_of_swapped_sum_without_invertible_basis_element():
