@@ -123,20 +123,21 @@ def _cmd_emit(args) -> int:
     if kind in ("ext-table", "tilting-report") and args.format != "json":
         print(f"{kind} only supports --format json", file=sys.stderr)
         return 2
-    if kind == "ar-quiver":
-        p = args.prime if args.prime is not None else 2
-        quiver = ar_quiver(preset(args.algebra, p))
-        payload = quiver.to_dot("ar_quiver") if args.format == "dot" else quiver.to_json()
-    elif kind == "stable-ar-quiver":
-        p = args.prime if args.prime is not None else 2
-        quiver = stable_ar_quiver(preset(args.algebra, p))
-        payload = quiver.to_dot("stable_ar_quiver") if args.format == "dot" else quiver.to_json()
-    elif kind == "ext-table":
-        p = args.prime if args.prime is not None else 2
-        payload = _ext_table_json(args.algebra, p)
-    else:
-        p = args.prime if args.prime is not None else 101
-        payload = _tilting_report_json(args.algebra, p)
+    p = args.prime if args.prime is not None else 101 if kind == "tilting-report" else 2
+    try:
+        if kind == "ar-quiver":
+            quiver = ar_quiver(preset(args.algebra, p))
+            payload = quiver.to_dot("ar_quiver") if args.format == "dot" else quiver.to_json()
+        elif kind == "stable-ar-quiver":
+            quiver = stable_ar_quiver(preset(args.algebra, p))
+            payload = quiver.to_dot("stable_ar_quiver") if args.format == "dot" else quiver.to_json()
+        elif kind == "ext-table":
+            payload = _ext_table_json(args.algebra, p)
+        else:
+            payload = _tilting_report_json(args.algebra, p)
+    except (ValueError, GuardError) as err:
+        print(str(err), file=sys.stderr)
+        return 2
     with open(args.out, "w", encoding="utf-8") as fh:
         if isinstance(payload, str):
             fh.write(payload)

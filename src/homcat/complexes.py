@@ -27,6 +27,7 @@ from homcat.modules import (
     MMap,
     Mod,
     direct_sum,
+    hom_coords,
     hom_space,
     make_module,
     submodule,
@@ -670,53 +671,38 @@ class HomComplex:
             comps[i] = f.scale(int(c)) if cur is None else cur + f.scale(int(c))
         return comps
 
+    def blocks(self, n: int) -> dict[int, slice]:
+        """Source degree i -> the slice of the degree-n basis holding maps x^i -> y^(i+n)."""
+        return _blocks(self.basis.get(n, []))
+
     def coords_of(self, n: int, comps: dict[int, MMap]) -> Mat:
         """Coordinates of a graded map (component dict) in the degree-n basis."""
-        items = self.basis.get(n, [])
-        p = self.source.alg.p
-        if not items:
-            if any(not f.is_zero() for f in comps.values()):
-                raise ValidationError("graded map outside the Hom complex window")
-            return Mat.zeros(p, 0, 1)
-        covered = {i for i, _ in items}
+        blocks = self.blocks(n)
+        coords = np.zeros(self.degree_dim(n), dtype=np.int64)
         for i, f in comps.items():
-            if i not in covered and not f.is_zero():
+            if f.src != self.source.obj(i) or f.dst != self.target.obj(i + n):
                 raise ValidationError(
-                    f"graded map has a component at source degree {i} outside the basis"
+                    f"component at source degree {i} is not a map x^{i} -> y^{i + n}", witness=i
                 )
-        # group by source degree to build the stacked system
-        total = np.zeros(0, dtype=np.int64)
-        degree_rows = {}
-        offset = 0
-        degrees = sorted(covered)
-        for i in degrees:
-            fi = comps.get(i)
-            xn = self.source.obj(i)
-            yn = self.target.obj(i + n)
-            size = xn.dim * yn.dim
-            degree_rows[i] = (offset, size)
-            vec = (
-                fi.mat.a.reshape(-1)
-                if fi is not None
-                else np.zeros(size, dtype=np.int64)
-            )
-            total = np.concatenate([total, vec])
-            offset += size
-        mat = np.zeros((offset, len(items)), dtype=np.int64)
-        for t, (i, f) in enumerate(items):
-            start, size = degree_rows[i]
-            mat[start : start + size, t] = f.mat.a.reshape(-1)
-        sol = solve(Mat(p, mat), Mat(p, total.reshape(-1, 1)))
-        if sol is None:
-            raise ValidationError("graded map is not in the span of the Hom basis")
-        return sol
+            # a source degree without basis maps has an empty block: hom_coords admits only 0 there
+            coords[blocks.get(i, slice(0))] = hom_coords(f.src, f.dst, f.mat.a[None])[0]
+        return Mat._reduced(self.source.alg.p, coords.reshape(-1, 1))
+
+
+def _blocks(items: list) -> dict[int, slice]:
+    """Source degree -> slice of its maps in one degree's basis (grouped by source degree)."""
+    out: dict[int, slice] = {}
+    for t, (i, _) in enumerate(items):
+        out[i] = slice(out[i].start if i in out else t, t + 1)
+    return out
 
 
 def hom_complex(x: Cx, y: Cx) -> HomComplex:
     """Hom*(x, y) as a complex of ground-field modules.
 
     H^0 computes Hom in the homotopy category; the basis bookkeeping supports
-    dg-algebra structure on Hom*(P, P).
+    dg-algebra structure on Hom*(P, P).  Each differential block is one
+    stacked product per source block, read off by ``hom_coords``.
     """
     if x.alg != y.alg:
         raise ValidationError("hom_complex between complexes over different algebras")
@@ -737,30 +723,20 @@ def hom_complex(x: Cx, y: Cx) -> HomComplex:
         if items:
             basis[n] = items
     mods = {n: make_module(ground, [Mat.identity(p, len(basis.get(n, [])))]) for n in range(lo, hi + 1)}
-    diffs = []
+    dmaps = []
     for n in range(lo, hi):
         src_items = basis.get(n, [])
-        dmat = np.zeros((len(basis.get(n + 1, [])), len(src_items)), dtype=np.int64)
+        dst_blocks = _blocks(basis.get(n + 1, []))
+        dmat = np.zeros((mods[n + 1].dim, len(src_items)), dtype=np.int64)
         sign = 1 if n % 2 == 0 else -1
-        for t, (i, f) in enumerate(src_items):
-            comps: dict[int, MMap] = {}
-            lead = y.diff(i + n) @ f
-            if lead.mat.rows and lead.mat.cols:
-                comps[i] = lead
-            trail = (f @ x.diff(i - 1)).scale(-sign)
-            if trail.mat.rows and trail.mat.cols:
-                prev = comps.get(i - 1)
-                comps[i - 1] = trail if prev is None else prev + trail
-            hc_stub = HomComplex(zero_complex(ground), x, y, basis)
-            coords = hc_stub.coords_of(n + 1, comps)
-            if coords.rows:
-                dmat[:, t] = coords.a[:, 0]
-        diffs.append((n, dmat))
-    objects = [mods[n] for n in range(lo, hi + 1)]
-    dmaps = [
-        MMap(mods[n], mods[n + 1], Mat(p, dmat)) for n, dmat in diffs
-    ]
-    cx = make_complex(ground, lo, objects, dmaps)
+        for i, cols in _blocks(src_items).items():
+            fs = np.stack([f.mat.a for _, f in src_items[cols]])
+            # D f = d_y f at source degree i, -(-1)^n f d_x at source degree i - 1
+            for j, image, s in ((i, y.diff(i + n).mat.a @ fs, 1), (i - 1, fs @ x.diff(i - 1).mat.a, -sign)):
+                coords = hom_coords(x.obj(j), y.obj(j + n + 1), image % p)
+                dmat[dst_blocks.get(j, slice(0)), cols] += s * coords.T
+        dmaps.append(MMap(mods[n], mods[n + 1], Mat(p, dmat)))
+    cx = make_complex(ground, lo, [mods[n] for n in range(lo, hi + 1)], dmaps)
     return HomComplex(cx, x, y, basis)
 
 

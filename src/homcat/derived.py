@@ -39,6 +39,7 @@ from homcat.modules import (
     Mod,
     decompose,
     decompose_with_maps,
+    hom_coords,
     hom_space,
     injective_envelope,
     is_isomorphic,
@@ -407,27 +408,27 @@ def dg_end(p_cx: Cx) -> DGAlg:
     if not all(_certify_projective(ob) for ob in p_cx.objects):
         raise ValidationError("dg endomorphisms require projective components")
     hc = hom_complex(p_cx, p_cx)
+    p = p_cx.alg.p
     mult = {}
     degrees = [n for n in hc.cx.degrees() if hc.degree_dim(n)]
     for m in degrees:
         for n in degrees:
             if hc.degree_dim(m + n) == 0:
                 continue
-            items_m = hc.basis[m]
-            items_n = hc.basis[n]
-            table = np.zeros((hc.degree_dim(m + n), len(items_m), len(items_n)), dtype=np.int64)
-            nonzero = False
-            for i, (ia, fa) in enumerate(items_m):
-                for j, (ib, fb) in enumerate(items_n):
-                    if ia != ib + n:
-                        continue
-                    comp = fa @ fb
-                    if comp.is_zero():
-                        continue
-                    coords = hc.coords_of(m + n, {ib: comp})
-                    table[:, i, j] = coords.a[:, 0]
-                    nonzero = True
-            if nonzero:
+            blocks_m, blocks_mn = hc.blocks(m), hc.blocks(m + n)
+            table = np.zeros((hc.degree_dim(m + n), hc.degree_dim(m), hc.degree_dim(n)), dtype=np.int64)
+            # (x^(ib+n) -> x^(ib+n+m)) o (x^ib -> x^(ib+n)) lands in source block ib of degree m + n
+            for ib, cols_b in hc.blocks(n).items():
+                cols_a = blocks_m.get(ib + n)
+                if cols_a is None:
+                    continue
+                fa = np.stack([f.mat.a for _, f in hc.basis[m][cols_a]])
+                fb = np.stack([f.mat.a for _, f in hc.basis[n][cols_b]])
+                comp = fa[:, None] @ fb[None, :] % p
+                coords = hom_coords(p_cx.obj(ib), p_cx.obj(ib + m + n), comp.reshape(-1, *comp.shape[2:]))
+                rows = blocks_mn.get(ib, slice(0))
+                table[rows, cols_a, cols_b] = coords.T.reshape(-1, *comp.shape[:2])
+            if table.any():
                 mult[(m, n)] = table
     ident_comps = {i: MMap.identity(p_cx.obj(i)) for i in p_cx.degrees()}
     unit = hc.coords_of(0, ident_comps).a[:, 0]
@@ -617,22 +618,12 @@ def end_algebra(t: Mod) -> tuple[Alg, list[MMap]]:
     basis = hom_space(t, t)
     d = len(basis)
     p = t.alg.p
-    bm = np.stack([f.mat.a.reshape(-1) for f in basis], axis=1)
-    bmat = Mat(p, bm)
-    c = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            comp = basis[i] @ basis[j]
-            coords = solve(bmat, Mat(p, comp.mat.a.reshape(-1, 1)))
-            if coords is None:
-                raise ValidationError("endomorphism composition escapes the Hom basis")
-            c[i, j, :] = coords.a[:, 0]
-    unit = solve(bmat, Mat(p, np.eye(t.dim, dtype=np.int64).reshape(-1, 1))).a[:, 0]
+    mats = np.stack([f.mat.a for f in basis])
+    c = hom_coords(t, t, (mats[:, None] @ mats[None, :] % p).reshape(d * d, t.dim, t.dim)).reshape(d, d, d)
+    unit = hom_coords(t, t, np.eye(t.dim, dtype=np.int64)[None])[0]
     summands = decompose_with_maps(t)
-    idems = []
-    for piece, inc, proj in summands:
-        idems.append(solve(bmat, Mat(p, (inc @ proj).mat.a.reshape(-1, 1))).a[:, 0])
-    rad_cols = []
+    idems = list(hom_coords(t, t, np.stack([(inc.mat @ proj.mat).a for _, inc, proj in summands])))
+    rad_comps = []
     for s, (ms, inc_s, proj_s) in enumerate(summands):
         for tt, (mt, inc_t, proj_t) in enumerate(summands):
             if s == tt:
@@ -643,13 +634,8 @@ def end_algebra(t: Mod) -> tuple[Alg, list[MMap]]:
                     gens = hom_space(ms, mt)
                 else:
                     gens = [iso @ r for r in local_end_radical(ms)]
-            for g in gens:
-                comp = inc_t @ g @ proj_s
-                coords = solve(bmat, Mat(p, comp.mat.a.reshape(-1, 1)))
-                rad_cols.append(coords.a[:, 0])
-    rad = column_space(
-        Mat(p, np.stack(rad_cols, axis=1) if rad_cols else np.zeros((d, 0), dtype=np.int64))
-    )
+            rad_comps += [(inc_t.mat @ g.mat @ proj_s.mat).a for g in gens]
+    rad = column_space(Mat(p, hom_coords(t, t, np.reshape(rad_comps, (-1, t.dim, t.dim))).T))
     labels = tuple(f"f{i}" for i in range(d))
     alg = make_algebra(d, c, unit, idems, rad, p, labels=labels, name=f"End({t.dim}d)")
     return alg, basis
@@ -711,10 +697,10 @@ def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), 
                 if dim_n == 0:
                     continue
                 cols = np.zeros((dim_n, dim_n), dtype=np.int64)
-                for col, (i, f) in enumerate(hc.basis[n]):
-                    composed = f @ lift.component(i)
-                    coords = hc.coords_of(n, {i: composed})
-                    cols[:, col] = coords.a[:, 0]
+                for i, block in hc.blocks(n).items():
+                    fs = np.stack([f.mat.a for _, f in hc.basis[n][block]])
+                    composed = fs @ lift.component(i).mat.a % gamma.p
+                    cols[block, block] = hom_coords(hc.source.obj(i), hc.target.obj(i + n), composed).T
                 comps[n] = MMap(hc.cx.obj(n), hc.cx.obj(n), Mat(gamma.p, cols))
             pre_maps[k] = CMap.build(hc.cx, hc.cx, comps)
         profile = {}

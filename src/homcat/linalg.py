@@ -354,7 +354,11 @@ def is_invertible(m: Mat) -> bool:
 
 
 def kernel_basis(m: Mat) -> Mat:
-    """Columns form a basis of the right null space {x : m @ x = 0}."""
+    """Columns form a basis of the right null space {x : m @ x = 0}.
+
+    Echelon contract, which ``modules.hom_coords`` reads coordinates by: each
+    column is 1 at its last nonzero row, and every other column is 0 there.
+    """
     r, pivots = rref(m)
     p = m.p
     free = [c for c in range(m.cols) if c not in set(pivots)]

@@ -49,6 +49,7 @@ __all__ = [
     "projective_module",
     "simple_module",
     "hom_space",
+    "hom_coords",
     "kci",
     "direct_sum",
     "top",
@@ -264,7 +265,37 @@ def simple_module(alg: Alg, j: int) -> Mod:
 # -- hom spaces ----------------------------------------------------------------
 
 
-_HOM_CACHE: dict[tuple[Mod, Mod], tuple[MMap, ...]] = {}
+_HOM_CACHE: dict[tuple[Mod, Mod], tuple[tuple[MMap, ...], np.ndarray, np.ndarray]] = {}
+
+
+def _hom_basis(m: Mod, n: Mod) -> tuple[tuple[MMap, ...], np.ndarray, np.ndarray]:
+    """Cached Hom(m, n) basis: the maps, their row-major flattenings as rows, their free positions.
+
+    The flattenings are the ``kernel_basis`` columns of the intertwining
+    system, so the free position of each is its last nonzero entry.
+    """
+    cached = _HOM_CACHE.get((m, n))
+    if cached is not None:  # cached pairs passed the algebra check below
+        return cached
+    if m.alg != n.alg:
+        raise ValidationError("hom_space between modules over different algebras")
+    if m.dim == 0 or n.dim == 0:
+        return (), np.zeros((0, m.dim * n.dim), dtype=np.int64), np.zeros(0, dtype=np.intp)
+    p = m.alg.p
+    blocks = []
+    eye_n = np.eye(n.dim, dtype=np.int64)
+    eye_m = np.eye(m.dim, dtype=np.int64)
+    for g in algebra_generators(m.alg):
+        am = m.rho(g)
+        an = n.rho(g)
+        blocks.append(np.kron(eye_n, am.a.T) - np.kron(an.a, eye_m))
+    vecs = np.ascontiguousarray(kernel_basis(Mat(p, np.vstack(blocks))).a.T)
+    vecs.flags.writeable = False
+    free = vecs.shape[1] - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
+    # the maps are read-only views of the rows: the cache holds each basis once
+    maps = tuple(MMap(m, n, Mat._reduced(p, v.reshape(n.dim, m.dim))) for v in vecs)
+    cached = _HOM_CACHE[(m, n)] = (maps, vecs, free)
+    return cached
 
 
 def hom_space(m: Mod, n: Mod) -> list[MMap]:
@@ -274,29 +305,29 @@ def hom_space(m: Mod, n: Mod) -> list[MMap]:
     commutant of the generators equals the commutant of the whole algebra.
     Results are cached (modules are immutable).
     """
-    if m.alg != n.alg:
-        raise ValidationError("hom_space between modules over different algebras")
-    cached = _HOM_CACHE.get((m, n))
-    if cached is not None:
-        return list(cached)
+    return list(_hom_basis(m, n)[0])
+
+
+def hom_coords(m: Mod, n: Mod, mats) -> np.ndarray:
+    """Coordinate rows in the ``hom_space(m, n)`` basis of a stack of n.dim x m.dim matrices.
+
+    Each basis map is 1 at its free position and every other basis map is 0
+    there, so a map's coordinates are its entries at the free positions.  One
+    reconstruction, coords @ basis == maps (mod p), certifies the read: a matrix
+    outside Hom(m, n) raises ``ValidationError`` with its stack index as witness.
+    Sums have at most m.dim * n.dim terms below p^2 <= 2^42: no int64 overflow.
+    """
+    _, vecs, free = _hom_basis(m, n)
+    a = np.asarray(mats, dtype=np.int64)
+    if a.ndim != 3 or a.shape[1:] != (n.dim, m.dim):
+        raise ValidationError(f"expected a stack of {n.dim}x{m.dim} matrices, got shape {a.shape}")
     p = m.alg.p
-    if m.dim == 0 or n.dim == 0:
-        return []
-    blocks = []
-    eye_n = np.eye(n.dim, dtype=np.int64)
-    eye_m = np.eye(m.dim, dtype=np.int64)
-    for g in algebra_generators(m.alg):
-        am = m.rho(g)
-        an = n.rho(g)
-        blocks.append(np.kron(eye_n, am.a.T) - np.kron(an.a, eye_m))
-    system = Mat(p, np.vstack(blocks))
-    basis = kernel_basis(system)
-    out = []
-    for t in range(basis.cols):
-        f = basis.a[:, t].reshape(n.dim, m.dim)
-        out.append(MMap(m, n, Mat(p, f)))
-    _HOM_CACHE[(m, n)] = tuple(out)
-    return out
+    flat = a.reshape(len(a), n.dim * m.dim) % p
+    coords = flat[:, free]
+    bad = np.flatnonzero(((coords @ vecs - flat) % p).any(axis=1))
+    if bad.size:
+        raise ValidationError("matrix is not in the span of the Hom basis", witness=int(bad[0]))
+    return coords
 
 
 def _vec(mats: list[Mat], p: int, nrows: int, ncols: int) -> Mat:
@@ -464,13 +495,6 @@ def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int
     return _poly_rem(prod, mod, p)
 
 
-def _poly_eval(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _minimal_polynomial(g: Mat) -> list[int]:
     """Monic minimal polynomial of g, constant term first.
 
@@ -494,7 +518,8 @@ def _singular_shift(g: Mat) -> Mat | None:
     every g with a nilpotent shift), then 0, 1, ..., p-1.  Past the first,
     the eigenvalues in F_p are the roots of h = gcd(mu_g, x^p - x), with x^p
     reduced mod the minimal polynomial mu_g by square-and-multiply: h = 1
-    decides "no eigenvalue" exactly, and a linear h gives the root.
+    decides "no eigenvalue" exactly, a linear h gives the root, and a larger
+    h is evaluated over F_p in vectorized chunks for its smallest root.
     """
     p, n = g.p, g.rows
     eye = np.eye(n, dtype=np.int64)
@@ -519,8 +544,15 @@ def _singular_shift(g: Mat) -> Mat | None:
         return None
     if len(h) == 2:
         lam = -h[0] * pow(h[1], -1, p) % p
-    else:
-        lam = next(x for x in range(p) if not _poly_eval(h, x, p))
+    else:  # Horner over 2^16 points at a time; intermediates stay below p^2 <= 2^42
+        for lo in range(0, p, 1 << 16):
+            xs = np.arange(lo, min(lo + (1 << 16), p), dtype=np.int64)
+            acc = np.zeros_like(xs)
+            for c in reversed(h):
+                acc = (acc * xs + c) % p
+            if not acc.all():
+                lam = lo + int(np.argmin(acc))
+                break
     return Mat(p, g.a - lam * eye)
 
 

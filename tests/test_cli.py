@@ -1,5 +1,6 @@
 """CLI: verification runs, report files, emission formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -134,3 +135,34 @@ def test_console_script_entry():
 def test_verify_refuses_a_prime_above_the_bound(capsys):
     assert main(["verify", "1.2.1", "--prime", str(2**31 - 1)]) == 2
     assert "MAX_PRIME" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["ar-quiver", "--algebra", "nosuch"],
+        ["ar-quiver", "--algebra", "lambda1", "--prime", "4"],
+        ["ar-quiver", "--algebra", "lambda1", "--prime", "101"],
+        ["tilting-report", "--algebra", "lambda1", "--format", "json"],
+    ],
+)
+def test_emit_bad_flags_exit_2_and_write_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["emit", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err
+    assert not out.exists()
+
+
+# sha256 of `homcat verify <id> --out` for the suites that read Hom coordinates
+REPORT_SHA256 = {
+    "5.3.1": "837d3910104443b152a8a4791dad4bee579443f6637500c8f112f1097450a410",
+    "6.1.1": "270e6c2c2aa4e2c0a598bebebd704fc2089924a10a65d35088fa93862265eb34",
+    "1.7.1": "6ff9e74854e74926d42406a8e5939cdd7084d3eb645d9762d5c49d5cf9c2f0d4",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_SHA256))
+def test_verify_report_bytes_are_pinned(tmp_path, suite):
+    out = tmp_path / "r.json"
+    assert main(["verify", suite, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[suite]

@@ -193,6 +193,22 @@ def test_hom_complex_of_stalks():
     assert hc.cx.obj(1).dim == 0
 
 
+@pytest.mark.parametrize(
+    "source, target, component",
+    [
+        # shape mismatch: the identity of P1 is not a map P1 -> S1
+        (projective_module(L1, 0), simple_module(L1, 0), MMap.identity(projective_module(L1, 0))),
+        # right shape, wrong modules: the identity of S2 is not a map S1 -> S1
+        (simple_module(L1, 0), simple_module(L1, 0), MMap.identity(simple_module(L1, 1))),
+    ],
+)
+def test_coords_of_rejects_a_component_with_the_wrong_endpoints(source, target, component):
+    hc = hom_complex(stalk(source, 0), stalk(target, 0))
+    with pytest.raises(ValidationError, match="source degree 0") as err:
+        hc.coords_of(0, {0: component})
+    assert err.value.witness == 0
+
+
 def test_hom_k_identity_class():
     x = _p2_to_p1()
     assert hom_k_dim(x, x) >= 1

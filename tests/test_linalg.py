@@ -222,6 +222,17 @@ def test_kernel_rank_nullity(m):
     assert rank(k) == k.cols
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_basis_columns_are_echelon_at_their_free_positions(m):
+    # the contract modules.hom_coords reads coordinates by
+    k = kernel_basis(m).a
+    for t in range(k.shape[1]):
+        free = np.flatnonzero(k[:, t])[-1]
+        assert k[free, t] == 1
+        assert not np.delete(k[free], t).any()
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(max_dim=5), st.integers(min_value=0, max_value=4))
 def test_solve_round_trip(a, c):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from homcat.algebras import algebra_from_json, preset
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, is_invertible, kernel_basis, rank
+from homcat.linalg import Mat, inverse, is_invertible, kernel_basis, rank, solve
 from homcat.modules import (
     ar_quiver,
     classify_indecomposables,
@@ -19,6 +19,7 @@ from homcat.modules import (
     decompose_with_maps,
     direct_sum,
     dual_module,
+    hom_coords,
     hom_space,
     injective_envelope,
     is_isomorphic,
@@ -340,6 +341,81 @@ def test_singular_shift_picks_the_scanned_eigenvalue(p, n, seed):
         perm = rng.permutation(n)
         g = (np.triu(g, 1) + np.diag(eigenvalues))[perm][:, perm]
     assert _singular_shift(Mat(p, g)) == _scanned_shift(Mat(p, g))
+
+
+def test_two_eigenvalues_at_a_large_prime_are_found_without_a_python_scan():
+    p = 2097143
+    start = time.perf_counter()
+    shift = _singular_shift(Mat(p, np.diag([10**6, 2 * 10**6])))
+    assert time.perf_counter() - start < 0.1
+    assert shift == Mat(p, np.diag([0, 10**6]))
+
+
+def _preset_module(alg, kind, j):
+    j %= len(alg.idempotents)
+    if kind == "regular":
+        return regular_module(alg)
+    if kind == "projective":
+        return projective_module(alg, j)
+    if kind == "simple":
+        return simple_module(alg, j)
+    if kind == "injective":
+        return injective_envelope(simple_module(alg, j))[0]
+    # the regular module in a random basis, whose Hom bases are dense
+    reg, rng = regular_module(alg), np.random.default_rng(j)
+    g_inv = None
+    while g_inv is None:
+        g = Mat(alg.p, rng.integers(0, alg.p, size=(reg.dim, reg.dim)))
+        g_inv = inverse(g)
+    return make_module(alg, [g_inv @ a @ g for a in reg.action])
+
+
+def _solved_coords(m, n, g):
+    """The stacked-solve coordinate read that ``hom_coords`` replaced; the reference."""
+    basis = np.stack([f.mat.a.reshape(-1) for f in hom_space(m, n)], axis=1)
+    x = solve(Mat(m.alg.p, basis), Mat(m.alg.p, g.reshape(-1, 1)))
+    return None if x is None else x.a[:, 0]
+
+
+MODULE_KINDS = st.sampled_from(["regular", "projective", "simple", "injective", "rebased"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([2, 3, 101, 2097143]),
+    st.sampled_from(["lambda1", "lambda2", "truncpoly(3)"]),
+    MODULE_KINDS,
+    st.integers(0, 2),
+    MODULE_KINDS,
+    st.integers(0, 2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_hom_coords_match_the_solved_coordinates(p, name, kind_m, j_m, kind_n, j_n, seed):
+    alg = preset(name, p)
+    m, n = _preset_module(alg, kind_m, j_m), _preset_module(alg, kind_n, j_n)
+    basis = hom_space(m, n)
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, p, size=len(basis))
+    g = sum((int(ct) * f.mat.a for ct, f in zip(c, basis)), np.zeros((n.dim, m.dim), dtype=np.int64)) % p
+    if basis:
+        assert list(hom_coords(m, n, g[None])[0]) == list(c) == list(_solved_coords(m, n, g))
+    # one entry moved off the combination: read back if still a homomorphism, refused if not
+    bad = g.copy()
+    bad[rng.integers(0, n.dim), rng.integers(0, m.dim)] += 1
+    bad %= p
+    expected = _solved_coords(m, n, bad) if basis else None
+    if expected is None:
+        with pytest.raises(ValidationError) as err:
+            hom_coords(m, n, np.stack([g, bad]))
+        assert err.value.witness == 1
+    else:
+        assert list(hom_coords(m, n, bad[None])[0]) == list(expected)
+
+
+def test_hom_coords_refuses_a_stack_of_the_wrong_shape():
+    p1, s1 = projective_module(L1, 0), simple_module(L1, 0)
+    with pytest.raises(ValidationError, match="1x3"):
+        hom_coords(p1, s1, np.eye(3, dtype=np.int64)[None])
 
 
 def test_isomorphism_of_swapped_sum_without_invertible_basis_element():
