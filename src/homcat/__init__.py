@@ -28,7 +28,9 @@ from homcat.modules import (
     direct_sum,
     hom_space,
     injective_envelope,
+    is_injective,
     is_isomorphic,
+    is_projective,
     kci,
     known_indecomposables,
     make_module,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homcat.errors import ValidationError
+from homcat.errors import GuardError, ValidationError
 from homcat.linalg import (
     Mat,
     column_space,
@@ -360,9 +360,7 @@ def opposite(a: Alg) -> Alg:
 
 # -- generating sets ----------------------------------------------------------
 
-_GENERATOR_CACHE: dict[Alg, list[np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def algebra_generators(alg: Alg) -> list[np.ndarray]:
     """A verified generating set: the idempotents plus a lift of rad/rad^2.
 
@@ -371,9 +369,6 @@ def algebra_generators(alg: Alg) -> list[np.ndarray]:
     verified by closing the span once; if it fails (non-basic algebra), the
     full basis is returned.
     """
-    cached = _GENERATOR_CACHE.get(alg)
-    if cached is not None:
-        return cached
     gens = [np.asarray(e) for e in alg.idempotents]
     powers = alg.radical_powers()
     rad = powers[0]
@@ -399,7 +394,6 @@ def algebra_generators(alg: Alg) -> list[np.ndarray]:
                     grew = True
     if closure.cols < alg.dim:
         gens = [alg.basis_vector(i) for i in range(alg.dim)]
-    _GENERATOR_CACHE[alg] = gens
     return gens
 
 
@@ -507,20 +501,15 @@ def _close_under_products(
     return w_sq @ v_inv
 
 
-def _scalar_assignments(p: int, n_arrows: int, rng_seed: int = 0):
-    """Deterministic nonzero-scalar tuples: all-ones, exhaustive for small p,
-    otherwise a seeded random sweep."""
-    yield (1,) * n_arrows
-    if n_arrows == 0:
-        return
+def _scalar_assignments(p: int, n_arrows: int):
+    """Nonzero-scalar tuples for the arrow images: all-ones first, then every
+    other tuple when there are at most 1024 of them."""
+    ones = (1,) * n_arrows
+    yield ones
     if (p - 1) ** n_arrows <= 1024:
         for combo in itertools.product(range(1, p), repeat=n_arrows):
-            if combo != (1,) * n_arrows:
+            if combo != ones:
                 yield combo
-    else:
-        rng = np.random.default_rng(rng_seed)
-        for _ in range(64):
-            yield tuple(int(x) for x in rng.integers(1, p, size=n_arrows))
 
 
 def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
@@ -528,9 +517,13 @@ def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
 
     Strategy: match dimensions, match the Peirce slice dimensions of the
     radical filtration up to a permutation of idempotents, then extend
-    idempotent and arrow-generator images multiplicatively.  Returned
-    isomorphisms are always verified; the search is complete for the basic
-    algebras in scope (all Peirce slices of rad/rad^2 at most 1-dimensional).
+    idempotent and arrow-generator images multiplicatively, with the arrow
+    images scaled by every tuple of nonzero scalars.  Returned isomorphisms
+    are always verified; the search is complete for the basic algebras in
+    scope (all Peirce slices of rad/rad^2 at most 1-dimensional).  When the
+    scalar tuples number more than 1024 only the all-ones tuple is tried, and
+    a search that then finds nothing raises GuardError instead of answering
+    None.
     """
     if a.p != b.p or a.dim != b.dim:
         return None
@@ -546,6 +539,8 @@ def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
     except ValidationError:
         return None
     m = len(a.idempotents)
+    arrow_keys = sorted(arrows_a)
+    partial = False
     for sigma in itertools.permutations(range(m)):
         if not all(
             da[i, j] == db[sigma[i], sigma[j]]
@@ -554,9 +549,9 @@ def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
             for j in range(m)
         ):
             continue
-        arrow_keys = sorted(arrows_a)
         if sorted((sigma[i], sigma[j]) for i, j in arrow_keys) != sorted(arrows_b):
             continue
+        partial = partial or (a.p - 1) ** len(arrow_keys) > 1024
         for scalars in _scalar_assignments(a.p, len(arrow_keys)):
             gens: list[tuple[np.ndarray, np.ndarray]] = []
             for i in range(m):
@@ -571,6 +566,10 @@ def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
                 continue
             if _is_algebra_map(a, b, phi) and _is_algebra_map(b, a, phi_inv):
                 return AlgIso(forward=phi, backward=phi_inv)
+    if partial:
+        raise GuardError(
+            f"algebra isomorphism search: {a.p - 1}^{len(arrow_keys)} arrow scalings exceed the 1024 sweep"
+        )
     return None
 
 

@@ -60,17 +60,6 @@ __all__ = [
 ]
 
 
-_ZERO_MODULES: dict[Alg, Mod] = {}
-
-
-def _zero_mod(alg: Alg) -> Mod:
-    z = _ZERO_MODULES.get(alg)
-    if z is None:
-        z = zero_module(alg)
-        _ZERO_MODULES[alg] = z
-    return z
-
-
 @dataclass(frozen=True, eq=False)
 class Cx:
     """A bounded complex: objects[k] sits in degree lo + k.
@@ -94,7 +83,7 @@ class Cx:
     def obj(self, n: int) -> Mod:
         if self.lo <= n <= self.hi:
             return self.objects[n - self.lo]
-        return _zero_mod(self.alg)
+        return zero_module(self.alg)
 
     def diff(self, n: int) -> MMap:
         k = n - self.lo
@@ -355,7 +344,7 @@ class DegreewiseSolver:
                 )
             off = self.offsets[key]
             for t, b in enumerate(basis):
-                col = (la @ b @ ra) % self.p
+                col = (la @ b % self.p) @ ra % self.p  # reduced between products: no int64 overflow
                 row_block[:, off + t] += int(sign) * col.reshape(-1)
         self.rows.append(row_block % self.p)
         self.rhs.append(rhs.a.reshape(-1))
@@ -521,7 +510,7 @@ def cohomology_data(x: Cx, n: int) -> CohomologyData:
     z = kernel_basis(x.diff(n).mat)
     boundaries = x.diff(n - 1).mat
     if z.cols == 0:
-        return CohomologyData(_zero_mod(x.alg), z, Mat.zeros(x.alg.p, 0, 0), Mat.zeros(x.alg.p, 0, 0))
+        return CohomologyData(zero_module(x.alg), z, Mat.zeros(x.alg.p, 0, 0), Mat.zeros(x.alg.p, 0, 0))
     b_in_z = solve(z, column_space(boundaries)) if boundaries.cols else Mat.zeros(x.alg.p, z.cols, 0)
     if b_in_z is None:
         raise ValidationError("boundaries escape cocycles; complex invalid")

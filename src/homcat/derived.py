@@ -9,6 +9,7 @@ explicit lift against a resolution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +43,14 @@ from homcat.modules import (
     hom_coords,
     hom_space,
     injective_envelope,
+    is_injective,
     is_isomorphic,
+    is_projective,
     kci,
     known_indecomposables,
     local_end_radical,
     make_module,
     projective_cover,
-    projective_module,
-    simple_module,
     submodule,
     zero_module,
 )
@@ -92,41 +93,6 @@ def _verify_quasi_iso(f: CMap) -> bool:
         if hmap.src.dim != hmap.dst.dim or inverse(hmap.mat) is None:
             return False
     return True
-
-
-_PROJECTIVE_CERT_CACHE: dict = {}
-
-
-def _certify_projective(m: Mod) -> bool:
-    """Every indecomposable summand is one of the e_j A (cached per module)."""
-    cached = _PROJECTIVE_CERT_CACHE.get(m)
-    if cached is not None:
-        return cached
-    projs = [projective_module(m.alg, j) for j in range(len(m.alg.idempotents))]
-    ok = True
-    for piece, _, _ in decompose_with_maps(m):
-        if all(is_isomorphic(piece, p) is None for p in projs):
-            ok = False
-            break
-    _PROJECTIVE_CERT_CACHE[m] = ok
-    return ok
-
-
-_INJECTIVE_CERT_CACHE: dict = {}
-
-
-def _certify_injective(m: Mod) -> bool:
-    cached = _INJECTIVE_CERT_CACHE.get(m)
-    if cached is not None:
-        return cached
-    injs = [injective_envelope(simple_module(m.alg, j))[0] for j in range(len(m.alg.idempotents))]
-    ok = True
-    for piece, _, _ in decompose_with_maps(m):
-        if all(is_isomorphic(piece, i) is None for i in injs):
-            ok = False
-            break
-    _INJECTIVE_CERT_CACHE[m] = ok
-    return ok
 
 
 def proj_resolution(m: Mod, cap: int = 12) -> Resolution:
@@ -173,7 +139,7 @@ def proj_resolution(m: Mod, cap: int = 12) -> Resolution:
     resolution = Resolution(target, res_cx, comparison, "projective", cap)
     if not _verify_quasi_iso(comparison):
         raise ValidationError("internal inconsistency: resolution comparison not a quasi-iso")
-    if not all(_certify_projective(ob) for ob in res_cx.objects):
+    if not all(is_projective(ob) for ob in res_cx.objects):
         raise ValidationError("internal inconsistency: non-projective component")
     return resolution
 
@@ -193,7 +159,7 @@ def inj_resolution(m: Mod, cap: int = 12) -> Resolution:
     for step in range(cap + 1):
         env, mono = injective_envelope(current)
         envelopes.append((env, mono))
-        cok, cok_proj = _cokernel(mono)
+        _, (cok, cok_proj), _ = kci(mono)
         if cok.dim == 0:
             break
         projections.append(cok_proj)
@@ -213,19 +179,12 @@ def inj_resolution(m: Mod, cap: int = 12) -> Resolution:
     resolution = Resolution(target, res_cx, comparison, "injective", cap)
     if not _verify_quasi_iso(comparison):
         raise ValidationError("internal inconsistency: resolution comparison not a quasi-iso")
-    if not all(_certify_injective(ob) for ob in res_cx.objects):
+    if not all(is_injective(ob) for ob in res_cx.objects):
         raise ValidationError("internal inconsistency: non-injective component")
     return resolution
 
 
-def _cokernel(f: MMap):
-    _, (cok, proj), _ = kci(f)
-    return cok, proj
-
-
-_RESOLVE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def resolve_complex(x: Cx, cap: int = 12) -> Resolution:
     """A quasi-isomorphism P -> x with projective components.
 
@@ -234,14 +193,9 @@ def resolve_complex(x: Cx, cap: int = 12) -> Resolution:
     the cone of an explicit comparison map, with no linear solving beyond the
     projective lifts.
     """
-    key = (x, cap)
-    cached = _RESOLVE_CACHE.get(key)
-    if cached is not None:
-        return cached
     out = _resolve_complex_impl(x, cap)
     if not _verify_quasi_iso(out.comparison):
         raise ValidationError("internal inconsistency: complex resolution is not a quasi-iso")
-    _RESOLVE_CACHE[key] = out
     return out
 
 
@@ -359,10 +313,8 @@ def is_iso_in_D(f: CMap, cap: int = 12) -> tuple[bool, dict | None]:
     f o g ~ c with a stored homotopy, and every H^n(g) invertible, which
     exhibits g o c^{-1} as a two-sided inverse of f in the derived category.
     """
-    for n in _combined_degrees(f.src, f.dst):
-        hmap = cohomology_map(f, n)
-        if hmap.src.dim != hmap.dst.dim or inverse(hmap.mat) is None:
-            return False, None
+    if not _verify_quasi_iso(f):
+        return False, None
     res = resolve_complex(f.dst, cap)
     out = solve_squares((res.res, f.src), [(f, None, res.comparison)])
     if out is None:
@@ -405,7 +357,7 @@ class DGAlg:
 
 def dg_end(p_cx: Cx) -> DGAlg:
     """End dg algebra of a bounded complex with projective components."""
-    if not all(_certify_projective(ob) for ob in p_cx.objects):
+    if not all(is_projective(ob) for ob in p_cx.objects):
         raise ValidationError("dg endomorphisms require projective components")
     hc = hom_complex(p_cx, p_cx)
     p = p_cx.alg.p
@@ -754,7 +706,7 @@ def khom_agreement(m: Mod, x: Cx, cap: int = 12) -> tuple[int, int]:
     such x.
     """
     for n in x.degrees():
-        if x.obj(n).dim and not _certify_injective(x.obj(n)):
+        if x.obj(n).dim and not is_injective(x.obj(n)):
             raise ValidationError(f"component in degree {n} is not injective", witness=n)
     res = inj_resolution(m, cap)
     from_res = cohomology_data(hom_complex(res.res, x).cx, 0).module.dim

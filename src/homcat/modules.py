@@ -14,6 +14,7 @@ these matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -58,6 +59,8 @@ __all__ = [
     "projective_cover",
     "dual_module",
     "injective_envelope",
+    "is_projective",
+    "is_injective",
     "is_isomorphic",
     "decompose",
     "decompose_with_maps",
@@ -208,10 +211,12 @@ def make_module(alg: Alg, action) -> Mod:
     return mod
 
 
+@functools.lru_cache(maxsize=64)
 def zero_module(alg: Alg) -> Mod:
     return make_module(alg, [Mat.zeros(alg.p, 0, 0)] * alg.dim)
 
 
+@functools.lru_cache(maxsize=64)
 def regular_module(alg: Alg) -> Mod:
     """The algebra acting on itself by right multiplication."""
     return make_module(alg, [alg.right_mult(alg.basis_vector(i)) for i in range(alg.dim)])
@@ -249,6 +254,7 @@ def projective_module(alg: Alg, j: int) -> Mod:
     return _projective_with_inclusion(alg, j)[0]
 
 
+@functools.lru_cache(maxsize=256)
 def _projective_with_inclusion(alg: Alg, j: int) -> tuple[Mod, Mat]:
     reg = regular_module(alg)
     basis = column_space(alg.left_mult(alg.idempotents[j]))
@@ -265,18 +271,13 @@ def simple_module(alg: Alg, j: int) -> Mod:
 # -- hom spaces ----------------------------------------------------------------
 
 
-_HOM_CACHE: dict[tuple[Mod, Mod], tuple[tuple[MMap, ...], np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _hom_basis(m: Mod, n: Mod) -> tuple[tuple[MMap, ...], np.ndarray, np.ndarray]:
     """Cached Hom(m, n) basis: the maps, their row-major flattenings as rows, their free positions.
 
     The flattenings are the ``kernel_basis`` columns of the intertwining
     system, so the free position of each is its last nonzero entry.
     """
-    cached = _HOM_CACHE.get((m, n))
-    if cached is not None:  # cached pairs passed the algebra check below
-        return cached
     if m.alg != n.alg:
         raise ValidationError("hom_space between modules over different algebras")
     if m.dim == 0 or n.dim == 0:
@@ -294,8 +295,7 @@ def _hom_basis(m: Mod, n: Mod) -> tuple[tuple[MMap, ...], np.ndarray, np.ndarray
     free = vecs.shape[1] - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
     # the maps are read-only views of the rows: the cache holds each basis once
     maps = tuple(MMap(m, n, Mat._reduced(p, v.reshape(n.dim, m.dim))) for v in vecs)
-    cached = _HOM_CACHE[(m, n)] = (maps, vecs, free)
-    return cached
+    return maps, vecs, free
 
 
 def hom_space(m: Mod, n: Mod) -> list[MMap]:
@@ -701,6 +701,25 @@ def decompose(m: Mod) -> list[tuple[Mod, int]]:
     return grouped
 
 
+def _first_iso(piece: Mod, candidates) -> Mod | None:
+    """The first candidate isomorphic to the indecomposable ``piece``, or None."""
+    return next((c for c in candidates if is_isomorphic(piece, c) is not None), None)
+
+
+@functools.lru_cache(maxsize=256)
+def is_projective(m: Mod) -> bool:
+    """Every indecomposable summand of m is isomorphic to one of the e_j A."""
+    projs = [projective_module(m.alg, j) for j in range(len(m.alg.idempotents))]
+    return all(_first_iso(piece, projs) is not None for piece, _, _ in decompose_with_maps(m))
+
+
+@functools.lru_cache(maxsize=256)
+def is_injective(m: Mod) -> bool:
+    """Every indecomposable summand of m is isomorphic to the injective envelope of a simple."""
+    injs = [injective_envelope(simple_module(m.alg, j))[0] for j in range(len(m.alg.idempotents))]
+    return all(_first_iso(piece, injs) is not None for piece, _, _ in decompose_with_maps(m))
+
+
 # -- classification of indecomposables -------------------------------------------
 
 
@@ -780,9 +799,6 @@ def _pir_pair_spans(alg: Alg, total: Mod) -> list[Mat]:
     return list(found.values())
 
 
-_PRESET_CACHE: dict = {}
-
-
 def _preset_name_of(alg: Alg) -> str | None:
     candidates = ["lambda1", "lambda2", "lambda3", "ground_field", f"truncpoly({alg.dim})"]
     for name in candidates:
@@ -806,6 +822,7 @@ def _cheap_invariant(m: Mod) -> tuple:
     return (m.dim, m.dim_vector(), tuple(rad_series), socle(m)[0].dim)
 
 
+@functools.lru_cache(maxsize=64)
 def classify_indecomposables(alg: Alg) -> list[Mod]:
     """Complete duplicate-free list of indecomposables, small fields only.
 
@@ -813,15 +830,13 @@ def classify_indecomposables(alg: Alg) -> list[Mod]:
     takes the resulting submodules and quotients, decomposes everything, and
     deduplicates up to isomorphism.  Guarded to preset algebras at p in {2, 3};
     completeness is cross-checked against fixed counts in the acceptance suite.
+    The list is computed once per algebra and shared by every caller.
     """
     name = _preset_name_of(alg)
     if name is None:
         raise GuardError("classification is guarded to preset algebras")
     if alg.p not in (2, 3):
         raise GuardError("classification enumerates subspaces; use p in {2, 3}")
-    cache_key = (name, alg.p)
-    if cache_key in _PRESET_CACHE:
-        return _PRESET_CACHE[cache_key]
     projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
     candidates: dict[bytes, Mod] = {}
 
@@ -850,7 +865,6 @@ def classify_indecomposables(alg: Alg) -> list[Mod]:
             bucket.append(piece)
     result = [m for bucket in by_invariant.values() for m in bucket]
     result.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
-    _PRESET_CACHE[cache_key] = result
     return result
 
 

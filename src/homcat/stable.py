@@ -11,6 +11,7 @@ stable Hom spaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,19 +23,21 @@ from homcat.linalg import Mat, column_space, kernel_basis, rank
 from homcat.modules import (
     MMap,
     Mod,
+    _first_iso,
+    _hom_basis,
     _preset_name_of,
     _vec,
     classify_indecomposables,
     decompose_with_maps,
-    dual_module,
     hom_space,
     injective_envelope,
     is_isomorphic,
+    is_projective,
     kci,
     local_end_radical,
+    make_module,
     projective_cover,
     projective_module,
-    regular_module,
     submodule,
 )
 from homcat.quivers import Quiver
@@ -53,9 +56,7 @@ __all__ = [
 ]
 
 
-_SELF_INJ_CACHE: dict[Alg, list[tuple[Mod, Mod]]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def assert_self_injective(alg: Alg) -> list[tuple[Mod, Mod]]:
     """Certify that projective and injective modules coincide.
 
@@ -63,27 +64,18 @@ def assert_self_injective(alg: Alg) -> list[tuple[Mod, Mod]]:
     cogenerator) and matches every summand against the list of projectives;
     returns the matching as a certificate, or raises with the witness summand.
     """
-    cached = _SELF_INJ_CACHE.get(alg)
-    if cached is not None:
-        return cached
-    from homcat.algebras import opposite
-
-    cogenerator = dual_module(regular_module(opposite(alg)), alg)
+    # built over alg itself: b_i acts on the dual of A by the transpose of left multiplication
+    cogenerator = make_module(alg, [alg.left_mult(alg.basis_vector(i)).transpose() for i in range(alg.dim)])
     projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
     matching = []
     for piece, _, _ in decompose_with_maps(cogenerator):
-        match = None
-        for p in projs:
-            if is_isomorphic(piece, p) is not None:
-                match = p
-                break
+        match = _first_iso(piece, projs)
         if match is None:
             raise ValidationError(
                 "algebra is not self-injective: an injective summand is not projective",
                 witness=piece,
             )
         matching.append((piece, match))
-    _SELF_INJ_CACHE[alg] = matching
     return matching
 
 
@@ -105,16 +97,15 @@ def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
     p = m.alg.p
     if m.dim == 0 or n.dim == 0:
         return 0, []
-    basis = hom_space(m, n)
-    if not basis:
+    vecs = _hom_basis(m, n)[1]
+    if not len(vecs):
         return 0, []
-    full = _vec([f.mat for f in basis], p, n.dim, m.dim)
     through = _projective_factoring_subspace(m, n)
     # representatives: extend a basis of the factoring subspace by columns of
     # the full Hom space; the added columns represent a stable basis
     through_basis = column_space(through)
     dim_through = through_basis.cols
-    combined = column_space(Mat(p, np.hstack([through_basis.a, full.a])))
+    combined = column_space(Mat(p, np.hstack([through_basis.a, vecs.T])))
     reps = []
     for t in range(dim_through, combined.cols):
         reps.append(MMap(m, n, Mat(p, combined.a[:, t].reshape(n.dim, m.dim))))
@@ -148,9 +139,7 @@ class CompleteRes:
     z0_iso: MMap  # from ker(d^0) submodule onto the module
 
 
-_CR_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=256)
 def complete_resolution(m: Mod, window: tuple[int, int] = (-4, 4)) -> CompleteRes:
     """Splice projective covers of syzygies against injective envelopes of
     cosyzygies across the window.
@@ -160,15 +149,12 @@ def complete_resolution(m: Mod, window: tuple[int, int] = (-4, 4)) -> CompleteRe
     interior degree and the Z^0 identification are verified.  Results are
     cached per (module, window).
     """
-    cached = _CR_CACHE.get((m, window))
-    if cached is not None:
-        return cached
     assert_self_injective(m.alg)
     lo, hi = window
     if lo > -2 or hi < 2:
         raise ValidationError("window must span at least two degrees on each side")
     for piece, _, _ in decompose_with_maps(m):
-        if _is_projective(piece):
+        if is_projective(piece):
             raise ValidationError(
                 "module has a projective summand; complete resolutions need none",
                 witness=piece,
@@ -214,20 +200,7 @@ def complete_resolution(m: Mod, window: tuple[int, int] = (-4, 4)) -> CompleteRe
     iso_candidates = is_isomorphic(zmod, m)
     if iso_candidates is None:
         raise ValidationError("Z^0 of the spliced complex is not the module")
-    out = CompleteRes(module=m, window=window, cx=cx, z0_iso=iso_candidates)
-    _CR_CACHE[(m, window)] = out
-    return out
-
-
-_PROJ_LIST_CACHE: dict[Alg, list[Mod]] = {}
-
-
-def _is_projective(m: Mod) -> bool:
-    projs = _PROJ_LIST_CACHE.get(m.alg)
-    if projs is None:
-        projs = [projective_module(m.alg, j) for j in range(len(m.alg.idempotents))]
-        _PROJ_LIST_CACHE[m.alg] = projs
-    return any(is_isomorphic(m, p) is not None for p in projs)
+    return CompleteRes(module=m, window=window, cx=cx, z0_iso=iso_candidates)
 
 
 def z0(x: Cx) -> Mod:
@@ -236,9 +209,8 @@ def z0(x: Cx) -> Mod:
     Validates interior acyclicity and projectivity of the components.
     """
     for n in x.degrees():
-        for piece, _, _ in decompose_with_maps(x.obj(n)):
-            if not _is_projective(piece):
-                raise ValidationError(f"component in degree {n} is not projective")
+        if not is_projective(x.obj(n)):
+            raise ValidationError(f"component in degree {n} is not projective")
     for n in range(x.lo + 1, x.hi):
         if cohomology_data(x, n).module.dim != 0:
             raise ValidationError(f"complex not acyclic at interior degree {n}")
@@ -317,7 +289,7 @@ def stable_indecomposables(alg: Alg) -> list[Mod]:
     if name is None or not (name.startswith("truncpoly") or name == "ground_field"):
         raise GuardError("stable classification is guarded to truncated polynomial presets")
     assert_self_injective(alg)
-    return [m for m in classify_indecomposables(alg) if not _is_projective(m)]
+    return [m for m in classify_indecomposables(alg) if not is_projective(m)]
 
 
 def _stable_rad_subspaces(ind: list[Mod], alg: Alg):
@@ -329,11 +301,11 @@ def _stable_rad_subspaces(ind: list[Mod], alg: Alg):
         for j, mj in enumerate(ind):
             through = _projective_factoring_subspace(mi, mj)
             if i == j:
-                rad = _vec([f.mat for f in local_end_radical(mi)], p, mj.dim, mi.dim)
+                rad = _vec([f.mat for f in local_end_radical(mi)], p, mj.dim, mi.dim).a
             else:
-                rad = _vec([f.mat for f in hom_space(mi, mj)], p, mj.dim, mi.dim)
+                rad = _hom_basis(mi, mj)[1].T
             spaces[(i, j)] = {
-                "w": column_space(Mat(p, np.hstack([rad.a, through.a]))),
+                "w": column_space(Mat(p, np.hstack([rad, through.a]))),
                 "p": column_space(through),
             }
     return spaces

@@ -18,6 +18,7 @@ from homcat.complexes import (
     CMap,
     ConeParts,
     Cx,
+    DegreewiseSolver,
     Htp,
     chain_map_basis,
     cohomology_map,
@@ -33,7 +34,7 @@ from homcat.complexes import (
 )
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, inverse, kernel_basis, rank, solve
-from homcat.modules import MMap, Mod, hom_space, submodule
+from homcat.modules import MMap, Mod, submodule
 
 __all__ = [
     "Tri",
@@ -471,20 +472,15 @@ def _retraction(m: Mod, inc: MMap) -> MMap:
     sub = inc.src
     if sub.dim == 0:
         return MMap.zero(m, sub)
-    basis = hom_space(m, sub)
-    if not basis:
+    solver = DegreewiseSolver(m.alg.p)
+    solver.add_var("r", m, sub)
+    if solver.size == 0:
         raise ValidationError("no retraction: Hom space empty")
-    p = m.alg.p
-    cols = np.stack([(f.mat @ inc.mat).a.reshape(-1) for f in basis], axis=1)
-    target = np.eye(sub.dim, dtype=np.int64).reshape(-1, 1)
-    sol = solve(Mat(p, cols), Mat(p, target))
+    solver.add_eq([("r", None, inc.mat, +1)], Mat.identity(m.alg.p, sub.dim))
+    sol = solver.solve()
     if sol is None:
         raise ValidationError("inclusion does not split")
-    acc = np.zeros((sub.dim, m.dim), dtype=np.int64)
-    for c, f in zip(sol.a[:, 0], basis):
-        if c:
-            acc = acc + int(c) * f.mat.a
-    return MMap(m, sub, Mat(p, acc))
+    return MMap(m, sub, sol["r"])
 
 
 def semisimple_split(x: Cx) -> tuple[Cx, CMap, CMap, Htp]:
@@ -637,22 +633,17 @@ def split_seq_to_triangle(
 
 
 def _section(p_n: MMap) -> MMap:
-    """A module section of a surjection (solved in Hom coordinates)."""
+    """A module section s of a surjection, p o s = id."""
     y, z = p_n.src, p_n.dst
-    basis = hom_space(z, y)
-    pfield = y.alg.p
-    if not basis:
+    solver = DegreewiseSolver(y.alg.p)
+    solver.add_var("s", z, y)
+    if solver.size == 0:
         raise ValidationError("no section: Hom space empty")
-    cols = np.stack([(p_n.mat @ f.mat).a.reshape(-1) for f in basis], axis=1)
-    target = np.eye(z.dim, dtype=np.int64).reshape(-1, 1)
-    sol = solve(Mat(pfield, cols), Mat(pfield, target))
+    solver.add_eq([("s", p_n.mat, None, +1)], Mat.identity(y.alg.p, z.dim))
+    sol = solver.solve()
     if sol is None:
         raise ValidationError("surjection does not split over the algebra")
-    acc = np.zeros((y.dim, z.dim), dtype=np.int64)
-    for c, f in zip(sol.a[:, 0], basis):
-        if c:
-            acc = acc + int(c) * f.mat.a
-    return MMap(z, y, Mat(pfield, acc))
+    return MMap(z, y, sol["s"])
 
 
 # -- long exact sequence check ---------------------------------------------------------

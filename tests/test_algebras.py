@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homcat.errors import ValidationError
+from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat
 from homcat.algebras import (
     algebra_from_json,
@@ -162,6 +162,42 @@ def test_iso_search_opposite_of_lambda2():
     assert algebra_iso_search(lam2, opposite(lam2)) is None
     lam1 = preset("lambda1", 101)
     assert algebra_iso_search(lam1, opposite(lam1)) is not None
+
+
+def _commutative_square(p: int, scale: int):
+    """Path algebra of the square 1 -a-> 2 -b-> 4, 1 -c-> 3 -d-> 4 with ab = scale * cd.
+
+    Basis e1, e2, e3, e4, a, b, c, d, w; products read left to right, cd = w."""
+    ends = {4: (0, 1), 5: (1, 3), 6: (0, 2), 7: (2, 3), 8: (0, 3)}
+    entries = [[i, i, i, 1] for i in range(4)]
+    for x, (s, t) in ends.items():
+        entries += [[s, x, x, 1], [x, t, x, 1]]
+    entries += [[4, 5, 8, scale], [6, 7, 8, 1]]
+    return algebra_from_json(
+        {
+            "prime": p,
+            "dim": 9,
+            "structconst": entries,
+            "unit": [1, 1, 1, 1, 0, 0, 0, 0, 0],
+            "idempotents": [[int(k == i) for k in range(9)] for i in range(4)],
+            "radical": [[int(k == x) for k in range(9)] for x in range(4, 9)],
+        }
+    )
+
+
+def test_iso_search_sweeps_every_arrow_scaling_at_a_small_prime():
+    # d -> d / 2 is an isomorphism, but not one with all arrow scalars equal to 1
+    a, b = _commutative_square(5, 1), _commutative_square(5, 2)
+    iso = algebra_iso_search(a, b)
+    assert iso is not None
+    assert iso.forward @ iso.backward == Mat.identity(5, 9)
+
+
+def test_iso_search_refuses_to_answer_no_when_the_sweep_is_partial():
+    a, b = _commutative_square(10007, 1), _commutative_square(10007, 2)
+    with pytest.raises(GuardError, match="1024"):
+        algebra_iso_search(a, b)
+    assert algebra_iso_search(a, a) is not None
 
 
 def test_json_round_trip():

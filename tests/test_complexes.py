@@ -26,10 +26,11 @@ from homcat.complexes import (
 )
 from homcat.derived import proj_resolution
 from homcat.errors import ValidationError
-from homcat.linalg import Mat, rank
+from homcat.linalg import Mat, inverse, rank
 from homcat.modules import (
     MMap,
     hom_space,
+    make_module,
     projective_module,
     regular_module,
     simple_module,
@@ -148,6 +149,27 @@ def test_degreewise_solver_equation_before_later_variable():
     sol = solver.solve()
     assert sol["a"] == Mat.identity(101, 1).scale(2)
     assert sol["b"] == Mat.identity(101, 1).scale(3)
+
+
+def test_degreewise_solver_terms_do_not_overflow_at_the_largest_prime():
+    # dense L, R and Hom basis entries near p: L @ B @ R overflows int64 unless reduced after L @ B
+    p = 2097143
+    alg = preset("lambda1", p)
+    reg = regular_module(alg)
+    rng = np.random.default_rng(0)
+    g_inv = None
+    while g_inv is None:
+        g = Mat(p, rng.integers(0, p, size=(reg.dim, reg.dim)))
+        g_inv = inverse(g)
+    m = make_module(alg, [g_inv @ a @ g for a in reg.action])
+    b0 = hom_space(m, m)[0].mat
+    left, right = (Mat(p, rng.integers(0, p, size=(m.dim, m.dim))) for _ in range(2))
+    solver = DegreewiseSolver(p)
+    solver.add_var("v", m, m)
+    solver.add_eq([("v", left, right, +1)], left @ b0 @ right)
+    sol = solver.solve()
+    assert sol is not None
+    assert left @ sol["v"] @ right == left @ b0 @ right
 
 
 def test_solve_squares_lifts_endomorphism_through_resolution():

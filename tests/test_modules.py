@@ -22,7 +22,9 @@ from homcat.modules import (
     hom_coords,
     hom_space,
     injective_envelope,
+    is_injective,
     is_isomorphic,
+    is_projective,
     kci,
     known_indecomposables,
     make_module,
@@ -566,3 +568,61 @@ def test_mmap_zero_matrix_of_wrong_shape_is_rejected():
     MMap(p, s, Mat.zeros(101, s.dim, p.dim))
     with pytest.raises(ValidationError, match="shape"):
         MMap(p, s, Mat.zeros(101, p.dim, s.dim))
+
+
+# -- caches and the projectivity checks -----------------------------------------------
+
+
+def test_every_memo_is_a_bounded_lru_cache():
+    import importlib
+    import pkgutil
+
+    import homcat
+
+    containers, caches = [], []
+    for info in pkgutil.iter_modules(homcat.__path__):
+        mod = importlib.import_module(f"homcat.{info.name}")
+        for name, value in vars(mod).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                containers.append(f"{mod.__name__}.{name}")
+            if hasattr(value, "cache_parameters"):
+                caches.append(value)
+    assert containers == ["homcat.exercises._EXERCISES"]
+    assert caches and all(c.cache_parameters()["maxsize"] is not None for c in caches)
+
+
+def test_hom_bases_stay_within_the_cache_bound_and_recompute_after_eviction():
+    from homcat.modules import _hom_basis
+
+    bound = _hom_basis.cache_parameters()["maxsize"]
+    alg = preset("truncpoly(2)", 10007)
+
+    def module(x):  # T acts by [[0, x], [0, 0]]: pairwise distinct (all isomorphic) modules
+        return make_module(alg, [np.eye(2, dtype=np.int64), np.array([[0, x], [0, 0]])])
+
+    first = hom_space(module(1), module(1))
+    for x in range(2, bound + 3):
+        hom_space(module(x), module(x))
+    assert _hom_basis.cache_info().currsize <= bound
+    misses = _hom_basis.cache_info().misses
+    again = hom_space(module(1), module(1))
+    assert _hom_basis.cache_info().misses == misses + 1
+    assert [f.mat for f in again] == [f.mat for f in first]
+    _hom_basis.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
+def test_projectivity_and_injectivity_of_the_known_indecomposables(name):
+    alg = preset(name, 101)
+    ind = known_indecomposables(alg)
+    proj = [is_projective(m) for m in ind]
+    inj = [is_injective(m) for m in ind]
+    # a minimal cover (envelope) is an isomorphism exactly on projectives (injectives)
+    assert proj == [projective_cover(m)[0].dim == m.dim for m in ind]
+    assert inj == [injective_envelope(m)[0].dim == m.dim for m in ind]
+    assert sum(proj) == sum(inj) == len(alg.idempotents)
+    assert is_projective(regular_module(alg))
+    non_projective = ind[proj.index(False)]
+    assert not is_projective(direct_sum([regular_module(alg), non_projective])[0])

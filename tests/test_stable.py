@@ -156,14 +156,13 @@ def test_stable_indecomposables_guard():
 
 
 def test_injective_envelopes_are_projective_when_self_injective():
-    from homcat.modules import injective_envelope
-    from homcat.stable import _is_projective
+    from homcat.modules import injective_envelope, is_projective
 
     for n in (2, 3, 4):
         alg = preset(f"truncpoly({n})", 2)
         for m in stable_indecomposables(alg):
             env, _ = injective_envelope(m)
-            assert _is_projective(env)
+            assert is_projective(env)
 
 
 def test_stable_ar_quiver_truncpoly2():
