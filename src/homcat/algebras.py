@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class Alg:
     """A validated finite-dimensional algebra.
 
     Equality is structural (modulus, structure constants, unit, idempotents,
-    radical span) and ignores labels, so an algebra compares equal to its
-    double opposite.
+    radical span) and ignores labels.  ``opposite`` is memoized on the object:
+    the opposite of the opposite is the algebra itself.
     """
 
     p: int
@@ -59,6 +59,7 @@ class Alg:
     idempotents: tuple[np.ndarray, ...]
     radical: Mat  # columns span the Jacobson radical
     name: str = "algebra"
+    _opposite: "Alg | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.structconst.flags.writeable = False
@@ -345,17 +346,28 @@ def _build_preset(name: str, p: int) -> Alg:
 
 
 def opposite(a: Alg) -> Alg:
-    """Same space, multiplication reversed: c'[i][j][k] = c[j][i][k]."""
-    return Alg(
-        p=a.p,
-        dim=a.dim,
-        labels=a.labels,
-        structconst=np.ascontiguousarray(a.structconst.swapaxes(0, 1)),
-        unit=a.unit.copy(),
-        idempotents=tuple(e.copy() for e in a.idempotents),
-        radical=a.radical,
-        name=a.name[3:-1] if a.name.startswith("op(") else f"op({a.name})",
-    )
+    """Same space, multiplication reversed: c'[i][j][k] = c[j][i][k].
+
+    Built once per algebra object and linked both ways, so
+    ``opposite(opposite(a)) is a``; a commutative algebra is its own opposite.
+    Modules over either side then share one algebra object, and the cached
+    constructors keyed on it never compare two equal copies.
+    """
+    if a._opposite is None:
+        c = a.structconst.swapaxes(0, 1)
+        op = a if np.array_equal(c, a.structconst) else Alg(
+            p=a.p,
+            dim=a.dim,
+            labels=a.labels,
+            structconst=np.ascontiguousarray(c),
+            unit=a.unit.copy(),
+            idempotents=tuple(e.copy() for e in a.idempotents),
+            radical=a.radical,
+            name=a.name[3:-1] if a.name.startswith("op(") else f"op({a.name})",
+        )
+        object.__setattr__(op, "_opposite", a)
+        object.__setattr__(a, "_opposite", op)
+    return a._opposite
 
 
 # -- generating sets ----------------------------------------------------------

@@ -18,7 +18,7 @@ class ValidationError(HomcatError):
 
 
 class CapExhausted(HomcatError):
-    """An iterative construction (resolution, window) hit its length cap."""
+    """An iterative construction (resolution, window, knitting closure) hit its cap."""
 
     def __init__(self, message, leftover=None):
         super().__init__(message)
@@ -26,4 +26,10 @@ class CapExhausted(HomcatError):
 
 
 class GuardError(HomcatError):
-    """A search-space guard refused the input (non-preset algebra, large field)."""
+    """A guard refused an input it cannot decide exactly.
+
+    Chiefly a non-split residue field: a simple module or an endomorphism
+    ring whose residue field is larger than F_p.  Also a prime above
+    MAX_PRIME, a search above its bound, or an algebra outside a method's
+    hypotheses (disconnected, not self-injective).
+    """

@@ -46,7 +46,6 @@ from homcat.modules import (
     direct_sum,
     hom_space,
     is_isomorphic,
-    known_indecomposables,
     projective_module,
     quotient_module,
     radical_submodule,
@@ -222,18 +221,12 @@ def _ex_1_5_1(options: Options) -> tuple[str, int, list[Check]]:
     return "lambda1", p, checks
 
 
-def _indecomposables_for(alg):
-    if alg.p in (2, 3):
-        return classify_indecomposables(alg)
-    return known_indecomposables(alg)
-
-
 def _ex_1_5_2(options: Options) -> tuple[str, int, list[Check]]:
     """Module stalks embed fully faithfully: degree-0 derived Hom equals the
     module Hom, negative degrees vanish."""
     p = _pick_prime(options, 101)
     alg = preset("lambda1", p)
-    mods = _indecomposables_for(alg)
+    mods = classify_indecomposables(alg)
     checks = []
     mismatches = 0
     negative = 0
@@ -278,7 +271,7 @@ def _ex_1_6_1(options: Options) -> tuple[str, int, list[Check]]:
 
 def _ex_1_6_3_counts(options: Options) -> tuple[str, int, list[Check]]:
     """Indecomposable counts for the three matrix algebras."""
-    p = _pick_prime(options, 2, allowed=(2, 3))
+    p = _pick_prime(options, 2)
     checks = []
     for name, want in (("lambda1", 6), ("lambda2", 6), ("lambda3", 5)):
         got = len(classify_indecomposables(preset(name, p)))
@@ -306,7 +299,7 @@ def _ext_table_rows(alg, mods, max_degree: int, cap: int):
 def _ex_1_6_3_ext(options: Options) -> tuple[str, int, list[Check]]:
     """Ext bounds: at most one-dimensional everywhere; vanishing of Ext^2 for
     the two hereditary algebras and its single survivor for the third."""
-    p = _pick_prime(options, 2, allowed=(2, 3))
+    p = _pick_prime(options, 2)
     checks = []
     for name in ("lambda1", "lambda2", "lambda3"):
         alg = preset(name, p)
@@ -328,7 +321,7 @@ def _ex_1_6_3_ext(options: Options) -> tuple[str, int, list[Check]]:
 
 def _ex_1_6_3_ar(options: Options) -> tuple[str, int, list[Check]]:
     """AR quiver shapes for the presets."""
-    p = _pick_prime(options, 2, allowed=(2, 3))
+    p = _pick_prime(options, 2)
     checks = []
     q1 = ar_quiver(preset("lambda1", p))
     checks.append(Check("lambda1 AR vertices", 6, len(q1.vertices)))
@@ -537,7 +530,7 @@ def _ex_3_1_1(options: Options) -> tuple[str, int, list[Check]]:
 def _ex_3_3_2(options: Options) -> tuple[str, int, list[Check]]:
     """Acyclic complexes of projectives over truncated polynomials: the Z^0
     correspondence and the stable AR quiver."""
-    p = _pick_prime(options, 2, allowed=(2, 3))
+    p = _pick_prime(options, 2)
     checks = []
     for n in (2, 3, 4, 5):
         alg = preset(f"truncpoly({n})", p)
@@ -667,7 +660,7 @@ def _ex_7_4_1(options: Options) -> tuple[str, int, list[Check]]:
 
 def _ex_7_5_1(options: Options) -> tuple[str, int, list[Check]]:
     """Complete resolutions compute stable Homs."""
-    p = _pick_prime(options, 2, allowed=(2, 3))
+    p = _pick_prime(options, 2)
     checks = []
     for n in (2, 3, 4, 5):
         alg = preset(f"truncpoly({n})", p)

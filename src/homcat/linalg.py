@@ -408,12 +408,6 @@ def in_column_span(basis: Mat, vecs: Mat) -> bool:
     return solve(basis, vecs) is not None
 
 
-def span_key(m: Mat) -> bytes:
-    """Canonical key of the column span (column-reduced basis bytes)."""
-    red, pivots = rref(m.transpose())
-    return Mat._reduced(m.p, red.a[: len(pivots), :]).key()
-
-
 def quotient_structure(ambient_dim: int, sub: Mat) -> tuple[Mat, Mat]:
     """Projection and section presenting F_p^n / span(sub).
 

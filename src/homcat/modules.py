@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from homcat.algebras import Alg, algebra_generators, opposite, preset
-from homcat.errors import GuardError, ValidationError
+from homcat.errors import CapExhausted, GuardError, ValidationError
 from homcat.linalg import (
     Mat,
     _rref_array,
@@ -37,7 +37,6 @@ from homcat.linalg import (
     rank,
     rref,
     solve,
-    span_key,
 )
 from homcat.quivers import Quiver
 
@@ -64,6 +63,10 @@ __all__ = [
     "is_isomorphic",
     "decompose",
     "decompose_with_maps",
+    "transpose_module",
+    "ar_translate",
+    "ar_translate_inverse",
+    "almost_split_sequence",
     "classify_indecomposables",
     "known_indecomposables",
     "ar_quiver",
@@ -104,7 +107,12 @@ class Mod:
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.key()))
+        # computed once, since every cache lookup hashes its modules; the key
+        # bytes themselves are not kept, they would double each module's memory
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.dim, self.key()))
+        return h
 
     def __repr__(self) -> str:
         return f"Mod(dim={self.dim} over {self.alg.name})"
@@ -723,82 +731,6 @@ def is_injective(m: Mod) -> bool:
 # -- classification of indecomposables -------------------------------------------
 
 
-def _enumerate_submodule_spans(m: Mod) -> list[Mat]:
-    """All submodules of m as canonical column bases (small fields only).
-
-    Every submodule is a sum of cyclic ones, so we enumerate cyclic spans
-    (one monic generator per line) and close under joins.
-    """
-    p = m.alg.p
-    n = m.dim
-    if n == 0:
-        return [Mat.zeros(p, 0, 0)]
-    stacked = np.stack([a.a for a in m.action])  # (algdim, n, n)
-    cyclics: dict[bytes, Mat] = {}
-    # monic vectors: first nonzero coordinate is 1
-    for lead in range(n):
-        tail = n - lead - 1
-        for rest in itertools.product(range(p), repeat=tail):
-            v = np.zeros(n, dtype=np.int64)
-            v[lead] = 1
-            v[lead + 1 :] = rest
-            gens = Mat(p, (stacked @ v).T)  # one column per algebra basis element
-            key = span_key(gens)
-            if key not in cyclics:
-                cyclics[key] = column_space(gens)
-    cyclic_list = list(cyclics.values())
-    zero = Mat.zeros(p, n, 0)
-    found: dict[bytes, Mat] = {span_key(zero): zero}
-    for key, c in cyclics.items():
-        found.setdefault(key, c)
-    queue = list(found.values())
-    while queue:
-        w = queue.pop()
-        for c in cyclic_list:
-            if c.cols == 0 or in_column_span(w, c):
-                continue
-            gens = hstack([w, c])
-            key = span_key(gens)
-            if key not in found:
-                found[key] = column_space(gens)
-                queue.append(found[key])
-    return list(found.values())
-
-
-def _pir_pair_spans(alg: Alg, total: Mod) -> list[Mat]:
-    """Submodules of R + R for R = k[T]/(T^n), by triangular generator pairs.
-
-    Over this principal ideal ring every submodule is generated by (T^a, 0)
-    and (c, T^b); enumerating (a, b, c) and deduplicating spans is complete
-    and avoids the generic cyclic-join search.
-    """
-    p = alg.p
-    n = alg.dim
-    stacked = np.stack([a.a for a in total.action])  # (algdim, 2n, 2n)
-    found: dict[bytes, Mat] = {}
-    zero = Mat.zeros(p, total.dim, 0)
-    found[span_key(zero)] = zero
-
-    def _record(u: np.ndarray, w: np.ndarray) -> None:
-        gens = Mat(p, np.concatenate([stacked @ u, stacked @ w], axis=0).T)
-        key = span_key(gens)
-        if key not in found:
-            found[key] = column_space(gens)
-
-    for a in range(n + 1):
-        u = np.zeros(2 * n, dtype=np.int64)
-        if a < n:
-            u[a] = 1
-        for b in range(n + 1):
-            for coeffs in itertools.product(range(p), repeat=n):
-                w = np.zeros(2 * n, dtype=np.int64)
-                w[:n] = coeffs
-                if b < n:
-                    w[n + b] = 1
-                _record(u, w)
-    return list(found.values())
-
-
 def _preset_name_of(alg: Alg) -> str | None:
     candidates = ["lambda1", "lambda2", "lambda3", "ground_field", f"truncpoly({alg.dim})"]
     for name in candidates:
@@ -810,69 +742,191 @@ def _preset_name_of(alg: Alg) -> str | None:
     return None
 
 
-def _cheap_invariant(m: Mod) -> tuple:
-    rad_series = []
-    cur = Mat.identity(m.alg.p, m.dim)
-    for _ in range(m.dim + 1):
-        nxt = column_space(hstack([m.rho(m.alg.radical.a[:, t]) @ cur for t in range(m.alg.radical.cols)])) if m.alg.radical.cols and cur.cols else Mat.zeros(m.alg.p, m.dim, 0)
-        rad_series.append(nxt.cols)
-        if nxt.cols == 0:
-            break
-        cur = nxt
-    return (m.dim, m.dim_vector(), tuple(rad_series), socle(m)[0].dim)
+# Caps of the knitting closure: past them the algebra may be representation
+# infinite (the closure from the projectives of the Kronecker algebra grows by
+# one dimension per step), and the classifier refuses instead of running on.
+_KNIT_MAX_VERTICES = 256
+_KNIT_DIM_FACTOR = 2  # an indecomposable may have at most this times dim A
+
+
+def _dual_projective(pmod: Mod) -> tuple[Mod, np.ndarray]:
+    """P* = Hom_A(P, A) as a right module over opposite(A), and its basis maps P -> A.
+
+    b acts on phi by left multiplication, phi |-> b * phi, read back in the
+    ``hom_space(P, regular_module(A))`` basis by ``hom_coords``.
+    """
+    alg, p = pmod.alg, pmod.alg.p
+    reg = regular_module(alg)
+    _, vecs, _ = _hom_basis(pmod, reg)
+    phis = vecs.reshape(-1, alg.dim, pmod.dim)
+    left = alg.structconst.transpose(0, 2, 1)  # left[i] is the matrix of a |-> b_i * a
+    prods = np.einsum("iab,tbc->itac", left, phis) % p
+    coords = hom_coords(pmod, reg, prods.reshape(-1, alg.dim, pmod.dim)).reshape(alg.dim, len(phis), len(phis))
+    return make_module(opposite(alg), [Mat._reduced(p, c.T.copy()) for c in coords]), phis
+
+
+def transpose_module(m: Mod) -> Mod:
+    """Auslander-Bridger transpose Tr m, a right module over opposite(m.alg).
+
+    From the minimal projective presentation P1 -> P0 -> m -> 0, Tr m is the
+    cokernel of the induced map P0* -> P1* (phi |-> phi o f).  It is zero
+    exactly when m is projective; tau = D Tr and tau^-1 = Tr D.
+    """
+    p = m.alg.p
+    p0, epi = projective_cover(m)
+    omega, inc = submodule(p0, kernel_basis(epi.mat))
+    if omega.dim == 0:
+        return zero_module(opposite(m.alg))
+    p1, epi1 = projective_cover(omega)
+    f = (inc @ epi1).mat.a
+    p0_star, phis = _dual_projective(p0)
+    p1_star, _ = _dual_projective(p1)
+    pulled = hom_coords(p1, regular_module(m.alg), phis @ f % p)
+    f_star = MMap(p0_star, p1_star, Mat._reduced(p, pulled.T.copy()))
+    return quotient_module(p1_star, f_star.mat)[0]
+
+
+def ar_translate(m: Mod) -> Mod:
+    """tau m = D Tr m; zero exactly when m is projective."""
+    return dual_module(transpose_module(m))
+
+
+def ar_translate_inverse(m: Mod) -> Mod:
+    """tau^-1 m = Tr D m; zero exactly when m is injective."""
+    return transpose_module(dual_module(m))
+
+
+def almost_split_sequence(x: Mod, z: Mod) -> tuple[MMap, MMap]:
+    """The almost split sequence 0 -> x -> E -> z -> 0, for indecomposable z = tau^-1 x.
+
+    E is the pushout of 0 -> Omega z -> P0(z) -> z -> 0 along a map
+    eta: Omega z -> x spanning the socle of Ext^1(z, x) = Hom(Omega z, x) /
+    (maps through P0(z)) under post-composition by rad End(x): eta is
+    nonzero in Ext^1 and rad End(x) o eta lies in the coboundaries.  For a
+    split local End(x) that socle is one-dimensional; a larger one raises
+    GuardError, as does a non-split End(x) (``local_end_radical``).  Every
+    certificate is checked on the result: eta nonzero, eta in the socle, and
+    the sequence exact with dim E = dim x + dim z.
+    """
+    p = x.alg.p
+    p0, epi = projective_cover(z)
+    omega, inc = submodule(p0, kernel_basis(epi.mat))
+    _, vecs, _ = _hom_basis(omega, x)
+    d = len(vecs)
+
+    def coords(mats) -> np.ndarray:
+        return hom_coords(omega, x, np.asarray(mats, dtype=np.int64).reshape(-1, x.dim, omega.dim) % p)
+
+    maps = vecs.reshape(d, x.dim, omega.dim)
+    cobound = Mat(p, coords([h.mat.a @ inc.mat.a for h in hom_space(p0, x)]).T)
+    annihilator = kernel_basis(cobound.transpose()).transpose()  # v lies in the coboundaries iff annihilator @ v = 0
+    rad = [coords(s.mat.a @ maps) for s in local_end_radical(x)]
+    conditions = Mat(p, np.vstack([(annihilator.a @ r.T) % p for r in rad] + [np.zeros((0, d), dtype=np.int64)]))
+    socle_span = kernel_basis(conditions)
+    socle_dim = socle_span.cols - rank(cobound)
+    if socle_dim != 1:
+        if socle_dim > 1:
+            raise GuardError(f"socle of Ext^1(tau^-1 X, X) has dimension {socle_dim} > 1")
+        raise ValidationError("internal inconsistency: Ext^1(tau^-1 X, X) has zero socle")
+    # eta: a socle vector outside the coboundaries, i.e. nonzero in Ext^1
+    eta = next(socle_span.a[:, t] for t in range(socle_span.cols) if (annihilator.a @ socle_span.a[:, t] % p).any())
+    if (conditions.a @ eta % p).any():  # certificate: eta lies in the socle
+        raise ValidationError("internal inconsistency: eta is not in the socle")
+    eta_map = Mat._reduced(p, (eta @ vecs % p).reshape(x.dim, omega.dim))
+    xp, (inj_x, inj_p), (_, proj_p) = direct_sum([x, p0])
+    pushed = MMap(omega, xp, inj_x.mat @ eta_map - inj_p.mat @ inc.mat)
+    e, quot = quotient_module(xp, pushed.mat)
+    onto = solve(quot.mat.transpose(), (epi.mat @ proj_p.mat).transpose())
+    if onto is None:
+        raise ValidationError("internal inconsistency: the pushout does not map onto z")
+    left, right = quot @ inj_x, MMap(e, z, onto.transpose())
+    if not (right @ left).is_zero() or rank(left.mat) != x.dim or rank(right.mat) != z.dim or e.dim != x.dim + z.dim:
+        raise ValidationError("internal inconsistency: the almost split sequence is not exact")
+    return left, right
+
+
+def _peirce_connected(projs: list[Mod]) -> bool:
+    """Whether the graph on the idempotents, with i - j where e_i A e_j or e_j A e_i is nonzero, is connected."""
+    slices = np.array([pm.dim_vector() for pm in projs])  # slices[i, j] = dim e_i A e_j
+    linked = (slices + slices.T) > 0
+    seen, stack = {0}, [0]
+    while stack:
+        for j in np.flatnonzero(linked[stack.pop()]).tolist():
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(projs)
 
 
 @functools.lru_cache(maxsize=64)
 def classify_indecomposables(alg: Alg) -> list[Mod]:
-    """Complete duplicate-free list of indecomposables, small fields only.
+    """Complete duplicate-free list of indecomposables, certified at every prime.
 
-    Enumerates submodules of all pairwise sums of indecomposable projectives,
-    takes the resulting submodules and quotients, decomposes everything, and
-    deduplicates up to isomorphism.  Guarded to preset algebras at p in {2, 3};
-    completeness is cross-checked against fixed counts in the acceptance suite.
-    The list is computed once per algebra and shared by every caller.
+    Knits the Auslander-Reiten quiver (Auslander-Reiten-Smalo 1995, Ch. IV,
+    V, VII) from the indecomposable projectives: every vertex X adds the
+    summands of rad X (X projective) or tau X, of X / soc X (X injective) or
+    of tau^-1 X and the middle term of the almost split sequence
+    0 -> X -> E -> tau^-1 X -> 0, each new summand kept unless it is
+    isomorphic to a vertex with its dimension vector.  The closure is then a
+    finite union of AR components, each sequence carries its checked
+    certificate (``almost_split_sequence``), every top e_j A / e_j rad A is
+    F_p (so the e_j are primitive and the algebra is split basic) and the
+    Peirce graph of the e_j is connected, so the algebra is connected and by
+    Auslander's theorem (1974) a finite component is the whole module
+    category.  Refuses with CapExhausted past 256 vertices or a vertex of
+    dimension above 2 dim A (the algebra may be representation infinite),
+    and with GuardError for a disconnected or non-split-basic algebra, a
+    non-split endomorphism ring or an Ext socle above dimension one.  Sorted
+    by (dim, dim vector, key); computed once per algebra and shared by every
+    caller.
     """
-    name = _preset_name_of(alg)
-    if name is None:
-        raise GuardError("classification is guarded to preset algebras")
-    if alg.p not in (2, 3):
-        raise GuardError("classification enumerates subspaces; use p in {2, 3}")
     projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
-    candidates: dict[bytes, Mod] = {}
+    tops = [top(pm)[0].dim for pm in projs]
+    if tops != [1] * len(projs):
+        raise GuardError(
+            f"tops of the e_j A have dimensions {tops}: classification needs a split basic algebra "
+            "(every e_j A / e_j rad A equal to F_p)"
+        )
+    if not _peirce_connected(projs):
+        raise GuardError("classification needs a connected algebra (Auslander's theorem)")
+    max_dim = _KNIT_DIM_FACTOR * alg.dim
+    found: list[Mod] = []
+    buckets: dict[tuple, list[Mod]] = {}
 
-    def _add(mod: Mod) -> None:
-        if mod.dim > 0:
-            candidates.setdefault(mod.key(), mod)
-
-    pir = name == "ground_field" or name.startswith("truncpoly")
-    for i in range(len(projs)):
-        for j in range(i, len(projs)):
-            total, _, _ = direct_sum([projs[i], projs[j]])
-            spans = _pir_pair_spans(alg, total) if pir else _enumerate_submodule_spans(total)
-            for span in spans:
-                if span.cols:
-                    _add(submodule(total, span)[0])
-                if span.cols < total.dim:
-                    _add(quotient_module(total, span)[0])
-    pieces: dict[bytes, Mod] = {}
-    for mod in candidates.values():
-        for piece, _, _ in decompose_with_maps(mod):
-            pieces.setdefault(piece.key(), piece)
-    by_invariant: dict[tuple, list[Mod]] = {}
-    for piece in sorted(pieces.values(), key=lambda x: (x.dim, x.dim_vector(), x.key())):
-        bucket = by_invariant.setdefault(_cheap_invariant(piece), [])
-        if all(is_isomorphic(rep, piece) is None for rep in bucket):
+    def _add(m: Mod) -> None:
+        for piece, _, _ in decompose_with_maps(m):
+            bucket = buckets.setdefault((piece.dim, piece.dim_vector()), [])
+            if any(is_isomorphic(rep, piece) is not None for rep in bucket):
+                continue
+            if piece.dim > max_dim or len(found) == _KNIT_MAX_VERTICES:
+                raise CapExhausted(
+                    f"knitting cap reached ({len(found)} vertices, a summand of dimension {piece.dim}, "
+                    f"caps {_KNIT_MAX_VERTICES} and {max_dim}): the algebra may be representation infinite",
+                    leftover=piece,
+                )
             bucket.append(piece)
-    result = [m for bucket in by_invariant.values() for m in bucket]
-    result.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
-    return result
+            found.append(piece)
+
+    for pm in projs:
+        _add(pm)
+    for x in found:  # grows while it is walked: every vertex is processed once
+        tau = ar_translate(x)
+        _add(tau if tau.dim else submodule(x, radical_submodule(x))[0])
+        z = ar_translate_inverse(x)
+        if z.dim:
+            _add(z)
+            _add(almost_split_sequence(x, z)[0].dst)
+        else:
+            _add(quotient_module(x, socle(x)[1].mat)[0])
+    found.sort(key=lambda m: (m.dim, m.dim_vector(), m.key()))
+    return found
 
 
 def known_indecomposables(alg: Alg) -> list[Mod]:
     """Directly constructed indecomposable lists for the preset algebras.
 
-    Works at any prime (no enumeration); used to exercise large-field checks
-    and cross-checked against ``classify_indecomposables`` at p in {2, 3}.
+    Works at any prime without knitting; a test cross-check of
+    ``classify_indecomposables`` and the module list of ``derived.tilting_check``.
     """
     name = _preset_name_of(alg)
     if name is None:
@@ -920,14 +974,15 @@ def local_end_radical(m: Mod) -> list[MMap]:
 
     For each basis endomorphism g there is exactly one scalar lambda with
     g - lambda * id nilpotent (split local case); those differences span the
-    radical.  Raises if some g has no such scalar.
+    radical.  Raises GuardError if some g has no such scalar (a residue field
+    larger than F_p, or a ring that is not local).
     """
     p = m.alg.p
     gens: list[Mat] = []
     for g in hom_space(m, m):
         shift = _singular_shift(g.mat)
         if shift is None or not is_nilpotent(shift):
-            raise ValidationError("endomorphism algebra is not split local")
+            raise GuardError("endomorphism algebra is not split local")
         gens.append(shift)
     cols = _vec(gens, p, m.dim, m.dim)
     reduced = column_space(cols)

@@ -25,12 +25,12 @@ from homcat.modules import (
     Mod,
     _first_iso,
     _hom_basis,
-    _preset_name_of,
     _vec,
     classify_indecomposables,
     decompose_with_maps,
     hom_space,
     injective_envelope,
+    is_injective,
     is_isomorphic,
     is_projective,
     kci,
@@ -283,12 +283,11 @@ def stable_hom_via_cr(m: Mod, n: Mod, window: tuple[int, int] = (-4, 4)) -> int:
 
 
 def stable_indecomposables(alg: Alg) -> list[Mod]:
-    """Indecomposables of the stable category: the classification minus the
-    projectives (guarded to truncated polynomial presets)."""
-    name = _preset_name_of(alg)
-    if name is None or not (name.startswith("truncpoly") or name == "ground_field"):
-        raise GuardError("stable classification is guarded to truncated polynomial presets")
-    assert_self_injective(alg)
+    """Indecomposables of the stable category of a self-injective algebra: the
+    certified classification (``classify_indecomposables``) minus the
+    projectives.  Raises GuardError when some e_j A is not injective."""
+    if not all(is_injective(projective_module(alg, j)) for j in range(len(alg.idempotents))):
+        raise GuardError("the stable category needs a self-injective algebra")
     return [m for m in classify_indecomposables(alg) if not is_projective(m)]
 
 

@@ -131,13 +131,13 @@ def test_criterion_14_semisimple_splitting():
 
 def test_criterion_15_field_robustness():
     ok = True
-    # counts and stable data identical at p = 2 and p = 3
+    # counts identical at p = 2, 3 and 101; stable data identical at p = 2 and p = 3
     counts = {}
-    for p in (2, 3):
+    for p in (2, 3, 101):
         r = _run("1.6.3-counts", prime=p)
         counts[p] = tuple(c.got for c in r.checks)
         ok = ok and r.passed
-    ok = ok and counts[2] == counts[3]
+    ok = ok and counts[2] == counts[3] == counts[101] == (6, 6, 5)
     stable_counts = {}
     for p in (2, 3):
         r = _run("3.3.2", prime=p)
@@ -151,7 +151,7 @@ def test_criterion_15_field_robustness():
     for p in (101, 3):
         ok = ok and _run("1.5.1", prime=p, samples=50).passed
         ok = ok and _run("1.5.2", prime=p).passed
-    _record(15, "counts and checks agree across p in {2, 3} and {3, 101}", ok)
+    _record(15, "counts and checks agree across p in {2, 3, 101} and {3, 101}", ok)
     assert ok
 
 

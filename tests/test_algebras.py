@@ -126,6 +126,15 @@ def test_opposite_involution_and_commutative_fixed_points():
     assert opposite(t) == t
 
 
+def test_opposite_is_memoized_on_the_algebra_object():
+    for name in ("lambda1", "lambda2", "truncpoly(3)"):
+        a = preset(name, 101)
+        assert opposite(a) is opposite(a)
+        assert opposite(opposite(a)) is a
+    t = preset("truncpoly(3)", 101)
+    assert opposite(t) is t  # a commutative algebra is its own opposite
+
+
 def test_iso_search_identity_case():
     lam = preset("lambda1", 101)
     iso = algebra_iso_search(lam, lam)

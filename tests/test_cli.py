@@ -142,7 +142,7 @@ def test_verify_refuses_a_prime_above_the_bound(capsys):
     [
         ["ar-quiver", "--algebra", "nosuch"],
         ["ar-quiver", "--algebra", "lambda1", "--prime", "4"],
-        ["ar-quiver", "--algebra", "lambda1", "--prime", "101"],
+        ["ar-quiver", "--algebra", "lambda1", "--prime", str(2**31 - 1)],
         ["tilting-report", "--algebra", "lambda1", "--format", "json"],
     ],
 )
@@ -151,6 +151,23 @@ def test_emit_bad_flags_exit_2_and_write_nothing(tmp_path, capsys, flags):
     assert main(["emit", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err
     assert not out.exists()
+
+
+def test_emit_refuses_an_unbounded_resolution_with_exit_2(tmp_path, capsys):
+    # truncpoly(3) has modules of infinite projective dimension: the resolution cap is reached
+    out = tmp_path / "ext.json"
+    assert main(["emit", "ext-table", "--algebra", "truncpoly(3)", "--format", "json", "--out", str(out)]) == 2
+    assert "did not terminate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_emit_ar_quiver_at_a_large_prime_matches_p2(tmp_path):
+    # the knitted classification is certified at every prime, and the quiver is field independent
+    out = {}
+    for p in ("2", "101"):
+        out[p] = tmp_path / f"q{p}.dot"
+        assert main(["emit", "ar-quiver", "--algebra", "lambda1", "--prime", p, "--out", str(out[p])]) == 0
+    assert out["101"].read_bytes() == out["2"].read_bytes()
 
 
 # sha256 of `homcat verify <id> --out` for the suites that read Hom coordinates

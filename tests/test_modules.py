@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcat.algebras import algebra_from_json, preset
-from homcat.errors import GuardError, ValidationError
+from homcat.errors import CapExhausted, GuardError, ValidationError
 from homcat.linalg import Mat, inverse, is_invertible, kernel_basis, rank, solve
 from homcat.modules import (
+    almost_split_sequence,
     ar_quiver,
+    ar_translate,
+    ar_translate_inverse,
     classify_indecomposables,
     decompose,
     decompose_with_maps,
@@ -49,6 +52,12 @@ L1_3 = preset("lambda1", 3)
 def test_regular_module_dims():
     assert regular_module(L1).dim == 6
     assert regular_module(preset("lambda2", 101)).dim == 5
+
+
+def test_module_hash_is_computed_once_from_the_key():
+    m = regular_module(preset("lambda2", 101))
+    h = hash(m)
+    assert vars(m)["_hash"] == h == hash((m.dim, m.key()))
 
 
 def test_projective_dims_lambda1():
@@ -430,8 +439,105 @@ def test_isomorphism_of_swapped_sum_without_invertible_basis_element():
 
 
 def test_classify_guards():
+    # no prime guard: the knitted classification carries Auslander's certificate at every prime
+    counts = {"lambda1": 6, "lambda2": 6, "lambda3": 5}
+    counts.update({f"truncpoly({n})": n for n in range(2, 6)})
+    for p in (101, 10007):
+        for name, want in counts.items():
+            alg = preset(name, p)
+            ind = classify_indecomposables(alg)
+            assert len(ind) == want
+            known = known_indecomposables(alg)
+            assert all(sum(1 for k in known if is_isomorphic(m, k) is not None) == 1 for m in ind)
+
+
+def _kronecker(p):
+    return algebra_from_json({
+        "prime": p, "dim": 4,
+        "structconst": [[0, 0, 0, 1], [1, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1], [2, 1, 2, 1], [3, 1, 3, 1]],
+        "unit": [1, 1, 0, 0], "idempotents": [[1, 0, 0, 0], [0, 1, 0, 0]],
+        "radical": [[0, 0, 1, 0], [0, 0, 0, 1]],
+    })
+
+
+def test_classify_refuses_the_kronecker_algebra_with_cap_exhausted():
+    # representation infinite: the preprojective component grows without bound
+    start = time.perf_counter()
+    with pytest.raises(CapExhausted):
+        classify_indecomposables(_kronecker(3))
+    assert time.perf_counter() - start < 30
+
+
+def test_classify_refuses_a_non_split_residue_field():
+    # F_4[T]/(T^2) over F_2, basis 1, x, T, xT with x^2 = x + 1 and T^2 = 0
+    def mul(a, b):
+        def f4(a0, a1, b0, b1):
+            return (a0 * b0 + a1 * b1) % 2, (a0 * b1 + a1 * b0 + a1 * b1) % 2
+        lo = f4(a[0], a[1], b[0], b[1])
+        hi = [(u + v) % 2 for u, v in zip(f4(a[0], a[1], b[2], b[3]), f4(a[2], a[3], b[0], b[1]))]
+        return [*lo, *hi]
+    basis = np.eye(4, dtype=int).tolist()
+    entries = [[i, j, k, 1] for i in range(4) for j in range(4) for k, v in enumerate(mul(basis[i], basis[j])) if v]
+    alg = algebra_from_json({
+        "prime": 2, "dim": 4, "structconst": entries, "unit": [1, 0, 0, 0],
+        "idempotents": [[1, 0, 0, 0]], "radical": [[0, 0, 1, 0], [0, 0, 0, 1]],
+    })
     with pytest.raises(GuardError):
-        classify_indecomposables(L1)  # p = 101 refused
+        classify_indecomposables(alg)
+
+
+def test_classify_refuses_a_disconnected_algebra():
+    # F_p x F_p: Auslander's theorem needs a connected algebra
+    alg = algebra_from_json({
+        "prime": 3, "dim": 2, "structconst": [[0, 0, 0, 1], [1, 1, 1, 1]], "unit": [1, 1],
+        "idempotents": [[1, 0], [0, 1]], "radical": [],
+    })
+    with pytest.raises(GuardError, match="connected"):
+        classify_indecomposables(alg)
+
+
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3", "truncpoly(3)", "truncpoly(4)"])
+def test_almost_split_middle_terms_match_the_radical_quiver(name):
+    # the arrows X -> Y of rad/rad^2 are the summands of the middle term of the sequence starting at X
+    alg = preset(name, 101)
+    ind = classify_indecomposables(alg)
+    arrows = {(s, t): m for s, t, m in ar_quiver(alg).arrows}
+    for i, x in enumerate(ind):
+        z = ar_translate_inverse(x)
+        if z.dim == 0:
+            assert is_injective(x)
+            continue
+        assert not is_injective(x) and ar_translate(z).dim == x.dim
+        left, right = almost_split_sequence(x, z)
+        assert left.dst.dim == x.dim + z.dim and (right @ left).is_zero()
+        middle = {}
+        for piece, mult in decompose(left.dst):
+            j = next(k for k, y in enumerate(ind) if is_isomorphic(piece, y) is not None)
+            middle[j] = mult
+        assert middle == {t: m for (s, t), m in arrows.items() if s == i}
+
+
+D4_POSITIVE_ROOTS = {
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+    (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+    (1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_classify_d4_subspace_orientation_matches_gabriel(p):
+    # path algebra of D4 with the three arrows a_i: i -> 0 into the centre (basis e0..e3, a1..a3)
+    entries = [[i, i, i, 1] for i in range(4)]
+    for i in (1, 2, 3):
+        entries += [[i, 3 + i, 3 + i, 1], [3 + i, 0, 3 + i, 1]]
+    alg = algebra_from_json({
+        "prime": p, "dim": 7, "structconst": entries, "unit": [1, 1, 1, 1, 0, 0, 0],
+        "idempotents": [[int(k == i) for k in range(7)] for i in range(4)],
+        "radical": [[int(k == 3 + i) for k in range(7)] for i in (1, 2, 3)],
+    })
+    ind = classify_indecomposables(alg)
+    assert len(ind) == 12
+    assert {m.dim_vector() for m in ind} == D4_POSITIVE_ROOTS
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -521,9 +627,10 @@ def test_hom_left_exactness_on_short_exact_sequence():
 def test_field_independence_of_classification_counts():
     for name in ["lambda1", "lambda2", "lambda3"]:
         c2 = classify_indecomposables(preset(name, 2))
-        c3 = classify_indecomposables(preset(name, 3))
-        assert len(c2) == len(c3)
-        assert sorted(m.dim for m in c2) == sorted(m.dim for m in c3)
+        for p in (3, 101):
+            cp = classify_indecomposables(preset(name, p))
+            assert len(c2) == len(cp)
+            assert sorted(m.dim for m in c2) == sorted(m.dim for m in cp)
 
 
 def test_field_independence_of_ar_arrows():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homcat.algebras import preset
+from homcat.algebras import algebra_from_json, preset
 from homcat.complexes import cohomology_data, shift
 from homcat.errors import GuardError, ValidationError
 from homcat.modules import (
@@ -148,6 +148,24 @@ def test_stable_indecomposables_counts():
     assert len(stable_indecomposables(preset("truncpoly(2)", 2))) == 1
     assert len(stable_indecomposables(preset("truncpoly(3)", 2))) == 2
     assert stable_indecomposables(preset("ground_field", 2)) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 10007])
+def test_stable_indecomposable_counts_at_every_prime(p):
+    for n in (2, 3, 4, 5):
+        assert len(stable_indecomposables(preset(f"truncpoly({n})", p))) == n - 1
+
+
+def test_stable_indecomposables_of_a_self_injective_nakayama_algebra():
+    # two vertices, arrows a: 1 -> 2 and b: 2 -> 1, rad^2 = 0 (basis e1, e2, a, b): not a truncpoly
+    alg = algebra_from_json({
+        "prime": 5, "dim": 4,
+        "structconst": [[0, 0, 0, 1], [1, 1, 1, 1], [0, 2, 2, 1], [2, 1, 2, 1], [1, 3, 3, 1], [3, 0, 3, 1]],
+        "unit": [1, 1, 0, 0], "idempotents": [[1, 0, 0, 0], [0, 1, 0, 0]],
+        "radical": [[0, 0, 1, 0], [0, 0, 0, 1]],
+    })
+    stables = stable_indecomposables(alg)
+    assert sorted(m.dim_vector() for m in stables) == [(0, 1), (1, 0)]
 
 
 def test_stable_indecomposables_guard():
