@@ -15,7 +15,7 @@ import sys
 
 from homcat.algebras import preset
 from homcat.derived import tilting_check
-from homcat.errors import GuardError, HomcatError
+from homcat.errors import CapExhausted, GuardError
 from homcat.exercises import (
     Options,
     Report,
@@ -135,7 +135,7 @@ def _cmd_emit(args) -> int:
             payload = _ext_table_json(args.algebra, p)
         else:
             payload = _tilting_report_json(args.algebra, p)
-    except (ValueError, HomcatError) as err:
+    except (ValueError, GuardError, CapExhausted) as err:
         print(str(err), file=sys.stderr)
         return 2
     with open(args.out, "w", encoding="utf-8") as fh:

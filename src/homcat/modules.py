@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,13 +75,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mod:
     """A validated right module: one action matrix per algebra basis element."""
 
     alg: Alg
     dim: int
     action: tuple[Mat, ...]
+    _hash: int | None = field(default=None, init=False, repr=False)
 
     def rho(self, x: np.ndarray) -> Mat:
         """Action matrix of the algebra element with coordinates x."""
@@ -109,10 +110,9 @@ class Mod:
     def __hash__(self) -> int:
         # computed once, since every cache lookup hashes its modules; the key
         # bytes themselves are not kept, they would double each module's memory
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.dim, self.key()))
-        return h
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.dim, self.key())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Mod(dim={self.dim} over {self.alg.name})"
@@ -796,8 +796,9 @@ def ar_translate_inverse(m: Mod) -> Mod:
     return transpose_module(dual_module(m))
 
 
-def almost_split_sequence(x: Mod, z: Mod) -> tuple[MMap, MMap]:
-    """The almost split sequence 0 -> x -> E -> z -> 0, for indecomposable z = tau^-1 x.
+def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
+    """The almost split sequence 0 -> x -> E -> z -> 0 starting at an
+    indecomposable x, with z = tau^-1 x; None when x is injective (z = 0).
 
     E is the pushout of 0 -> Omega z -> P0(z) -> z -> 0 along a map
     eta: Omega z -> x spanning the socle of Ext^1(z, x) = Hom(Omega z, x) /
@@ -809,6 +810,9 @@ def almost_split_sequence(x: Mod, z: Mod) -> tuple[MMap, MMap]:
     the sequence exact with dim E = dim x + dim z.
     """
     p = x.alg.p
+    z = ar_translate_inverse(x)
+    if z.dim == 0:
+        return None
     p0, epi = projective_cover(z)
     omega, inc = submodule(p0, kernel_basis(epi.mat))
     _, vecs, _ = _hom_basis(omega, x)
@@ -860,7 +864,7 @@ def _peirce_connected(projs: list[Mod]) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def classify_indecomposables(alg: Alg) -> list[Mod]:
-    """Complete duplicate-free list of indecomposables, certified at every prime.
+    """Complete duplicate-free list of indecomposables; every answer returned is certified.
 
     Knits the Auslander-Reiten quiver (Auslander-Reiten-Smalo 1995, Ch. IV,
     V, VII) from the indecomposable projectives: every vertex X adds the
@@ -874,8 +878,9 @@ def classify_indecomposables(alg: Alg) -> list[Mod]:
     Peirce graph of the e_j is connected, so the algebra is connected and by
     Auslander's theorem (1974) a finite component is the whole module
     category.  Refuses with CapExhausted past 256 vertices or a vertex of
-    dimension above 2 dim A (the algebra may be representation infinite),
-    and with GuardError for a disconnected or non-split-basic algebra, a
+    dimension above 2 dim A (the algebra may be representation infinite; the
+    factor is a heuristic, so a representation-finite algebra with a larger
+    indecomposable is refused too), and with GuardError for a disconnected or non-split-basic algebra, a
     non-split endomorphism ring or an Ext socle above dimension one.  Sorted
     by (dim, dim vector, key); computed once per algebra and shared by every
     caller.
@@ -912,12 +917,12 @@ def classify_indecomposables(alg: Alg) -> list[Mod]:
     for x in found:  # grows while it is walked: every vertex is processed once
         tau = ar_translate(x)
         _add(tau if tau.dim else submodule(x, radical_submodule(x))[0])
-        z = ar_translate_inverse(x)
-        if z.dim:
-            _add(z)
-            _add(almost_split_sequence(x, z)[0].dst)
-        else:
+        seq = almost_split_sequence(x)
+        if seq is None:
             _add(quotient_module(x, socle(x)[1].mat)[0])
+        else:
+            _add(seq[1].dst)  # tau^-1 x
+            _add(seq[0].dst)  # the middle term
     found.sort(key=lambda m: (m.dim, m.dim_vector(), m.key()))
     return found
 

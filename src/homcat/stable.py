@@ -30,7 +30,6 @@ from homcat.modules import (
     decompose_with_maps,
     hom_space,
     injective_envelope,
-    is_injective,
     is_isomorphic,
     is_projective,
     kci,
@@ -285,9 +284,12 @@ def stable_hom_via_cr(m: Mod, n: Mod, window: tuple[int, int] = (-4, 4)) -> int:
 def stable_indecomposables(alg: Alg) -> list[Mod]:
     """Indecomposables of the stable category of a self-injective algebra: the
     certified classification (``classify_indecomposables``) minus the
-    projectives.  Raises GuardError when some e_j A is not injective."""
-    if not all(is_injective(projective_module(alg, j)) for j in range(len(alg.idempotents))):
-        raise GuardError("the stable category needs a self-injective algebra")
+    projectives.  Raises GuardError when the algebra is not self-injective
+    (``assert_self_injective``)."""
+    try:
+        assert_self_injective(alg)
+    except ValidationError as err:
+        raise GuardError(str(err)) from err
     return [m for m in classify_indecomposables(alg) if not is_projective(m)]
 
 
