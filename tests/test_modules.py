@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from homcat.algebras import algebra_from_json, preset
 from homcat.errors import CapExhausted, GuardError, ValidationError
 from homcat.linalg import Mat, inverse, is_invertible, kernel_basis, rank, solve
+from homcat.knitting import almost_split_sequence, ar_translate, ar_translate_inverse
 from homcat.modules import (
-    almost_split_sequence,
     ar_quiver,
-    ar_translate,
-    ar_translate_inverse,
     classify_indecomposables,
     decompose,
     decompose_with_maps,
