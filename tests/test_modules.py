@@ -2,6 +2,8 @@
 Krull-Schmidt, classification, AR quivers."""
 
 import itertools
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -492,6 +494,18 @@ def test_classify_refuses_a_disconnected_algebra():
     })
     with pytest.raises(GuardError, match="connected"):
         classify_indecomposables(alg)
+
+
+def test_the_knitting_layer_loads_only_on_classification():
+    # work that never classifies must not import (and, without bytecode, compile) homcat.knitting
+    code = (
+        "import sys, homcat, homcat.cli, homcat.exercises\n"
+        "print('homcat.knitting' in sys.modules)\n"
+        "homcat.classify_indecomposables(homcat.preset('truncpoly(2)', 2))\n"
+        "print('homcat.knitting' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3", "truncpoly(3)", "truncpoly(4)"])
