@@ -378,8 +378,8 @@ def algebra_generators(alg: Alg) -> list[np.ndarray]:
 
     Commuting with (the actions of) these elements is equivalent to commuting
     with the whole algebra, which shrinks intertwining systems.  Generation is
-    verified by closing the span once; if it fails (non-basic algebra), the
-    full basis is returned.
+    verified by ``_close_under_products``; if it fails (non-basic algebra),
+    the full basis is returned.
     """
     gens = [np.asarray(e) for e in alg.idempotents]
     powers = alg.radical_powers()
@@ -391,20 +391,7 @@ def algebra_generators(alg: Alg) -> list[np.ndarray]:
         if span.cols == 0 or not in_column_span(span, col):
             gens.append(rad.a[:, t].copy())
             span = column_space(Mat(alg.p, np.hstack([span.a, col.a])))
-    # verify multiplicative generation; fall back to the basis if incomplete
-    vecs = [g for g in gens]
-    closure = column_space(Mat(alg.p, np.array(vecs).T)) if vecs else Mat.zeros(alg.p, alg.dim, 0)
-    grew = True
-    while closure.cols < alg.dim and grew:
-        grew = False
-        for s in range(len(vecs)):
-            for t in range(len(vecs)):
-                w = alg.mul(vecs[s], vecs[t])
-                if w.any() and not in_column_span(closure, Mat.column(alg.p, w)):
-                    vecs.append(w)
-                    closure = column_space(Mat(alg.p, np.hstack([closure.a, w.reshape(-1, 1)])))
-                    grew = True
-    if closure.cols < alg.dim:
+    if _close_under_products(alg, alg, [(g, g) for g in gens]) is None:
         gens = [alg.basis_vector(i) for i in range(alg.dim)]
     return gens
 

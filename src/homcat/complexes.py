@@ -50,6 +50,7 @@ __all__ = [
     "null_homotopy",
     "squares_system",
     "solve_squares",
+    "lift_map",
     "hom_complex",
     "HomComplex",
     "hom_k_dim",
@@ -474,6 +475,16 @@ def solve_squares(
         comps = {n: MMap(x.obj(n), y.obj(n - 1), m) for (j, n), m in sol.items() if j == k}
         htps.append(Htp(phi, target, comps))
     return w, htps
+
+
+def lift_map(src: Mod, dst: Mod, rhs: Mat, left: Mat | None = None, right: Mat | None = None) -> MMap | None:
+    """A module map v: src -> dst with left @ v @ right = rhs (None standing
+    for an identity), or None: exactly when no such map exists."""
+    solver = DegreewiseSolver(src.alg.p)
+    solver.add_var("v", src, dst)
+    solver.add_eq([("v", left, right, +1)], rhs)
+    sol = solver.solve()
+    return None if sol is None else MMap(src, dst, sol["v"])
 
 
 def null_homotopy(phi: CMap, psi: CMap | None = None) -> Htp | None:

@@ -18,7 +18,6 @@ from homcat.algebras import Alg, algebra_iso_search, make_algebra, opposite
 from homcat.complexes import (
     CMap,
     Cx,
-    DegreewiseSolver,
     HomComplex,
     _combined_degrees,
     cohomology_data,
@@ -26,6 +25,7 @@ from homcat.complexes import (
     cohomology_map,
     cone_complex,
     hom_complex,
+    lift_map,
     make_complex,
     shift,
     shift_map,
@@ -40,13 +40,12 @@ from homcat.modules import (
     Mod,
     decompose,
     decompose_with_maps,
+    dual_module,
     hom_coords,
     hom_space,
-    injective_envelope,
     is_injective,
     is_isomorphic,
     is_projective,
-    kci,
     known_indecomposables,
     local_end_radical,
     make_module,
@@ -95,11 +94,13 @@ def _verify_quasi_iso(f: CMap) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256)
 def proj_resolution(m: Mod, cap: int = 12) -> Resolution:
     """Minimal projective resolution by iterated covers of syzygies.
 
     Stops when a syzygy vanishes; raises CapExhausted (with the surviving
-    syzygy) when the cap is reached first.
+    syzygy) when the cap is reached first.  Cached per (module, cap), so the
+    repeated injective resolutions of one module resolve its dual once.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -145,37 +146,31 @@ def proj_resolution(m: Mod, cap: int = 12) -> Resolution:
 
 
 def inj_resolution(m: Mod, cap: int = 12) -> Resolution:
-    """Minimal injective resolution by iterated envelopes of cosyzygies."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    """Minimal injective resolution m -> I^0 -> ... -> I^L, the dual of the
+    minimal projective resolution of D m over the opposite algebra (as
+    ``injective_envelope`` is the dual of ``projective_cover``).
+
+    I^k = D P_k sits in degree k and d^k is the transpose of the projective
+    differential P_(k+1) -> P_k.  Raises CapExhausted with the dual of the
+    surviving syzygy, a module over m's own algebra.
+    """
     alg = m.alg
-    target = stalk(m, 0)
-    if m.dim == 0:
-        z = zero_complex(alg)
-        return Resolution(target, z, CMap.zero(target, z), "injective", 0)
-    envelopes = []
-    projections = []
-    current = m
-    for step in range(cap + 1):
-        env, mono = injective_envelope(current)
-        envelopes.append((env, mono))
-        _, (cok, cok_proj), _ = kci(mono)
-        if cok.dim == 0:
-            break
-        projections.append(cok_proj)
-        current = cok
-    else:
+    try:
+        pres = proj_resolution(dual_module(m), cap)
+    except CapExhausted as err:
         raise CapExhausted(
             f"injective resolution did not terminate within {cap} steps",
-            leftover=current,
-        )
-    length = len(envelopes)
-    objects = [envelopes[k][0] for k in range(length)]  # degrees 0..L
-    diffs = []
-    for k in range(length - 1):
-        diffs.append(envelopes[k + 1][1] @ projections[k])
+            leftover=dual_module(err.leftover, alg),
+        ) from None
+    target = stalk(m, 0)
+    if pres.res.is_zero():
+        z = zero_complex(alg)
+        return Resolution(target, z, CMap.zero(target, z), "injective", 0)
+    length = len(pres.res.objects)
+    objects = [dual_module(pres.res.obj(-k), alg) for k in range(length)]  # degrees 0..L
+    diffs = [MMap(objects[k], objects[k + 1], pres.res.diff(-k - 1).mat.transpose()) for k in range(length - 1)]
     res_cx = make_complex(alg, 0, objects, diffs)
-    comparison = CMap.build(target, res_cx, {0: envelopes[0][1]})
+    comparison = CMap.build(target, res_cx, {0: MMap(m, objects[0], pres.comparison.component(0).mat.transpose())})
     resolution = Resolution(target, res_cx, comparison, "injective", cap)
     if not _verify_quasi_iso(comparison):
         raise ValidationError("internal inconsistency: resolution comparison not a quasi-iso")
@@ -245,31 +240,22 @@ def _map_resolution_in(placed: Cx, x: Cx, n0: int, hdata, base: Resolution) -> C
     Built degree by degree downward from n0 by the lifting property of the
     projective components.
     """
-    alg = x.alg
     comps: dict[int, MMap] = {}
     zmod, zinc = submodule(x.obj(n0), hdata.cocycles)
     # top lift: P -> Z with (quotient to H) o lift = resolution augmentation
     top_p = placed.obj(n0)
-    eps = base.comparison.component(0)
-    solver = DegreewiseSolver(alg.p)
-    solver.add_var("l", top_p, zmod)
-    solver.add_eq([("l", Mat(alg.p, hdata.proj.a), None, +1)], eps.mat)
-    sol = solver.solve()
-    if sol is None:
+    lift = lift_map(top_p, zmod, base.comparison.component(0).mat, left=hdata.proj)
+    if lift is None:
         raise ValidationError("projective lift onto cocycles failed")
-    comps[n0] = MMap(top_p, x.obj(n0), zinc.mat @ sol["l"])
+    comps[n0] = zinc @ lift
     for n in range(n0 - 1, placed.lo - 1, -1):
         src = placed.obj(n)
         if src.dim == 0:
             break
-        rhs = comps[n + 1] @ placed.diff(n)
-        lift_solver = DegreewiseSolver(alg.p)
-        lift_solver.add_var("f", src, x.obj(n))
-        lift_solver.add_eq([("f", x.diff(n).mat, None, +1)], rhs.mat)
-        lifted = lift_solver.solve()
+        lifted = lift_map(src, x.obj(n), (comps[n + 1] @ placed.diff(n)).mat, left=x.diff(n).mat)
         if lifted is None:
             raise ValidationError(f"projective lift failed in degree {n}")
-        comps[n] = MMap(src, x.obj(n), lifted["f"])
+        comps[n] = lifted
     return CMap.build(placed, x, comps)
 
 

@@ -22,6 +22,7 @@ from homcat.modules import (
     MMap,
     Mod,
     _hom_basis,
+    _require_split_basic,
     direct_sum,
     dual_module,
     hom_coords,
@@ -34,7 +35,6 @@ from homcat.modules import (
     regular_module,
     socle,
     submodule,
-    top,
     zero_module,
 )
 
@@ -165,13 +165,8 @@ def _peirce_connected(projs: list[Mod]) -> bool:
 def knit(alg: Alg) -> list[Mod]:
     """The certified knitting closure behind ``modules.classify_indecomposables``,
     which documents it and caches its result."""
+    _require_split_basic(alg)
     projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
-    tops = [top(pm)[0].dim for pm in projs]
-    if tops != [1] * len(projs):
-        raise GuardError(
-            f"tops of the e_j A have dimensions {tops}: classification needs a split basic algebra "
-            "(every e_j A / e_j rad A equal to F_p)"
-        )
     if not _peirce_connected(projs):
         raise GuardError("classification needs a connected algebra (Auslander's theorem)")
     max_dim = _KNIT_DIM_FACTOR * alg.dim

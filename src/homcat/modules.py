@@ -410,7 +410,8 @@ def projective_cover(m: Mod) -> tuple[Mod, MMap]:
 
     Lifts a basis of top(m), one generator per idempotent slice, and maps the
     corresponding projectives e_j * A by right multiplication.  Surjectivity
-    and minimality (kernel inside P * rad) are verified.
+    and minimality (kernel inside P * rad) are verified; over an algebra that
+    is not split basic the cover is not minimal and GuardError is raised.
     """
     alg = m.alg
     if m.dim == 0:
@@ -443,8 +444,20 @@ def projective_cover(m: Mod) -> tuple[Mod, MMap]:
         raise ValidationError("internal inconsistency: cover map not surjective")
     ker = kernel_basis(epi.mat)
     if ker.cols and not in_column_span(radical_submodule(total), ker):
+        _require_split_basic(alg)  # one generator per top vector is minimal only then
         raise ValidationError("internal inconsistency: cover not minimal")
     return total, epi
+
+
+def _require_split_basic(alg: Alg) -> None:
+    """Raise GuardError unless every top e_j A / e_j rad A is F_p, that is,
+    the e_j are primitive and the algebra is split basic."""
+    tops = [top(projective_module(alg, j))[0].dim for j in range(len(alg.idempotents))]
+    if tops != [1] * len(tops):
+        raise GuardError(
+            f"tops of the e_j A have dimensions {tops}: needs a split basic algebra "
+            "(every e_j A / e_j rad A equal to F_p)"
+        )
 
 
 def dual_module(m: Mod, target_alg: Alg | None = None) -> Mod:
@@ -775,39 +788,21 @@ def known_indecomposables(alg: Alg) -> list[Mod]:
     name = _preset_name_of(alg)
     if name is None:
         raise GuardError("known indecomposables only available for presets")
-    if name == "ground_field":
-        return [simple_module(alg, 0)]
-    if name.startswith("truncpoly"):
-        reg = regular_module(alg)
-        out = []
-        for j in range(1, alg.dim + 1):
-            # k[T]/(T^j) = regular / span(T^j, ..., T^(n-1))
-            tail = np.zeros((alg.dim, alg.dim - j), dtype=np.int64)
-            for t in range(alg.dim - j):
-                tail[j + t, t] = 1
-            out.append(quotient_module(reg, Mat(alg.p, tail))[0])
-        out.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
-        return out
-    if name in ("lambda1", "lambda3"):
-        out = []
-        for a in range(len(alg.idempotents)):
-            pj = projective_module(alg, a)
-            for keep in range(1, pj.dim + 1):
-                # interval: quotient by the tail of the (ordered) ideal basis
-                tail = np.zeros((pj.dim, pj.dim - keep), dtype=np.int64)
-                for t in range(pj.dim - keep):
-                    tail[keep + t, t] = 1
-                out.append(quotient_module(pj, Mat(alg.p, tail))[0])
-        out.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
-        return out
     if name == "lambda2":
         out = [simple_module(alg, j) for j in range(3)]
         out.append(projective_module(alg, 0))
         out.append(projective_module(alg, 2))
         out.append(injective_envelope(simple_module(alg, 1))[0])
-        out.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
-        return out
-    raise GuardError(f"no known list for preset {name}")
+    else:
+        # uniserial projectives: the indecomposables are the quotients of each
+        # e_j A by the tails of its (ordered) basis
+        out = []
+        for a in range(len(alg.idempotents)):
+            pj = projective_module(alg, a)
+            tails = np.eye(pj.dim, dtype=np.int64)
+            out.extend(quotient_module(pj, Mat(alg.p, tails[:, keep:]))[0] for keep in range(1, pj.dim + 1))
+    out.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
+    return out
 
 
 # -- AR quiver --------------------------------------------------------------------

@@ -5,8 +5,8 @@ Here projectives and injectives coincide, so modules admit two-sided
 cocycles recover the module.  Stable Homs (maps modulo those factoring
 through a projective) can be computed either directly or as H^0 of the Hom
 complex between complete resolutions; both routes are implemented and
-cross-checked, and the stable AR quiver comes from radical quotients of
-stable Hom spaces.
+cross-checked, and the stable AR quiver is the AR quiver without its
+projective vertices.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from homcat.modules import (
     _first_iso,
     _hom_basis,
     _vec,
+    ar_quiver,
     classify_indecomposables,
     decompose_with_maps,
     hom_space,
@@ -33,7 +34,6 @@ from homcat.modules import (
     is_isomorphic,
     is_projective,
     kci,
-    local_end_radical,
     make_module,
     projective_cover,
     projective_module,
@@ -293,48 +293,22 @@ def stable_indecomposables(alg: Alg) -> list[Mod]:
     return [m for m in classify_indecomposables(alg) if not is_projective(m)]
 
 
-def _stable_rad_subspaces(ind: list[Mod], alg: Alg):
-    """For each ordered pair, the subspace W = rad + (projective factoring)
-    of Hom, flattened; stable radical quotients come from rank differences."""
-    p = alg.p
-    spaces = {}
-    for i, mi in enumerate(ind):
-        for j, mj in enumerate(ind):
-            through = _projective_factoring_subspace(mi, mj)
-            if i == j:
-                rad = _vec([f.mat for f in local_end_radical(mi)], p, mj.dim, mi.dim).a
-            else:
-                rad = _hom_basis(mi, mj)[1].T
-            spaces[(i, j)] = {
-                "w": column_space(Mat(p, np.hstack([rad, through.a]))),
-                "p": column_space(through),
-            }
-    return spaces
-
-
 def stable_ar_quiver(alg: Alg) -> Quiver:
-    """AR quiver of the stable category: vertices are the non-projective
-    indecomposables, arrows count dim rad/(rad^2 + projectives) of stable Homs."""
-    ind = stable_indecomposables(alg)
-    p = alg.p
-    spaces = _stable_rad_subspaces(ind, alg)
-    arrows = []
-    for i, mi in enumerate(ind):
-        for j, mj in enumerate(ind):
-            w = spaces[(i, j)]["w"]
-            base = spaces[(i, j)]["p"]
-            composites = [base.a]
-            for z, mz in enumerate(ind):
-                w1 = spaces[(i, z)]["w"]
-                w2 = spaces[(z, j)]["w"]
-                for s in range(w1.cols):
-                    f1 = w1.a[:, s].reshape(mz.dim, mi.dim)
-                    for t in range(w2.cols):
-                        f2 = w2.a[:, t].reshape(mj.dim, mz.dim)
-                        composites.append(((f2 @ f1) % p).reshape(-1, 1))
-            rad2 = column_space(Mat(p, np.hstack(composites)))
-            mult = rank(w) - rank(rad2)
-            if mult > 0:
-                arrows.append((i, j, mult))
-    vertices = tuple(("m" + "".join(str(d) for d in m.dim_vector()), m.dim) for m in ind)
-    return Quiver(vertices=vertices, arrows=tuple(arrows))
+    """AR quiver of the stable category: ``ar_quiver`` without its projective
+    vertices, the others renumbered in classification order.
+
+    Between non-projective indecomposables X, Y of a self-injective algebra a
+    map through a projective P splits as X -> P -> Y with both factors
+    radical, so it lies in rad^2(X, Y) already; dim rad/(rad^2 + projectives)
+    of the stable Hom is then the arrow count rad/rad^2 of the module category
+    (Auslander-Reiten-Smalo 1995, Ch. X).  Raises GuardError when the algebra
+    is not self-injective (``stable_indecomposables``).
+    """
+    stable = stable_indecomposables(alg)
+    ind = classify_indecomposables(alg)
+    quiver = ar_quiver(alg, ind)
+    kept = {i: k for k, i in enumerate(i for i, m in enumerate(ind) if m in stable)}
+    return Quiver(
+        vertices=tuple(quiver.vertices[i] for i in kept),
+        arrows=tuple((kept[i], kept[j], mult) for i, j, mult in quiver.arrows if i in kept and j in kept),
+    )

@@ -16,14 +16,13 @@ import numpy as np
 
 from homcat.complexes import (
     CMap,
-    ConeParts,
     Cx,
-    DegreewiseSolver,
     Htp,
     chain_map_basis,
     cohomology_map,
     cone_complex,
     direct_sum_cx,
+    lift_map,
     make_complex,
     null_homotopy,
     shift,
@@ -196,42 +195,21 @@ def rotate(tri: Tri) -> Tri:
 
 
 def sum_triangles(tris: list[Tri]) -> Tri:
-    """Degreewise direct sum of triangles.
-
-    For by-cone summands the comparison with the cone of the sum map is the
-    evident block permutation (strict identities, no solving); otherwise the
-    generic certifier runs.
-    """
+    """Degreewise direct sum of triangles, certified like any other candidate
+    by ``certify_triangle``: solving for the equivalence onto the cone of the
+    sum of the first maps is the test."""
     if not tris:
         raise ValidationError("sum of an empty family of triangles")
     if len(tris) == 1:
         return tris[0]
-    xs = [t.x for t in tris]
-    ys = [t.y for t in tris]
-    zs = [t.z for t in tris]
-    x_sum, x_injs, x_projs = direct_sum_cx(xs)
-    y_sum, y_injs, y_projs = direct_sum_cx(ys)
-    z_sum, z_injs, z_projs = direct_sum_cx(zs)
+    x_sum, x_injs, x_projs = direct_sum_cx([t.x for t in tris])
+    y_sum, y_injs, y_projs = direct_sum_cx([t.y for t in tris])
+    z_sum, z_injs, z_projs = direct_sum_cx([t.z for t in tris])
     f = _block_cmap(tris, lambda t: t.f, x_sum, y_sum, x_projs, y_injs)
     g = _block_cmap(tris, lambda t: t.g, y_sum, z_sum, y_projs, z_injs)
-    # third map lands in Sigma(x_sum), whose degreewise pieces match the
-    # summand shifts on the nose
-    target = shift(x_sum, 1)
-    h_comps = {}
-    for n in _combined_degrees(z_sum, target):
-        if z_sum.obj(n).dim == 0 or target.obj(n).dim == 0:
-            continue
-        acc = Mat.zeros(z_sum.alg.p, target.obj(n).dim, z_sum.obj(n).dim)
-        for t_idx, t in enumerate(tris):
-            acc = acc + (
-                x_injs[t_idx].component(n + 1).mat
-                @ t.h.component(n).mat
-                @ z_projs[t_idx].component(n).mat
-            )
-        h_comps[n] = MMap(z_sum.obj(n), target.obj(n), acc)
-    h = CMap.build(z_sum, target, h_comps)
-    if all(t.kind == "cone" for t in tris):
-        return _sum_of_cones(tris, f, g, h, x_injs, y_injs, z_injs, z_projs)
+    # the degreewise pieces of Sigma(x_sum) are the summand shifts on the nose
+    sx_injs = [shift_map(i, 1) for i in x_injs]
+    h = _block_cmap(tris, lambda t: t.h, z_sum, shift(x_sum, 1), z_projs, sx_injs)
     return certify_triangle(f, g, h)
 
 
@@ -249,61 +227,6 @@ def _block_cmap(tris, pick, src_sum, dst_sum, src_projs, dst_injs) -> CMap:
             )
         comps[n] = MMap(src_sum.obj(n), dst_sum.obj(n), acc)
     return CMap.build(src_sum, dst_sum, comps)
-
-
-def _sum_of_cones(tris, f, g, h, x_injs, y_injs, z_injs, z_projs) -> Tri:
-    """Certificate for a sum of cone triangles: the block permutation between
-    cone(sum f) and the sum of the cones is a strict isomorphism of triangles."""
-    certs = _composite_certs(f, g, h)
-    c_sum, big = cone_complex(f)
-    z_sum = g.dst
-    summand_parts: list[ConeParts] = [cone_complex(t.f)[1] for t in tris]
-    w_comps = {}
-    v_comps = {}
-    for n in _combined_degrees(c_sum, z_sum):
-        if c_sum.obj(n).dim == 0 and z_sum.obj(n).dim == 0:
-            continue
-        w_acc = MMap.zero(c_sum.obj(n), z_sum.obj(n))
-        v_acc = MMap.zero(z_sum.obj(n), c_sum.obj(n))
-        for t_idx, (t, tp) in enumerate(zip(tris, summand_parts)):
-            x_slice = MMap(
-                c_sum.obj(n),
-                t.x.obj(n + 1),
-                x_injs[t_idx].component(n + 1).mat.transpose() @ big.proj_x(n).mat,
-            )
-            y_slice = MMap(
-                c_sum.obj(n),
-                t.y.obj(n),
-                y_injs[t_idx].component(n).mat.transpose() @ big.proj_y(n).mat,
-            )
-            to_tc = tp.inj_x(n) @ x_slice + tp.inj_y(n) @ y_slice
-            w_acc = w_acc + z_injs[t_idx].component(n) @ to_tc
-            from_tc = (
-                big.inj_x(n) @ MMap(
-                    tp.cone.obj(n),
-                    f.src.obj(n + 1),
-                    x_injs[t_idx].component(n + 1).mat @ tp.proj_x(n).mat,
-                )
-                + big.inj_y(n) @ MMap(
-                    tp.cone.obj(n),
-                    f.dst.obj(n),
-                    y_injs[t_idx].component(n).mat @ tp.proj_y(n).mat,
-                )
-            )
-            v_acc = v_acc + from_tc @ MMap(
-                z_sum.obj(n), tp.cone.obj(n), z_projs[t_idx].component(n).mat
-            )
-        w_comps[n] = w_acc
-        v_comps[n] = v_acc
-    w = CMap.build(c_sum, z_sum, w_comps)
-    v = CMap.build(z_sum, c_sum, v_comps)
-    s1 = Htp.zero(w @ big.iota, g)
-    s2 = Htp.zero(h @ w, big.pi)
-    s3 = Htp.zero(w @ v, CMap.identity(z_sum))
-    s4 = Htp.zero(v @ w, CMap.identity(c_sum))
-    return Tri(
-        f=f, g=g, h=h, kind="iso-to-cone", comp_certs=certs, cone_cmp=(w, v, s1, s2, s3, s4)
-    )
 
 
 # -- octahedron ---------------------------------------------------------------------
@@ -472,15 +395,10 @@ def _retraction(m: Mod, inc: MMap) -> MMap:
     sub = inc.src
     if sub.dim == 0:
         return MMap.zero(m, sub)
-    solver = DegreewiseSolver(m.alg.p)
-    solver.add_var("r", m, sub)
-    if solver.size == 0:
-        raise ValidationError("no retraction: Hom space empty")
-    solver.add_eq([("r", None, inc.mat, +1)], Mat.identity(m.alg.p, sub.dim))
-    sol = solver.solve()
-    if sol is None:
+    r = lift_map(m, sub, Mat.identity(m.alg.p, sub.dim), right=inc.mat)
+    if r is None:
         raise ValidationError("inclusion does not split")
-    return MMap(m, sub, sol["r"])
+    return r
 
 
 def semisimple_split(x: Cx) -> tuple[Cx, CMap, CMap, Htp]:
@@ -634,16 +552,10 @@ def split_seq_to_triangle(
 
 def _section(p_n: MMap) -> MMap:
     """A module section s of a surjection, p o s = id."""
-    y, z = p_n.src, p_n.dst
-    solver = DegreewiseSolver(y.alg.p)
-    solver.add_var("s", z, y)
-    if solver.size == 0:
-        raise ValidationError("no section: Hom space empty")
-    solver.add_eq([("s", p_n.mat, None, +1)], Mat.identity(y.alg.p, z.dim))
-    sol = solver.solve()
-    if sol is None:
+    s = lift_map(p_n.dst, p_n.src, Mat.identity(p_n.src.alg.p, p_n.dst.dim), left=p_n.mat)
+    if s is None:
         raise ValidationError("surjection does not split over the algebra")
-    return MMap(z, y, sol["s"])
+    return s
 
 
 # -- long exact sequence check ---------------------------------------------------------

@@ -1,8 +1,12 @@
 """Complexes: validation, cohomology, shifts, cones, homotopies, Hom complexes."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import homcat
 from homcat.algebras import preset
 from homcat.complexes import (
     CMap,
@@ -16,6 +20,7 @@ from homcat.complexes import (
     euler_characteristic,
     hom_complex,
     hom_k_dim,
+    lift_map,
     make_complex,
     null_homotopy,
     shift,
@@ -31,6 +36,7 @@ from homcat.modules import (
     MMap,
     hom_space,
     make_module,
+    projective_cover,
     projective_module,
     regular_module,
     simple_module,
@@ -170,6 +176,34 @@ def test_degreewise_solver_terms_do_not_overflow_at_the_largest_prime():
     sol = solver.solve()
     assert sol is not None
     assert left @ sol["v"] @ right == left @ b0 @ right
+
+
+def test_lift_map_solves_one_equation_or_reports_none():
+    s = simple_module(L1, 0)
+    cover, epi = projective_cover(s)
+    lift = lift_map(cover, cover, epi.mat, left=epi.mat)
+    assert lift is not None and epi @ lift == epi
+    # epi has no section: the cover of a simple over lambda1 does not split
+    assert lift_map(s, cover, Mat.identity(101, 1), left=epi.mat) is None
+
+
+def test_only_complexes_builds_degreewise_systems():
+    # one-map lifts go through lift_map and chain-map systems through
+    # squares_system, so no other module assembles a DegreewiseSolver by hand
+    users = set()
+    for path in sorted(Path(homcat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "DegreewiseSolver" in names:
+                users.add(path.name)
+    assert users == {"complexes.py"}
 
 
 def test_solve_squares_lifts_endomorphism_through_resolution():

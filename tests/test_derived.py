@@ -34,6 +34,7 @@ from homcat.linalg import Mat
 from homcat.modules import (
     direct_sum,
     hom_space,
+    injective_envelope,
     is_isomorphic,
     known_indecomposables,
     projective_module,
@@ -85,6 +86,21 @@ def test_inj_resolution_cap_exhaustion_truncpoly():
     # partial data: every envelope along the way is the regular module
     env = regular_module(T2)
     assert exc.value.leftover.dim == 1
+
+
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3"])
+def test_inj_resolution_starts_with_the_injective_envelope(name):
+    # the dual of a minimal projective resolution is minimal: I^0 is the envelope
+    for m in known_indecomposables(preset(name, 101)):
+        assert is_isomorphic(inj_resolution(m).res.obj(0), injective_envelope(m)[0]) is not None
+
+
+def test_inj_resolution_cap_leftover_lives_over_the_algebra():
+    # the resolution runs over the opposite algebra; the leftover is dualized back
+    with pytest.raises(CapExhausted) as exc:
+        inj_resolution(simple_module(L3, 2), cap=1)
+    assert exc.value.leftover.dim == 1
+    assert exc.value.leftover.alg is L3
 
 
 def test_proj_resolution_cap_exhaustion_truncpoly():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcat.algebras import algebra_from_json, preset
+from homcat.derived import proj_resolution
 from homcat.errors import CapExhausted, GuardError, ValidationError
 from homcat.linalg import Mat, inverse, is_invertible, kernel_basis, rank, solve
 from homcat.knitting import almost_split_sequence, ar_translate, ar_translate_inverse
@@ -468,8 +469,8 @@ def test_classify_refuses_the_kronecker_algebra_with_cap_exhausted():
     assert time.perf_counter() - start < 30
 
 
-def test_classify_refuses_a_non_split_residue_field():
-    # F_4[T]/(T^2) over F_2, basis 1, x, T, xT with x^2 = x + 1 and T^2 = 0
+def _f4_dual_numbers():
+    """F_4[T]/(T^2) over F_2, basis 1, x, T, xT with x^2 = x + 1 and T^2 = 0: its top is F_4."""
     def mul(a, b):
         def f4(a0, a1, b0, b1):
             return (a0 * b0 + a1 * b1) % 2, (a0 * b1 + a1 * b0 + a1 * b1) % 2
@@ -478,12 +479,23 @@ def test_classify_refuses_a_non_split_residue_field():
         return [*lo, *hi]
     basis = np.eye(4, dtype=int).tolist()
     entries = [[i, j, k, 1] for i in range(4) for j in range(4) for k, v in enumerate(mul(basis[i], basis[j])) if v]
-    alg = algebra_from_json({
+    return algebra_from_json({
         "prime": 2, "dim": 4, "structconst": entries, "unit": [1, 0, 0, 0],
         "idempotents": [[1, 0, 0, 0]], "radical": [[0, 0, 1, 0], [0, 0, 0, 1]],
     })
+
+
+def test_classify_refuses_a_non_split_residue_field():
     with pytest.raises(GuardError):
-        classify_indecomposables(alg)
+        classify_indecomposables(_f4_dual_numbers())
+
+
+@pytest.mark.parametrize("build", [projective_cover, injective_envelope, proj_resolution])
+def test_covers_refuse_a_non_split_residue_field(build):
+    # one generator per F_2-basis vector of the top F_4 is not a minimal cover
+    simple = top(regular_module(_f4_dual_numbers()))[0]
+    with pytest.raises(GuardError, match="split basic"):
+        build(simple)
 
 
 def test_classify_refuses_a_disconnected_algebra():

@@ -195,3 +195,29 @@ def test_stable_ar_quiver_truncpoly3():
     assert q.n_arrows == 2
     arrow_set = {(s, t) for s, t, _ in q.arrows}
     assert arrow_set == {(0, 1), (1, 0)}
+
+
+def _self_injective_nakayama(n, loewy, p):
+    """Cyclic quiver on n vertices modulo paths of length loewy; basis: paths (start, length)."""
+    index = {(s, k): k * n + s for k in range(loewy) for s in range(n)}
+    entries = [
+        [index[(s, k)], index[((s + k) % n, m)], index[(s, k + m)], 1]
+        for (s, k) in index for m in range(loewy - k)
+    ]
+    unit = [1] * n + [0] * (n * (loewy - 1))
+    return algebra_from_json({
+        "prime": p, "dim": n * loewy, "structconst": entries, "unit": unit,
+        "idempotents": [np.eye(n * loewy, dtype=int)[s].tolist() for s in range(n)],
+        "radical": np.eye(n * loewy, dtype=int)[n:].tolist(),
+    })
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("n, loewy", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), *((1, k) for k in range(3, 7))])
+def test_stable_ar_quiver_of_self_injective_nakayama_algebras(n, loewy, p):
+    # the stable AR quiver is Z A_(loewy-1) / tau^n: n(loewy-1) vertices, 2n(loewy-2) arrows
+    alg = preset(f"truncpoly({loewy})", p) if n == 1 else _self_injective_nakayama(n, loewy, p)
+    q = stable_ar_quiver(alg)
+    assert len(q.vertices) == n * (loewy - 1)
+    assert q.n_arrows == 2 * n * (loewy - 2)
+    assert all(mult == 1 for _, _, mult in q.arrows)

@@ -80,7 +80,7 @@ def test_rotate_certifies_and_rotates_thrice():
     assert r3.z == shift(tri.z, 1)
 
 
-def test_sum_of_cone_triangles_strict_certificate():
+def test_sum_of_cone_triangles_certify():
     rng = np.random.default_rng(3)
     f1 = _random_map(L1, rng, max_support=2, dim_cap=3)
     f2 = _random_map(L1, rng, max_support=2, dim_cap=3)
