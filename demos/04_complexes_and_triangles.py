@@ -38,7 +38,8 @@ tri = cone_triangle(f)
 rotated = rotate(tri)
 print("rotated triangle certificate:", rotated.kind)
 
-# The octahedron: all four triangles and the comparison homotopies, explicit.
+# The octahedron: three cone triangles, the fourth certified by solving for its
+# equivalence onto the cone, and the commuting-square homotopies.
 g = random_chain_map(tri.y, random_complex(lam1, rng), rng)
 oct_ = octahedron(f, g)
 print("octahedron fourth triangle certified:", oct_.tri_cones.kind)

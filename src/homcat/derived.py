@@ -94,6 +94,25 @@ def _verify_quasi_iso(f: CMap) -> bool:
     return True
 
 
+def _cover_chain(m: Mod, steps: int) -> list[tuple[MMap, MMap]]:
+    """Projective covers of the successive syzygies of m, the one loop behind
+    every minimal resolution.
+
+    Returns (epi_k: P_k ->> Omega^k m, inc_k: Omega^(k+1) m >-> P_k) for
+    k < steps, stopping after the first zero syzygy; the last inclusion's
+    source is the syzygy left over.
+    """
+    chain = []
+    current = m
+    while len(chain) < steps:
+        cover, epi = projective_cover(current)
+        current, inc = submodule(cover, kernel_basis(epi.mat))
+        chain.append((epi, inc))
+        if current.dim == 0:
+            break
+    return chain
+
+
 @functools.lru_cache(maxsize=256)
 def proj_resolution(m: Mod, cap: int = 12) -> Resolution:
     """Minimal projective resolution by iterated covers of syzygies.
@@ -108,35 +127,16 @@ def proj_resolution(m: Mod, cap: int = 12) -> Resolution:
     target = stalk(m, 0)
     if m.dim == 0:
         z = zero_complex(alg)
-        res = Resolution(target, z, CMap.zero(z, target), "projective", 0)
-        return res
-    covers = []
-    current = m
-    inclusions = []
-    for step in range(cap + 1):
-        cover, epi = projective_cover(current)
-        covers.append((cover, epi))
-        ker_basis = kernel_basis(epi.mat)
-        ker, inc = submodule(cover, ker_basis)
-        if ker.dim == 0:
-            break
-        inclusions.append(inc)
-        current = ker
-    else:
-        raise CapExhausted(
-            f"projective resolution did not terminate within {cap} steps",
-            leftover=current,
-        )
-    length = len(covers)
-    objects = [covers[length - 1 - k][0] for k in range(length)]  # degrees -L..0
-    diffs = []
-    for k in range(length - 1):
-        # degree -(L-k): P_{L-k} -> P_{L-k-1} is (inclusion of syzygy) o (cover epi)
-        idx = length - 1 - k
-        d = inclusions[idx - 1] @ covers[idx][1]
-        diffs.append(d)
-    res_cx = make_complex(alg, -(length - 1), objects, diffs)
-    comparison = CMap.build(res_cx, target, {0: covers[0][1]})
+        return Resolution(target, z, CMap.zero(z, target), "projective", 0)
+    chain = _cover_chain(m, cap + 1)
+    leftover = chain[-1][1].src
+    if leftover.dim:
+        raise CapExhausted(f"projective resolution did not terminate within {cap} steps", leftover=leftover)
+    # degrees -L..0; d: P_(k+1) -> P_k is (inclusion of Omega^(k+1) m) o (cover epi)
+    objects = [epi.src for epi, _ in reversed(chain)]
+    diffs = [chain[k][1] @ chain[k + 1][0] for k in range(len(chain) - 2, -1, -1)]
+    res_cx = make_complex(alg, 1 - len(chain), objects, diffs)
+    comparison = CMap.build(res_cx, target, {0: chain[0][0]})
     resolution = Resolution(target, res_cx, comparison, "projective", cap)
     if not _verify_quasi_iso(comparison):
         raise ValidationError("internal inconsistency: resolution comparison not a quasi-iso")
@@ -145,6 +145,7 @@ def proj_resolution(m: Mod, cap: int = 12) -> Resolution:
     return resolution
 
 
+@functools.lru_cache(maxsize=256)
 def inj_resolution(m: Mod, cap: int = 12) -> Resolution:
     """Minimal injective resolution m -> I^0 -> ... -> I^L, the dual of the
     minimal projective resolution of D m over the opposite algebra (as
@@ -152,7 +153,7 @@ def inj_resolution(m: Mod, cap: int = 12) -> Resolution:
 
     I^k = D P_k sits in degree k and d^k is the transpose of the projective
     differential P_(k+1) -> P_k.  Raises CapExhausted with the dual of the
-    surviving syzygy, a module over m's own algebra.
+    surviving syzygy, a module over m's own algebra.  Cached per (module, cap).
     """
     alg = m.alg
     try:
@@ -376,71 +377,51 @@ def dg_end(p_cx: Cx) -> DGAlg:
 
 
 def _verify_dg(dga: DGAlg) -> None:
+    """Check the dg identities on every basis element, pair and triple at once,
+    as contractions of the ``mult`` tables: T[m, n][k, i, j] is the k-th
+    coordinate of (i-th degree-m element) o (j-th degree-n element)."""
     hc = dga.hom
     p = hc.source.alg.p
-    degrees = [n for n in hc.cx.degrees() if hc.degree_dim(n)]
-    # unit is a cocycle and a two-sided identity on every basis element
-    if 0 in degrees:
-        d0 = dga.differential(0)
-        if d0.rows and (d0.a @ dga.unit % p).any():
-            raise ValidationError("dg unit is not a cocycle")
+    dim = hc.degree_dim
+    degrees = [n for n in hc.cx.degrees() if dim(n)]
+
+    def table(m: int, n: int) -> np.ndarray:
+        return dga.mult.get((m, n), np.zeros((dim(m + n), dim(m), dim(n)), dtype=np.int64))
+
+    def differential(n: int) -> np.ndarray:
+        return hc.cx.diff(n).mat.a
+
+    if 0 in degrees and (differential(0) @ dga.unit % p).any():
+        raise ValidationError("dg unit is not a cocycle")
     for n in degrees:
-        dim = hc.degree_dim(n)
-        for j in range(dim):
-            e = np.zeros(dim, dtype=np.int64)
-            e[j] = 1
-            if not np.array_equal(dga.product(0, dga.unit, n, e), e):
-                raise ValidationError("dg unit fails as a left identity")
-            if not np.array_equal(dga.product(n, e, 0, dga.unit), e):
-                raise ValidationError("dg unit fails as a right identity")
-    # associativity on basis triples
+        eye = np.eye(dim(n), dtype=np.int64)
+        if not np.array_equal(np.einsum("kij,i->kj", table(0, n), dga.unit) % p, eye):
+            raise ValidationError("dg unit fails as a left identity")
+        if not np.array_equal(np.einsum("kij,j->ki", table(n, 0), dga.unit) % p, eye):
+            raise ValidationError("dg unit fails as a right identity")
+    # (ab)c - a(bc), indexed [k, i, j, l]
     for m in degrees:
         for n in degrees:
             for l in degrees:
-                if hc.degree_dim(m + n + l) == 0:
+                if dim(m + n + l) == 0:
                     continue
-                for i in range(hc.degree_dim(m)):
-                    a = _unit_vec(hc.degree_dim(m), i)
-                    for j in range(hc.degree_dim(n)):
-                        b = _unit_vec(hc.degree_dim(n), j)
-                        ab = dga.product(m, a, n, b)
-                        for k in range(hc.degree_dim(l)):
-                            c = _unit_vec(hc.degree_dim(l), k)
-                            lhs = dga.product(m + n, ab, l, c)
-                            rhs = dga.product(m, a, n + l, dga.product(n, b, l, c))
-                            if not np.array_equal(lhs, rhs):
-                                raise ValidationError("dg multiplication not associative")
-    # Leibniz: D(ab) = D(a) b + (-1)^|a| a D(b)
+                diff = np.einsum("kal,aij->kijl", table(m + n, l), table(m, n))
+                diff -= np.einsum("kib,bjl->kijl", table(m, n + l), table(n, l))
+                diff %= p
+                if diff.any():
+                    raise ValidationError("dg multiplication not associative")
+    # Leibniz: D(ab) - D(a) b - (-1)^|a| a D(b), indexed [k, i, j]
     for m in degrees:
         for n in degrees:
-            if hc.degree_dim(m + n) == 0:
+            if dim(m + n) == 0:
                 continue
             sign = 1 if m % 2 == 0 else -1
-            for i in range(hc.degree_dim(m)):
-                a = _unit_vec(hc.degree_dim(m), i)
-                da = (dga.differential(m).a @ a) % p if hc.degree_dim(m + 1) else None
-                for j in range(hc.degree_dim(n)):
-                    b = _unit_vec(hc.degree_dim(n), j)
-                    db = (dga.differential(n).a @ b) % p if hc.degree_dim(n + 1) else None
-                    ab = dga.product(m, a, n, b)
-                    lhs = (
-                        (dga.differential(m + n).a @ ab) % p
-                        if hc.degree_dim(m + n + 1)
-                        else np.zeros(0, dtype=np.int64)
-                    )
-                    rhs = np.zeros(hc.degree_dim(m + n + 1), dtype=np.int64)
-                    if da is not None:
-                        rhs = (rhs + dga.product(m + 1, da, n, b)) % p
-                    if db is not None:
-                        rhs = (rhs + sign * dga.product(m, a, n + 1, db)) % p
-                    if not np.array_equal(lhs, rhs % p):
-                        raise ValidationError("dg differential fails the Leibniz rule")
-
-
-def _unit_vec(dim: int, i: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.int64)
-    v[i] = 1
-    return v
+            diff = np.einsum("ka,aij->kij", differential(m + n), table(m, n))
+            diff -= np.einsum("kaj,ai->kij", table(m + 1, n), differential(m))
+            diff -= sign * np.einsum("kib,bj->kij", table(m, n + 1), differential(n))
+            diff %= p
+            if diff.any():
+                raise ValidationError("dg differential fails the Leibniz rule")
 
 
 def dg_cohomology_dims(dga: DGAlg) -> dict[int, int]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from homcat import linalg, modules
 from homcat.algebras import Alg, opposite
+from homcat.derived import _cover_chain
 from homcat.errors import CapExhausted, GuardError, ValidationError
 from homcat.linalg import Mat, rank
 from homcat.modules import (
@@ -28,7 +29,6 @@ from homcat.modules import (
     hom_coords,
     local_end_radical,
     make_module,
-    projective_cover,
     projective_module,
     quotient_module,
     radical_submodule,
@@ -72,11 +72,11 @@ def transpose_module(m: Mod) -> Mod:
     exactly when m is projective; tau = D Tr and tau^-1 = Tr D.
     """
     p = m.alg.p
-    p0, epi = projective_cover(m)
-    omega, inc = submodule(p0, linalg.kernel_basis(epi.mat))
-    if omega.dim == 0:
+    chain = _cover_chain(m, 2)
+    if len(chain) == 1:  # Omega m = 0: m is projective
         return zero_module(opposite(m.alg))
-    p1, epi1 = projective_cover(omega)
+    (epi, inc), (epi1, _) = chain
+    p0, p1 = epi.src, epi1.src
     f = (inc @ epi1).mat.a
     p0_star, phis = _dual_projective(p0)
     p1_star, _ = _dual_projective(p1)
@@ -112,8 +112,8 @@ def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
     z = ar_translate_inverse(x)
     if z.dim == 0:
         return None
-    p0, epi = projective_cover(z)
-    omega, inc = submodule(p0, linalg.kernel_basis(epi.mat))
+    ((epi, inc),) = _cover_chain(z, 1)
+    p0, omega = epi.src, inc.src
     _, vecs, _ = _hom_basis(omega, x)
     d = len(vecs)
 

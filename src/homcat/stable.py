@@ -2,11 +2,14 @@
 
 Here projectives and injectives coincide, so modules admit two-sided
 (complete) resolutions: acyclic complexes of projectives whose degree-zero
-cocycles recover the module.  Stable Homs (maps modulo those factoring
-through a projective) can be computed either directly or as H^0 of the Hom
-complex between complete resolutions; both routes are implemented and
-cross-checked, and the stable AR quiver is the AR quiver without its
-projective vertices.
+cocycles recover the module.  Both halves come from ``derived._cover_chain``:
+below degree zero the covers of the syzygies of m, from degree zero up the
+duals of the covers of the syzygies of D m over the opposite algebra, since
+D = Hom_k(-, k) turns projective covers into injective envelopes.
+``cosyzygy`` is dual to ``syzygy`` the same way.  Stable Homs (maps modulo those factoring through a
+projective) can be computed either directly or as H^0 of the Hom complex
+between complete resolutions; both routes are implemented and cross-checked,
+and the stable AR quiver is the AR quiver without its projective vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from homcat.algebras import Alg
-from homcat.complexes import Cx, cohomology_data, make_complex, squares_system
+from homcat.complexes import Cx, cohomology_data, make_complex, squares_system, zero_complex
+from homcat.derived import _cover_chain
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, kernel_basis, rank
 from homcat.modules import (
@@ -29,11 +33,10 @@ from homcat.modules import (
     ar_quiver,
     classify_indecomposables,
     decompose_with_maps,
+    dual_module,
     hom_space,
-    injective_envelope,
     is_isomorphic,
     is_projective,
-    kci,
     make_module,
     projective_cover,
     projective_module,
@@ -114,17 +117,14 @@ def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
 def syzygy(m: Mod) -> Mod:
     """Kernel of the projective cover."""
     assert_self_injective(m.alg)
-    cover, epi = projective_cover(m)
-    ker, _ = submodule(cover, kernel_basis(epi.mat))
-    return ker
+    return _cover_chain(m, 1)[0][1].src
 
 
 def cosyzygy(m: Mod) -> Mod:
-    """Cokernel of the injective envelope."""
+    """Cokernel of the injective envelope: the dual of the syzygy of D m over
+    the opposite algebra."""
     assert_self_injective(m.alg)
-    env, mono = injective_envelope(m)
-    _, (cok, _), _ = kci(mono)
-    return cok
+    return dual_module(_cover_chain(dual_module(m), 1)[0][1].src, m.alg)
 
 
 @dataclass(frozen=True)
@@ -140,66 +140,47 @@ class CompleteRes:
 
 @functools.lru_cache(maxsize=256)
 def complete_resolution(m: Mod, window: tuple[int, int] = (-4, 4)) -> CompleteRes:
-    """Splice projective covers of syzygies against injective envelopes of
-    cosyzygies across the window.
+    """Splice a projective resolution of m against an injective one,
+    P_0(m) ->> m >-> I^0(m), across the window.
 
-    Degree 0 holds the injective envelope of m, negative degrees the covers,
-    positive degrees the envelopes of iterated cosyzygies; acyclicity at every
-    interior degree and the Z^0 identification are verified.  Results are
-    cached per (module, window).
+    Degrees lo..-1 hold the covers of the syzygies of m; degrees 0..hi hold
+    the injective resolution, the transpose of the covers of D m over the
+    opposite algebra.  ``z0`` verifies projective components and interior
+    acyclicity, and Z^0 is certified isomorphic to m.  Results are cached per
+    (module, window).
     """
     assert_self_injective(m.alg)
     lo, hi = window
     if lo > -2 or hi < 2:
-        raise ValidationError("window must span at least two degrees on each side")
+        raise ValueError("window must span at least two degrees on each side")
     for piece, _, _ in decompose_with_maps(m):
         if is_projective(piece):
             raise ValidationError(
                 "module has a projective summand; complete resolutions need none",
                 witness=piece,
             )
-    alg = m.alg
-    # negative side: iterated projective covers, ending with cover(m)
-    current = m
-    covers = []
-    for _ in range(-lo):
-        cover, epi = projective_cover(current)
-        ker, inc = submodule(cover, kernel_basis(epi.mat))
-        covers.append((cover, epi, inc))
-        current = ker
-    # positive side: iterated injective envelopes starting at m
-    envs = []
-    current = m
-    for _ in range(hi + 1):
-        env, mono = injective_envelope(current)
-        _, (cok, cok_proj), _ = kci(mono)
-        envs.append((env, mono, cok, cok_proj))
-        current = cok
-    objects = []
-    for k in range(-lo, 0, -1):
-        objects.append(covers[k - 1][0])  # degree -k
-    for k in range(hi + 1):
-        objects.append(envs[k][0])
-    diffs = []
-    # splice within the negative side: P(Omega^k) ->> Omega^k >-> P(Omega^(k-1))
-    for k in range(-lo - 1, 0, -1):
-        diffs.append(covers[k - 1][2] @ covers[k][1])
-    # boundary: P(m) ->> m >-> I(m)
-    diffs.append(envs[0][1] @ covers[0][1])
-    # positive side: I(cok^k) -> I(cok^(k+1)) via envelope of the cokernel
-    for k in range(hi):
-        diffs.append(envs[k + 1][1] @ envs[k][3])
-    cx = make_complex(alg, lo, objects, diffs)
-    # verify interior acyclicity
-    for n in range(lo + 1, hi):
-        if cohomology_data(cx, n).module.dim != 0:
-            raise ValidationError(f"complete resolution not acyclic at degree {n}", witness=n)
-    # Z^0 = ker d^0 is the image of m inside I(m)
-    zmod, zinc = submodule(cx.obj(0), kernel_basis(cx.diff(0).mat))
-    iso_candidates = is_isomorphic(zmod, m)
-    if iso_candidates is None:
+    cx = _splice(m, lo, hi) if m.dim else zero_complex(m.alg)  # the chains of 0 stop at once
+    iso = is_isomorphic(z0(cx), m)
+    if iso is None:
         raise ValidationError("Z^0 of the spliced complex is not the module")
-    return CompleteRes(module=m, window=window, cx=cx, z0_iso=iso_candidates)
+    return CompleteRes(module=m, window=window, cx=cx, z0_iso=iso)
+
+
+def _splice(m: Mod, lo: int, hi: int) -> Cx:
+    """The covers P_k(m) of the syzygies of m in degrees lo..-1 (P_k in degree
+    -1-k), then the duals D P_k(D m) of the covers for D m over the opposite
+    algebra in degrees 0..hi (D P_k in degree k)."""
+    alg = m.alg
+    left = _cover_chain(m, -lo)
+    right = _cover_chain(dual_module(m), hi + 1)
+    objects = [epi.src for epi, _ in reversed(left)] + [dual_module(epi.src, alg) for epi, _ in right]
+    mono = MMap(m, objects[-lo], right[0][0].mat.transpose())
+    diffs = [left[k][1] @ left[k + 1][0] for k in range(-lo - 2, -1, -1)] + [mono @ left[0][0]]
+    diffs += [
+        MMap(objects[-lo + k], objects[-lo + k + 1], (right[k][1].mat @ right[k + 1][0].mat).transpose())
+        for k in range(hi)
+    ]
+    return make_complex(alg, lo, objects, diffs)
 
 
 def z0(x: Cx) -> Mod:

@@ -234,8 +234,9 @@ def _block_cmap(tris, pick, src_sum, dst_sum, src_projs, dst_injs) -> CMap:
 
 @dataclass(frozen=True)
 class Oct:
-    """The octahedron over composable f, g: four certified triangles plus the
-    commuting-square certificates tying them together."""
+    """The octahedron over composable f, g: three cone triangles, the fourth
+    triangle certified by ``certify_triangle``, and the commuting-square
+    certificates tying them together."""
 
     tri_f: Tri
     tri_g: Tri
@@ -250,9 +251,9 @@ def octahedron(f: CMap, g: CMap) -> Oct:
     """TR4 with explicit comparison maps and homotopies.
 
     a(x, y) = (x, g y) and b(x, z) = (f x, z) compare the three cones; the
-    fourth triangle's third map is (Sigma iota_f) o pi_g and its certificate
-    is the explicit homotopy equivalence between cone(a) and cone(g):
-    u(x2, y1, x1, z) = (y1 + f x1, z), v(y1, z) = (0, y1, 0, z).
+    fourth triangle's third map is (Sigma iota_f) o pi_g, and it is certified
+    like any other candidate by ``certify_triangle``, which solves for the
+    homotopy equivalence between cone(a) and cone(g).
     """
     if f.dst != g.src:
         raise ValidationError("octahedron needs composable maps")
@@ -282,40 +283,7 @@ def octahedron(f: CMap, g: CMap) -> Oct:
         )
     b = CMap.build(cgf, cg, b_comps)
     gamma = shift_map(pf.iota, 1) @ pg.pi  # cone(g) -> Sigma cone(f)
-    ca, pa = cone_complex(a)
-    u_comps = {}
-    v_comps = {}
-    k_comps = {}
-    s2_comps = {}
-    for n in _combined_degrees(ca, cg):
-        if ca.obj(n).dim or cg.obj(n).dim:
-            u_comps[n] = (
-                pg.inj_x(n)
-                @ (
-                    pf.proj_y(n + 1) @ pa.proj_x(n)
-                    + f.component(n + 1) @ pgf.proj_x(n) @ pa.proj_y(n)
-                )
-                + pg.inj_y(n) @ pgf.proj_y(n) @ pa.proj_y(n)
-            )
-            v_comps[n] = (
-                pa.inj_x(n) @ pf.inj_y(n + 1) @ pg.proj_x(n)
-                + pa.inj_y(n) @ pgf.inj_y(n) @ pg.proj_y(n)
-            )
-    for n in _combined_degrees(ca, ca):
-        if ca.obj(n).dim and ca.obj(n - 1).dim:
-            k_comps[n] = -(pa.inj_x(n - 1) @ pf.inj_x(n) @ pgf.proj_x(n) @ pa.proj_y(n))
-        if ca.obj(n).dim and cf.obj(n).dim:
-            s2_comps[n] = -(pf.inj_x(n) @ pgf.proj_x(n) @ pa.proj_y(n))
-    u = CMap.build(ca, cg, u_comps)
-    v = CMap.build(cg, ca, v_comps)
-    s1 = Htp.zero(u @ pa.iota, b)
-    s2 = Htp(gamma @ u, pa.pi, s2_comps)
-    s3 = Htp.zero(u @ v, CMap.identity(cg))
-    s4 = Htp(v @ u, CMap.identity(ca), k_comps)
-    certs4 = _composite_certs(a, b, gamma)
-    tri_cones = Tri(
-        f=a, g=b, h=gamma, kind="iso-to-cone", comp_certs=certs4, cone_cmp=(u, v, s1, s2, s3, s4)
-    )
+    tri_cones = certify_triangle(a, b, gamma)
     squares = (
         Htp.zero(a @ tri_f.g, tri_gf.g @ g),
         Htp.zero(tri_gf.h @ a, tri_f.h),

@@ -137,6 +137,14 @@ def test_verify_refuses_a_prime_above_the_bound(capsys):
     assert "MAX_PRIME" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, window", [("3.3.2", ["-1", "1"]), ("7.5.1", ["2", "-2"])])
+def test_verify_refuses_a_window_too_narrow_for_complete_resolutions(tmp_path, capsys, suite, window):
+    out = tmp_path / "r.json"
+    assert main(["verify", suite, "--window", *window, "--out", str(out)]) == 2
+    assert "window" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -1,9 +1,14 @@
 """Derived layer: resolutions, derived Hom/Ext, D-inverses, dg ends, slices,
 endomorphism algebras, tilting, Hom-agreement with injective complexes."""
 
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import homcat
 from homcat.algebras import algebra_iso_search, opposite, preset
 from homcat.complexes import (
     CMap,
@@ -14,6 +19,7 @@ from homcat.complexes import (
     stalk,
 )
 from homcat.derived import (
+    _verify_dg,
     dg_cohomology_dims,
     dg_end,
     end_algebra,
@@ -107,6 +113,29 @@ def test_proj_resolution_cap_exhaustion_truncpoly():
     k = simple_module(T2, 0)
     with pytest.raises(CapExhausted):
         proj_resolution(k, cap=3)
+
+
+def test_proj_resolution_cap_leftover_is_the_surviving_syzygy():
+    # S1 over lambda3 has P_2 = Omega^2 S1 one-dimensional: cap 1 stops with it left over
+    s1 = simple_module(L3, 0)
+    with pytest.raises(CapExhausted) as exc:
+        proj_resolution(s1, cap=1)
+    assert is_isomorphic(exc.value.leftover, proj_resolution(s1).res.obj(-2)) is not None
+
+
+def test_only_the_cover_chain_takes_covers_in_a_loop():
+    # every minimal resolution, syzygy and presentation reads derived._cover_chain
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
+    takers = set()
+    for path in sorted(Path(homcat.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for loop in (node for node in ast.walk(fn) if isinstance(node, loops)):
+                calls = (node.func for node in ast.walk(loop) if isinstance(node, ast.Call))
+                if any(getattr(f, "id", getattr(f, "attr", None)) == "projective_cover" for f in calls):
+                    takers.add((path.name, fn.name))
+    assert takers == {("derived.py", "_cover_chain")}
 
 
 def test_resolve_complex_stalk_of_projective():
@@ -266,6 +295,54 @@ def test_dg_end_of_simple_resolutions():
     want0 = sum(ext(a, b, 0) for a in simples for b in simples)
     want1 = sum(ext(a, b, 1) for a in simples for b in simples)
     assert dims.get(0, 0) == want0 and dims.get(1, 0) == want1
+
+
+def _simples_dg_end():
+    from homcat.complexes import direct_sum_cx
+
+    total, _, _ = direct_sum_cx([proj_resolution(s).res for s in _simples(L1)])
+    return dg_end(total)
+
+
+def _tampered_mult(dga, key, unit_col):
+    # add 1 to entry [0, 0, j] of one product table; with unit_col, j is a
+    # coordinate where the unit is nonzero, so a right factor of degree 0 sees it
+    mult = {k: v.copy() for k, v in dga.mult.items()}
+    j = int(np.flatnonzero(dga.unit)[0]) if unit_col else 0
+    mult[key][0, 0, j] = (mult[key][0, 0, j] + 1) % L1.p
+    return replace(dga, mult=mult)
+
+
+def _tampered_unit(dga):
+    d0 = dga.differential(0).a
+    j = int(np.flatnonzero(d0.any(axis=0))[0])  # a degree-0 element that is not a cocycle
+    unit = dga.unit.copy()
+    unit[j] = (unit[j] + 1) % L1.p
+    return replace(dga, unit=unit)
+
+
+def _scaled_differential(dga, n):
+    cx = dga.hom.cx
+    diffs = [d.scale(2) if cx.lo + k == n else d for k, d in enumerate(cx.diffs)]
+    return replace(dga, hom=replace(dga.hom, cx=make_complex(cx.alg, cx.lo, list(cx.objects), diffs)))
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_tampered_unit, "dg unit is not a cocycle"),
+        (lambda d: replace(d, unit=d.unit * 2 % L1.p), "dg unit fails as a left identity"),
+        (lambda d: _tampered_mult(d, (1, 0), unit_col=True), "dg unit fails as a right identity"),
+        (lambda d: _tampered_mult(d, (1, -1), unit_col=False), "dg multiplication not associative"),
+        (lambda d: _scaled_differential(d, 0), "dg differential fails the Leibniz rule"),
+    ],
+    ids=["unit-cocycle", "left-identity", "right-identity", "associativity", "leibniz"],
+)
+def test_verify_dg_rejects_a_tampered_structure(tamper, message):
+    dga = _simples_dg_end()
+    _verify_dg(dga)
+    with pytest.raises(ValidationError, match=message):
+        _verify_dg(tamper(dga))
 
 
 def test_idempotent_slice_full_unit_is_identity():

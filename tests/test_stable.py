@@ -9,6 +9,7 @@ from homcat.errors import GuardError, ValidationError
 from homcat.modules import (
     classify_indecomposables,
     is_isomorphic,
+    is_projective,
     known_indecomposables,
     projective_module,
     regular_module,
@@ -111,7 +112,7 @@ def test_complete_resolution_rejects_projective_summand():
 
 
 def test_complete_resolution_window_guard():
-    with pytest.raises(ValidationError, match="window"):
+    with pytest.raises(ValueError, match="window"):
         complete_resolution(_kmod(T2), (-1, 1))
 
 
@@ -221,3 +222,20 @@ def test_stable_ar_quiver_of_self_injective_nakayama_algebras(n, loewy, p):
     assert len(q.vertices) == n * (loewy - 1)
     assert q.n_arrows == 2 * n * (loewy - 2)
     assert all(mult == 1 for _, _, mult in q.arrows)
+
+
+@pytest.mark.parametrize("n, loewy", [(2, 3), (3, 2)])
+def test_complete_resolutions_over_a_noncommutative_self_injective_algebra(n, loewy):
+    # the injective side is built over the opposite algebra, which differs from
+    # the algebra itself here (unlike a truncated polynomial ring)
+    alg = _self_injective_nakayama(n, loewy, 5)
+    stables = stable_indecomposables(alg)
+    assert len(stables) == n * (loewy - 1)
+    for m in stables:
+        cx = complete_resolution(m, (-3, 3)).cx
+        assert all(is_projective(cx.obj(d)) for d in cx.degrees())
+        assert is_isomorphic(z0(cx), m) is not None
+        assert is_isomorphic(cosyzygy(syzygy(m)), m) is not None
+    for a in stables:
+        for b in stables:
+            assert stable_hom_via_cr(a, b, (-3, 3)) == stable_hom(a, b)[0]
