@@ -12,6 +12,8 @@ attributes, not names bound here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from homcat import linalg, modules
@@ -48,11 +50,14 @@ _KNIT_MAX_VERTICES = 256
 _KNIT_DIM_FACTOR = 2  # an indecomposable may have at most this times dim A
 
 
+@functools.lru_cache(maxsize=256)
 def _dual_projective(pmod: Mod) -> tuple[Mod, np.ndarray]:
-    """P* = Hom_A(P, A) as a right module over opposite(A), and its basis maps P -> A.
+    """P* = Hom_A(P, A) as a right module over opposite(A), and its basis maps P -> A
+    (a read-only view of the cached Hom basis).
 
     b acts on phi by left multiplication, phi |-> b * phi, read back in the
-    ``hom_space(P, regular_module(A))`` basis by ``hom_coords``.
+    ``hom_space(P, regular_module(A))`` basis by ``hom_coords``.  Cached per
+    projective: the presentations of tau and tau^-1 meet few distinct ones.
     """
     alg, p = pmod.alg, pmod.alg.p
     reg = regular_module(alg)

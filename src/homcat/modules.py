@@ -413,33 +413,33 @@ def projective_cover(m: Mod) -> tuple[Mod, MMap]:
     and minimality (kernel inside P * rad) are verified; over an algebra that
     is not split basic the cover is not minimal and GuardError is raised.
     """
-    alg = m.alg
+    alg, p = m.alg, m.alg.p
     if m.dim == 0:
         z = zero_module(alg)
         return z, MMap.zero(z, m)
     t, q = top(m)
+    acts = np.stack([a.a for a in m.action])
     pieces: list[Mod] = []
-    columns: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     for j, e in enumerate(alg.idempotents):
         slice_basis = column_space(t.rho(e))
         if slice_basis.cols == 0:
             continue
         pj, pj_basis = _projective_with_inclusion(alg, j)
-        for s in range(slice_basis.cols):
-            target = Mat.column(alg.p, slice_basis.a[:, s])
-            w = solve(q.mat, target)
-            if w is None:  # q is onto by construction
-                raise ValidationError("internal inconsistency: top lift unsolvable")
-            v = m.rho(e) @ w  # generator inside m * e_j
-            # map the projective basis element with algebra coordinates beta
-            # to v * beta
-            for b in range(pj.dim):
-                beta = pj_basis.a[:, b]
-                columns.append((m.rho(beta) @ v).a[:, 0])
-            pieces.append(pj)
+        w = solve(q.mat, slice_basis)  # one lift per top vector of the slice
+        if w is None:  # q is onto by construction
+            raise ValidationError("internal inconsistency: top lift unsolvable")
+        gens = (m.rho(e) @ w).a  # generators inside m * e_j, one per column
+        # the basis element of e_j A with algebra coordinates beta goes to
+        # v * beta = sum_i beta_i action[i] @ v; both sums have terms below
+        # p^2 <= 2^42 and are reduced before the next one
+        moved = np.einsum("iab,bs->ias", acts, gens) % p
+        cols = np.einsum("ias,ib->asb", moved, pj_basis.a) % p
+        blocks.append(cols.reshape(m.dim, -1))  # generator-major, as the summands
+        pieces += [pj] * gens.shape[1]
     total, _, _ = direct_sum(pieces, alg)
-    epi_mat = Mat(alg.p, np.stack(columns, axis=1) if columns else np.zeros((m.dim, 0), dtype=np.int64))
-    epi = MMap(total, m, epi_mat)
+    # the e_j sum to 1, so some slice of top(m) is nonzero and blocks is not empty
+    epi = MMap(total, m, Mat._reduced(p, np.hstack(blocks)))
     if rank(epi.mat) != m.dim:
         raise ValidationError("internal inconsistency: cover map not surjective")
     ker = kernel_basis(epi.mat)
@@ -730,10 +730,16 @@ def is_projective(m: Mod) -> bool:
     return all(_first_iso(piece, projs) is not None for piece, _, _ in decompose_with_maps(m))
 
 
+@functools.lru_cache(maxsize=64)
+def _indecomposable_injectives(alg: Alg) -> tuple[Mod, ...]:
+    """The injective envelopes of the simples, in idempotent order; built once per algebra."""
+    return tuple(injective_envelope(simple_module(alg, j))[0] for j in range(len(alg.idempotents)))
+
+
 @functools.lru_cache(maxsize=256)
 def is_injective(m: Mod) -> bool:
     """Every indecomposable summand of m is isomorphic to the injective envelope of a simple."""
-    injs = [injective_envelope(simple_module(m.alg, j))[0] for j in range(len(m.alg.idempotents))]
+    injs = _indecomposable_injectives(m.alg)
     return all(_first_iso(piece, injs) is not None for piece, _, _ in decompose_with_maps(m))
 
 
@@ -792,7 +798,7 @@ def known_indecomposables(alg: Alg) -> list[Mod]:
         out = [simple_module(alg, j) for j in range(3)]
         out.append(projective_module(alg, 0))
         out.append(projective_module(alg, 2))
-        out.append(injective_envelope(simple_module(alg, 1))[0])
+        out.append(_indecomposable_injectives(alg)[1])
     else:
         # uniserial projectives: the indecomposables are the quotients of each
         # e_j A by the tails of its (ordered) basis

@@ -14,12 +14,11 @@ from homcat.linalg import Mat, column_space, kernel_basis
 from homcat.modules import (
     MMap,
     Mod,
+    _indecomposable_injectives,
     direct_sum,
     hom_space,
-    injective_envelope,
     projective_module,
     quotient_module,
-    simple_module,
     submodule,
     zero_module,
 )
@@ -162,7 +161,7 @@ def random_injective_complex(
 ) -> Cx:
     """A random bounded complex whose components are sums of indecomposable
     injectives (duals of projective covers of the simples)."""
-    injectives = [injective_envelope(simple_module(alg, j))[0] for j in range(len(alg.idempotents))]
+    injectives = _indecomposable_injectives(alg)
     length = int(rng.integers(1, max_support + 1))
     lo = int(rng.integers(-2, 2))
     mods = []

@@ -6,10 +6,14 @@ cocycles recover the module.  Both halves come from ``derived._cover_chain``:
 below degree zero the covers of the syzygies of m, from degree zero up the
 duals of the covers of the syzygies of D m over the opposite algebra, since
 D = Hom_k(-, k) turns projective covers into injective envelopes.
-``cosyzygy`` is dual to ``syzygy`` the same way.  Stable Homs (maps modulo those factoring through a
-projective) can be computed either directly or as H^0 of the Hom complex
-between complete resolutions; both routes are implemented and cross-checked,
-and the stable AR quiver is the AR quiver without its projective vertices.
+``cosyzygy`` is dual to ``syzygy`` the same way.  Every cover step is memoized
+(``derived._cover_step``), so the chains of a narrow window are prefixes of
+those of a wide one: widening a window takes only the new covers, and
+``syzygy``, ``cosyzygy`` and the resolutions read the same ones.  Stable Homs
+(maps modulo those factoring through a projective) can be computed either
+directly or as H^0 of the Hom complex between complete resolutions; both
+routes are implemented and cross-checked, and the stable AR quiver is the AR
+quiver without its projective vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from homcat.algebras import Alg
 from homcat.complexes import Cx, cohomology_data, make_complex, squares_system, zero_complex
-from homcat.derived import _cover_chain
+from homcat.derived import _cover_chain, _cover_step
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, kernel_basis, rank
 from homcat.modules import (
@@ -38,7 +42,6 @@ from homcat.modules import (
     is_isomorphic,
     is_projective,
     make_module,
-    projective_cover,
     projective_module,
     submodule,
 )
@@ -88,8 +91,8 @@ def _projective_factoring_subspace(m: Mod, n: Mod) -> Mat:
     lifting property this equals the maps factoring through any projective.
     """
     p = m.alg.p
-    cover, epi = projective_cover(n)
-    through = [epi @ h for h in hom_space(m, cover)]
+    epi, _ = _cover_step(n)
+    through = [epi @ h for h in hom_space(m, epi.src)]
     return _vec([f.mat for f in through], p, n.dim, m.dim)
 
 
@@ -250,7 +253,8 @@ def stable_hom_via_cr(m: Mod, n: Mod, window: tuple[int, int] = (-4, 4)) -> int:
     computed on the window interior.
 
     Recomputed on the widened window as a stability guard; the two values
-    must agree (and match ``stable_hom``).
+    must agree (and match ``stable_hom``).  The wide resolutions reuse the
+    cached covers of the narrow ones and take at most four new ones per module.
     """
     dims = []
     for w in (window, (window[0] - 2, window[1] + 2)):

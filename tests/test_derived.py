@@ -124,8 +124,10 @@ def test_proj_resolution_cap_leftover_is_the_surviving_syzygy():
 
 
 def test_only_the_cover_chain_takes_covers_in_a_loop():
-    # every minimal resolution, syzygy and presentation reads derived._cover_chain
+    # every minimal resolution, syzygy and presentation reads derived._cover_chain;
+    # a call of its memoized step _cover_step takes a cover too
     loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp)
+    cover_takers = ("projective_cover", "_cover_step")
     takers = set()
     for path in sorted(Path(homcat.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -133,7 +135,7 @@ def test_only_the_cover_chain_takes_covers_in_a_loop():
                 continue
             for loop in (node for node in ast.walk(fn) if isinstance(node, loops)):
                 calls = (node.func for node in ast.walk(loop) if isinstance(node, ast.Call))
-                if any(getattr(f, "id", getattr(f, "attr", None)) == "projective_cover" for f in calls):
+                if any(getattr(f, "id", getattr(f, "attr", None)) in cover_takers for f in calls):
                     takers.add((path.name, fn.name))
     assert takers == {("derived.py", "_cover_chain")}
 

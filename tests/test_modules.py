@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from homcat.algebras import algebra_from_json, preset
 from homcat.derived import proj_resolution
 from homcat.errors import CapExhausted, GuardError, ValidationError
-from homcat.linalg import Mat, inverse, is_invertible, kernel_basis, rank, solve
+from homcat.linalg import Mat, column_space, inverse, is_invertible, kernel_basis, rank, solve
 from homcat.knitting import almost_split_sequence, ar_translate, ar_translate_inverse
 from homcat.modules import (
     ar_quiver,
@@ -43,6 +43,7 @@ from homcat.modules import (
     top,
     zero_module,
     MMap,
+    _projective_with_inclusion,
     _singular_shift,
 )
 
@@ -188,6 +189,35 @@ def test_projective_cover_local_algebra():
     cover, epi = projective_cover(s)
     assert cover.dim == 2
     assert kernel_basis(epi.mat).cols == 1
+
+
+def _reference_cover_columns(m):
+    """The cover epi one top vector and one basis element of e_j A at a time:
+    the generator v lifted from the top, then v * beta for every beta."""
+    alg = m.alg
+    t, q = top(m)
+    columns = []
+    for j, e in enumerate(alg.idempotents):
+        slice_basis = column_space(t.rho(e))
+        _, pj_basis = _projective_with_inclusion(alg, j)
+        for s in range(slice_basis.cols):
+            v = m.rho(e) @ solve(q.mat, Mat.column(alg.p, slice_basis.a[:, s]))
+            for b in range(pj_basis.cols):
+                columns.append((m.rho(pj_basis.a[:, b]) @ v).a[:, 0])
+    return np.stack(columns, axis=1)
+
+
+_PRESETS = ["lambda1", "lambda2", "lambda3", "truncpoly(2)", "truncpoly(3)", "truncpoly(4)", "truncpoly(5)"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2097143])
+@pytest.mark.parametrize("name", _PRESETS)
+def test_projective_cover_matches_the_per_basis_element_loop(name, p):
+    for ind in classify_indecomposables(preset(name, p)):
+        twice = direct_sum([ind, ind])[0]  # two generators per top slice
+        for m in (ind, twice, _rebased(twice, ind.dim)):  # the last with dense actions
+            _, epi = projective_cover(m)
+            assert np.array_equal(epi.mat.a, _reference_cover_columns(m))
 
 
 def test_injective_envelope_cases():
@@ -374,12 +404,17 @@ def _preset_module(alg, kind, j):
     if kind == "injective":
         return injective_envelope(simple_module(alg, j))[0]
     # the regular module in a random basis, whose Hom bases are dense
-    reg, rng = regular_module(alg), np.random.default_rng(j)
+    return _rebased(regular_module(alg), j)
+
+
+def _rebased(m, seed):
+    """m in a random basis: dense action matrices with entries all over [0, p)."""
+    rng = np.random.default_rng(seed)
     g_inv = None
     while g_inv is None:
-        g = Mat(alg.p, rng.integers(0, alg.p, size=(reg.dim, reg.dim)))
+        g = Mat(m.alg.p, rng.integers(0, m.alg.p, size=(m.dim, m.dim)))
         g_inv = inverse(g)
-    return make_module(alg, [g_inv @ a @ g for a in reg.action])
+    return make_module(m.alg, [g_inv @ a @ g for a in m.action])
 
 
 def _solved_coords(m, n, g):

@@ -133,6 +133,20 @@ def test_z0_of_shifted_complete_resolution_is_syzygy():
     assert is_isomorphic(z0(shift(cr.cx, 1)), cosyzygy(k)) is not None
 
 
+def test_a_narrower_window_reuses_the_covers_of_a_wider_one():
+    from homcat.derived import _cover_step
+
+    m = simple_module(preset("truncpoly(4)", 10007), 0)
+    wide = complete_resolution(m, (-6, 6))
+    misses = _cover_step.cache_info().misses
+    narrow = complete_resolution(m, (-4, 4))
+    assert _cover_step.cache_info().misses == misses
+    for n in narrow.cx.degrees():
+        assert narrow.cx.obj(n) == wide.cx.obj(n)
+        if n < narrow.cx.hi:
+            assert narrow.cx.diff(n) == wide.cx.diff(n)
+
+
 def test_stable_hom_via_cr_matches_direct_truncpoly2():
     k = _kmod(T2)
     assert stable_hom_via_cr(k, k, (-4, 4)) == stable_hom(k, k)[0] == 1
