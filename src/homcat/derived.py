@@ -34,10 +34,11 @@ from homcat.complexes import (
     zero_complex,
 )
 from homcat.errors import CapExhausted, ValidationError
-from homcat.linalg import Mat, column_space, inverse, kernel_basis, rank, solve
+from homcat.linalg import Mat, column_space, inverse, rank, solve
 from homcat.modules import (
     MMap,
     Mod,
+    _cover_step,
     decompose,
     decompose_with_maps,
     dual_module,
@@ -49,7 +50,6 @@ from homcat.modules import (
     known_indecomposables,
     local_end_radical,
     make_module,
-    projective_cover,
     submodule,
     zero_module,
 )
@@ -94,27 +94,16 @@ def _verify_quasi_iso(f: CMap) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=512)
-def _cover_step(m: Mod) -> tuple[MMap, MMap]:
-    """(epi: P ->> m, inc: Omega m >-> P) for the projective cover P of m.
-
-    Certified once, when ``projective_cover`` builds it; cached per module, so
-    every chain through m shares it.
-    """
-    cover, epi = projective_cover(m)
-    return epi, submodule(cover, kernel_basis(epi.mat))[1]
-
-
 def _cover_chain(m: Mod, steps: int) -> list[tuple[MMap, MMap]]:
     """Projective covers of the successive syzygies of m, the one loop behind
     every minimal resolution.
 
     Returns (epi_k: P_k ->> Omega^k m, inc_k: Omega^(k+1) m >-> P_k) for
     k < steps, stopping after the first zero syzygy; the last inclusion's
-    source is the syzygy left over.  Each step is read from the ``_cover_step``
-    cache, so a shorter chain of m is a prefix of a longer one and costs no new
-    cover: the resolutions, transposes, syzygies and both windows of a complete
-    resolution of one module share their covers.
+    source is the syzygy left over.  Each step is read from the
+    ``modules._cover_step`` cache, so a shorter chain of m is a prefix of a
+    longer one and costs no new cover: the resolutions, envelopes and both
+    windows of a complete resolution of one module share their covers.
     """
     chain = []
     current = m

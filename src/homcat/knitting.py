@@ -1,6 +1,6 @@
 """Auslander-Reiten theory: the transpose, tau and tau^-1, almost split
-sequences, and the certified knitting closure behind
-``modules.classify_indecomposables``.
+sequences, and the certified knitting closure: the vertices behind
+``modules.classify_indecomposables`` and the arrows behind ``modules.ar_quiver``.
 
 Loaded on the first classification rather than with ``homcat.modules``, so
 work that never classifies does not load it.  The functions that
@@ -12,18 +12,19 @@ attributes, not names bound here.
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
 
 from homcat import linalg, modules
 from homcat.algebras import Alg, opposite
-from homcat.derived import _cover_chain
 from homcat.errors import CapExhausted, GuardError, ValidationError
 from homcat.linalg import Mat, rank
 from homcat.modules import (
     MMap,
     Mod,
+    _cover_step,
     _hom_basis,
     _require_split_basic,
     direct_sum,
@@ -77,10 +78,10 @@ def transpose_module(m: Mod) -> Mod:
     exactly when m is projective; tau = D Tr and tau^-1 = Tr D.
     """
     p = m.alg.p
-    chain = _cover_chain(m, 2)
-    if len(chain) == 1:  # Omega m = 0: m is projective
+    epi, inc = _cover_step(m)
+    if inc.src.dim == 0:  # Omega m = 0: m is projective
         return zero_module(opposite(m.alg))
-    (epi, inc), (epi1, _) = chain
+    epi1, _ = _cover_step(inc.src)
     p0, p1 = epi.src, epi1.src
     f = (inc @ epi1).mat.a
     p0_star, phis = _dual_projective(p0)
@@ -117,7 +118,7 @@ def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
     z = ar_translate_inverse(x)
     if z.dim == 0:
         return None
-    ((epi, inc),) = _cover_chain(z, 1)
+    epi, inc = _cover_step(z)
     p0, omega = epi.src, inc.src
     _, vecs, _ = _hom_basis(omega, x)
     d = len(vecs)
@@ -167,41 +168,53 @@ def _peirce_connected(projs: list[Mod]) -> bool:
     return len(seen) == len(projs)
 
 
-def knit(alg: Alg) -> list[Mod]:
-    """The certified knitting closure behind ``modules.classify_indecomposables``,
-    which documents it and caches its result."""
+@functools.lru_cache(maxsize=64)
+def knit(alg: Alg) -> tuple[list[Mod], tuple[tuple[int, int, int], ...]]:
+    """The certified knitting closure and its arrows (i, j, multiplicity) in
+    the sorted vertex order, computed once per algebra: the vertices of
+    ``modules.classify_indecomposables`` and the arrows of ``modules.ar_quiver``,
+    which document them."""
     _require_split_basic(alg)
     projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
     if not _peirce_connected(projs):
         raise GuardError("classification needs a connected algebra (Auslander's theorem)")
     max_dim = _KNIT_DIM_FACTOR * alg.dim
     found: list[Mod] = []
-    buckets: dict[tuple, list[Mod]] = {}
+    buckets: dict[tuple, list[int]] = {}
 
-    def _add(m: Mod) -> None:
+    def _add(m: Mod) -> list[int]:
+        """Keep the new summands of m as vertices; the vertex of every summand, repeated by multiplicity."""
+        hits = []
         for piece, _, _ in modules.decompose_with_maps(m):
             bucket = buckets.setdefault((piece.dim, piece.dim_vector()), [])
-            if any(modules.is_isomorphic(rep, piece) is not None for rep in bucket):
-                continue
-            if piece.dim > max_dim or len(found) == _KNIT_MAX_VERTICES:
-                raise CapExhausted(
-                    f"knitting cap reached ({len(found)} vertices, a summand of dimension {piece.dim}, "
-                    f"caps {_KNIT_MAX_VERTICES} and {max_dim}): the algebra may be representation infinite",
-                    leftover=piece,
-                )
-            bucket.append(piece)
-            found.append(piece)
+            k = next((k for k in bucket if modules.is_isomorphic(found[k], piece) is not None), None)
+            if k is None:
+                if piece.dim > max_dim or len(found) == _KNIT_MAX_VERTICES:
+                    raise CapExhausted(
+                        f"knitting cap reached ({len(found)} vertices, a summand of dimension {piece.dim}, "
+                        f"caps {_KNIT_MAX_VERTICES} and {max_dim}): the algebra may be representation infinite",
+                        leftover=piece,
+                    )
+                k = len(found)
+                bucket.append(k)
+                found.append(piece)
+            hits.append(k)
+        return hits
 
     for pm in projs:
         _add(pm)
-    for x in found:  # grows while it is walked: every vertex is processed once
+    arrows: collections.Counter = collections.Counter()
+    for i, x in enumerate(found):  # grows while it is walked: every vertex is processed once
         tau = ar_translate(x)
         _add(tau if tau.dim else submodule(x, radical_submodule(x))[0])
         seq = almost_split_sequence(x)
         if seq is None:
-            _add(quotient_module(x, socle(x)[1].mat)[0])
+            local_end_radical(x)  # End(x) split local, or GuardError
+            targets = _add(quotient_module(x, socle(x)[1].mat)[0])
         else:
             _add(seq[1].dst)  # tau^-1 x
-            _add(seq[0].dst)  # the middle term
-    found.sort(key=lambda m: (m.dim, m.dim_vector(), m.key()))
-    return found
+            targets = _add(seq[0].dst)  # the middle term
+        arrows.update((i, j) for j in targets)
+    order = sorted(range(len(found)), key=lambda k: (found[k].dim, found[k].dim_vector(), found[k].key()))
+    rank_of = {k: r for r, k in enumerate(order)}
+    return [found[k] for k in order], tuple(sorted((rank_of[i], rank_of[j], n) for (i, j), n in arrows.items()))

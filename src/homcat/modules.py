@@ -449,6 +449,17 @@ def projective_cover(m: Mod) -> tuple[Mod, MMap]:
     return total, epi
 
 
+@functools.lru_cache(maxsize=512)
+def _cover_step(m: Mod) -> tuple[MMap, MMap]:
+    """(epi: P ->> m, inc: Omega m >-> P) for the projective cover P of m.
+
+    Certified once, when ``projective_cover`` builds it; cached per module, so
+    every resolution, envelope and presentation through m shares it.
+    """
+    cover, epi = projective_cover(m)
+    return epi, submodule(cover, kernel_basis(epi.mat))[1]
+
+
 def _require_split_basic(alg: Alg) -> None:
     """Raise GuardError unless every top e_j A / e_j rad A is F_p, that is,
     the e_j are primitive and the algebra is split basic."""
@@ -469,16 +480,12 @@ def dual_module(m: Mod, target_alg: Alg | None = None) -> Mod:
 def injective_envelope(m: Mod) -> tuple[Mod, MMap]:
     """Minimal injective extension, computed by duality:
 
-    dualize to a module over the opposite algebra, take its projective cover,
-    and dualize back.  The dual of the cover epi is the validated embedding.
+    dualize to a module over the opposite algebra, take its projective cover
+    (``_cover_step``, shared with the injective resolutions), and dualize
+    back.  The dual of the cover epi is the validated embedding.
     """
-    alg = m.alg
-    if m.dim == 0:
-        z = zero_module(alg)
-        return z, MMap.zero(m, z)
-    md = dual_module(m)
-    cover, epi = projective_cover(md)
-    env = make_module(alg, [a.transpose() for a in cover.action])
+    epi, _ = _cover_step(dual_module(m))
+    env = make_module(m.alg, [a.transpose() for a in epi.src.action])
     mono = MMap(m, env, epi.mat.transpose())
     if kernel_basis(mono.mat).cols != 0:
         raise ValidationError("internal inconsistency: envelope map not injective")
@@ -757,7 +764,6 @@ def _preset_name_of(alg: Alg) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=64)
 def classify_indecomposables(alg: Alg) -> list[Mod]:
     """Complete duplicate-free list of indecomposables; every answer returned is certified.
 
@@ -776,13 +782,14 @@ def classify_indecomposables(alg: Alg) -> list[Mod]:
     vertex of dimension above 2 dim A (the algebra may be representation
     infinite; the factor is a heuristic, so a representation-finite algebra
     with a larger indecomposable is refused too), and with GuardError for a
-    disconnected or non-split-basic algebra, a non-split endomorphism ring or
-    an Ext socle above dimension one.  Sorted by (dim, dim vector, key);
-    computed once per algebra and shared by every caller.
+    disconnected or non-split-basic algebra, a vertex whose endomorphism ring
+    is not split local or an Ext socle above dimension one.  Sorted by
+    (dim, dim vector, key); computed once per algebra, together with the
+    arrows of ``ar_quiver``, and shared by every caller.
     """
     from homcat.knitting import knit  # the AR layer builds on this module; loaded on first use
 
-    return knit(alg)
+    return knit(alg)[0]
 
 
 def known_indecomposables(alg: Alg) -> list[Mod]:
@@ -834,34 +841,16 @@ def local_end_radical(m: Mod) -> list[MMap]:
     return [MMap(m, m, Mat(p, reduced.a[:, t].reshape(m.dim, m.dim))) for t in range(reduced.cols)]
 
 
-def ar_quiver(alg: Alg, indecomposables: list[Mod] | None = None) -> Quiver:
-    """Arrow multiplicities are dim rad(X,Y) / rad^2(X,Y) over the classified
-    indecomposables, with rad^2 spanned by two-step composites; rad(X, Y) is
-    all of Hom for distinct vertices, the maximal ideal of End for a vertex
-    with itself."""
-    ind = indecomposables if indecomposables is not None else classify_indecomposables(alg)
-    p = alg.p
-    n = len(ind)
-    rad = {
-        (i, j): local_end_radical(ind[i]) if i == j else hom_space(ind[i], ind[j])
-        for i in range(n)
-        for j in range(n)
-    }
-    arrows = []
-    for i in range(n):
-        for j in range(n):
-            target = ind[j]
-            composites = []
-            for z in range(n):
-                for g in rad[(i, z)]:
-                    for h in rad[(z, j)]:
-                        composites.append((h @ g).mat)
-            rad_vec = _vec([f.mat for f in rad[(i, j)]], p, target.dim, ind[i].dim)
-            rad2_vec = _vec(composites, p, target.dim, ind[i].dim)
-            # two-step composites always land inside rad, so the arrow count
-            # is a plain rank difference
-            mult = rank(rad_vec) - rank(rad2_vec)
-            if mult > 0:
-                arrows.append((i, j, mult))
+def ar_quiver(alg: Alg) -> Quiver:
+    """The AR quiver over the classified indecomposables, with the arrows the
+    knitting read off: X -> Y with multiplicity the number of summands
+    isomorphic to Y in the middle term E of 0 -> X -> E -> tau^-1 X -> 0, or in
+    X / soc X for an injective X (the targets of the left almost split map
+    out of X).  Every End(X) is certified split local, and then that
+    multiplicity is dim irr(X, Y) = dim rad(X, Y) / rad^2(X, Y)
+    (Auslander-Reiten-Smalo 1995, Ch. VII)."""
+    from homcat.knitting import knit
+
+    ind, arrows = knit(alg)
     vertices = tuple(("m" + "".join(str(d) for d in m.dim_vector()), m.dim) for m in ind)
-    return Quiver(vertices=vertices, arrows=tuple(arrows))
+    return Quiver(vertices=vertices, arrows=arrows)

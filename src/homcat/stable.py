@@ -7,7 +7,7 @@ below degree zero the covers of the syzygies of m, from degree zero up the
 duals of the covers of the syzygies of D m over the opposite algebra, since
 D = Hom_k(-, k) turns projective covers into injective envelopes.
 ``cosyzygy`` is dual to ``syzygy`` the same way.  Every cover step is memoized
-(``derived._cover_step``), so the chains of a narrow window are prefixes of
+(``modules._cover_step``), so the chains of a narrow window are prefixes of
 those of a wide one: widening a window takes only the new covers, and
 ``syzygy``, ``cosyzygy`` and the resolutions read the same ones.  Stable Homs
 (maps modulo those factoring through a projective) can be computed either
@@ -24,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from homcat.algebras import Alg
-from homcat.complexes import Cx, cohomology_data, make_complex, squares_system, zero_complex
-from homcat.derived import _cover_chain, _cover_step
+from homcat.complexes import Cx, make_complex, squares_system, zero_complex
+from homcat.derived import _cover_chain
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, kernel_basis, rank
 from homcat.modules import (
     MMap,
     Mod,
+    _cover_step,
     _first_iso,
     _hom_basis,
     _vec,
@@ -120,14 +121,14 @@ def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
 def syzygy(m: Mod) -> Mod:
     """Kernel of the projective cover."""
     assert_self_injective(m.alg)
-    return _cover_chain(m, 1)[0][1].src
+    return _cover_step(m)[1].src
 
 
 def cosyzygy(m: Mod) -> Mod:
     """Cokernel of the injective envelope: the dual of the syzygy of D m over
     the opposite algebra."""
     assert_self_injective(m.alg)
-    return dual_module(_cover_chain(dual_module(m), 1)[0][1].src, m.alg)
+    return dual_module(_cover_step(dual_module(m))[1].src, m.alg)
 
 
 @dataclass(frozen=True)
@@ -189,13 +190,16 @@ def _splice(m: Mod, lo: int, hi: int) -> Cx:
 def z0(x: Cx) -> Mod:
     """ker(d^0) of an acyclic complex of projectives, with inherited action.
 
-    Validates interior acyclicity and projectivity of the components.
+    Validates projectivity of the components and interior acyclicity: since
+    d o d = 0 (checked by ``make_complex``), X is exact at n exactly when
+    rank d^(n-1) + rank d^n = dim X^n.
     """
     for n in x.degrees():
         if not is_projective(x.obj(n)):
             raise ValidationError(f"component in degree {n} is not projective")
+    ranks = {n: rank(x.diff(n).mat) for n in range(x.lo, x.hi)}
     for n in range(x.lo + 1, x.hi):
-        if cohomology_data(x, n).module.dim != 0:
+        if ranks[n - 1] + ranks[n] != x.obj(n).dim:
             raise ValidationError(f"complex not acyclic at interior degree {n}")
     zmod, _ = submodule(x.obj(0), kernel_basis(x.diff(0).mat))
     return zmod
@@ -266,15 +270,19 @@ def stable_hom_via_cr(m: Mod, n: Mod, window: tuple[int, int] = (-4, 4)) -> int:
     return dims[0]
 
 
-def stable_indecomposables(alg: Alg) -> list[Mod]:
-    """Indecomposables of the stable category of a self-injective algebra: the
-    certified classification (``classify_indecomposables``) minus the
-    projectives.  Raises GuardError when the algebra is not self-injective
-    (``assert_self_injective``)."""
+def _require_self_injective(alg: Alg) -> None:
+    """GuardError unless the algebra is self-injective (``assert_self_injective``)."""
     try:
         assert_self_injective(alg)
     except ValidationError as err:
         raise GuardError(str(err)) from err
+
+
+def stable_indecomposables(alg: Alg) -> list[Mod]:
+    """Indecomposables of the stable category of a self-injective algebra: the
+    certified classification (``classify_indecomposables``) minus the
+    projectives.  Raises GuardError when the algebra is not self-injective."""
+    _require_self_injective(alg)
     return [m for m in classify_indecomposables(alg) if not is_projective(m)]
 
 
@@ -285,14 +293,14 @@ def stable_ar_quiver(alg: Alg) -> Quiver:
     Between non-projective indecomposables X, Y of a self-injective algebra a
     map through a projective P splits as X -> P -> Y with both factors
     radical, so it lies in rad^2(X, Y) already; dim rad/(rad^2 + projectives)
-    of the stable Hom is then the arrow count rad/rad^2 of the module category
-    (Auslander-Reiten-Smalo 1995, Ch. X).  Raises GuardError when the algebra
-    is not self-injective (``stable_indecomposables``).
+    of the stable Hom is then the arrow count of the module category, which
+    ``ar_quiver`` reads from the knitting (Auslander-Reiten-Smalo 1995,
+    Ch. X).  Raises GuardError when the algebra is not self-injective.
     """
-    stable = stable_indecomposables(alg)
+    _require_self_injective(alg)
+    quiver = ar_quiver(alg)
     ind = classify_indecomposables(alg)
-    quiver = ar_quiver(alg, ind)
-    kept = {i: k for k, i in enumerate(i for i, m in enumerate(ind) if m in stable)}
+    kept = {i: k for k, i in enumerate(i for i, m in enumerate(ind) if not is_projective(m))}
     return Quiver(
         vertices=tuple(quiver.vertices[i] for i in kept),
         arrows=tuple((kept[i], kept[j], mult) for i, j, mult in quiver.arrows if i in kept and j in kept),

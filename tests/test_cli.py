@@ -191,3 +191,64 @@ def test_verify_report_bytes_are_pinned(tmp_path, suite):
     out = tmp_path / "r.json"
     assert main(["verify", suite, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[suite]
+
+
+# sha256 of `homcat emit ar-quiver` for every preset and of `emit stable-ar-quiver`
+# for truncpoly(2..5), in both formats at p = 2 and p = 101
+AR_QUIVER_SHA256 = {
+    ("ar-quiver", "ground_field", "dot", 2): "9b22e9a9ea7af533aa7fdd0db094fcd2ba29145f706749ec74e5e023b24599aa",
+    ("ar-quiver", "ground_field", "json", 2): "2a523de089915da97519f0491618777cfa893ffd25707abff832617e060c78e7",
+    ("ar-quiver", "ground_field", "dot", 101): "9b22e9a9ea7af533aa7fdd0db094fcd2ba29145f706749ec74e5e023b24599aa",
+    ("ar-quiver", "ground_field", "json", 101): "2a523de089915da97519f0491618777cfa893ffd25707abff832617e060c78e7",
+    ("ar-quiver", "lambda1", "dot", 2): "6629e55dfe14729c0b701e92f3ee568ad2dd915eec8f8f8026cccf253a2b3a48",
+    ("ar-quiver", "lambda1", "json", 2): "759d67bde1b27cf52911a1a379cbffa86d0d2a0212073e8f1f04fe385f028b60",
+    ("ar-quiver", "lambda1", "dot", 101): "6629e55dfe14729c0b701e92f3ee568ad2dd915eec8f8f8026cccf253a2b3a48",
+    ("ar-quiver", "lambda1", "json", 101): "759d67bde1b27cf52911a1a379cbffa86d0d2a0212073e8f1f04fe385f028b60",
+    ("ar-quiver", "lambda2", "dot", 2): "58767263771b2bf59ddb36961c9fc9c83ab1eba05ae34b602dd9e51806b58e39",
+    ("ar-quiver", "lambda2", "json", 2): "d7eb50a924b9d5ccc4607831a53957b8942bbe0981d6c888f1a99de35621499f",
+    ("ar-quiver", "lambda2", "dot", 101): "58767263771b2bf59ddb36961c9fc9c83ab1eba05ae34b602dd9e51806b58e39",
+    ("ar-quiver", "lambda2", "json", 101): "d7eb50a924b9d5ccc4607831a53957b8942bbe0981d6c888f1a99de35621499f",
+    ("ar-quiver", "lambda3", "dot", 2): "f8462c650dc360580aa3d40e354638dace42495927a924f4ca5291da9548de72",
+    ("ar-quiver", "lambda3", "json", 2): "e7664f6f698342d5cfdbbc52d3c27a816d68a2a02fa581050c8f234f66332c65",
+    ("ar-quiver", "lambda3", "dot", 101): "f8462c650dc360580aa3d40e354638dace42495927a924f4ca5291da9548de72",
+    ("ar-quiver", "lambda3", "json", 101): "e7664f6f698342d5cfdbbc52d3c27a816d68a2a02fa581050c8f234f66332c65",
+    ("ar-quiver", "truncpoly(2)", "dot", 2): "90e066f5da7357ae0e362a019028d523a64f351de74fe6aaa45d2dea27158fd5",
+    ("ar-quiver", "truncpoly(2)", "json", 2): "f5c961feb3150e573758c312580f8b5fd92b22f0824f14703177aea63a690076",
+    ("ar-quiver", "truncpoly(2)", "dot", 101): "90e066f5da7357ae0e362a019028d523a64f351de74fe6aaa45d2dea27158fd5",
+    ("ar-quiver", "truncpoly(2)", "json", 101): "f5c961feb3150e573758c312580f8b5fd92b22f0824f14703177aea63a690076",
+    ("ar-quiver", "truncpoly(3)", "dot", 2): "8eefca990fc2efc2bff35c572e9c195c869bf0c64e50f7910ca674de1ac83c8f",
+    ("ar-quiver", "truncpoly(3)", "json", 2): "ac8cf9cdfcc7cb66b04f8b2d011cd088b151e2411939e717d0b73095fd2d9183",
+    ("ar-quiver", "truncpoly(3)", "dot", 101): "8eefca990fc2efc2bff35c572e9c195c869bf0c64e50f7910ca674de1ac83c8f",
+    ("ar-quiver", "truncpoly(3)", "json", 101): "ac8cf9cdfcc7cb66b04f8b2d011cd088b151e2411939e717d0b73095fd2d9183",
+    ("ar-quiver", "truncpoly(4)", "dot", 2): "8fcdb8a98e4005e401e237f9cd2420a11b351b7f0c09bf1dc87f114c5db75b34",
+    ("ar-quiver", "truncpoly(4)", "json", 2): "dccf44bb99e313f0dc38875356ad0324c7054dedd1f2084c12e7747d398c9a7f",
+    ("ar-quiver", "truncpoly(4)", "dot", 101): "8fcdb8a98e4005e401e237f9cd2420a11b351b7f0c09bf1dc87f114c5db75b34",
+    ("ar-quiver", "truncpoly(4)", "json", 101): "dccf44bb99e313f0dc38875356ad0324c7054dedd1f2084c12e7747d398c9a7f",
+    ("ar-quiver", "truncpoly(5)", "dot", 2): "c5af8e7d18dfdd50eca30d00bcca6d8ae5056c52d6df7025482dfad291d31421",
+    ("ar-quiver", "truncpoly(5)", "json", 2): "59a82dc19691da8212da0858e65016fd23e772d7f22e9399392b3448ca2b321d",
+    ("ar-quiver", "truncpoly(5)", "dot", 101): "c5af8e7d18dfdd50eca30d00bcca6d8ae5056c52d6df7025482dfad291d31421",
+    ("ar-quiver", "truncpoly(5)", "json", 101): "59a82dc19691da8212da0858e65016fd23e772d7f22e9399392b3448ca2b321d",
+    ("stable-ar-quiver", "truncpoly(2)", "dot", 2): "6232363739d2eeaeaaa248cf0086c576086a75e39f3098f0fb66b842caf30ab2",
+    ("stable-ar-quiver", "truncpoly(2)", "json", 2): "2a523de089915da97519f0491618777cfa893ffd25707abff832617e060c78e7",
+    ("stable-ar-quiver", "truncpoly(2)", "dot", 101): "6232363739d2eeaeaaa248cf0086c576086a75e39f3098f0fb66b842caf30ab2",
+    ("stable-ar-quiver", "truncpoly(2)", "json", 101): "2a523de089915da97519f0491618777cfa893ffd25707abff832617e060c78e7",
+    ("stable-ar-quiver", "truncpoly(3)", "dot", 2): "901c99e4b393d25191cd14effe4ffa605b9eb00fd0bb200c38a0e7cda88d12df",
+    ("stable-ar-quiver", "truncpoly(3)", "json", 2): "f5c961feb3150e573758c312580f8b5fd92b22f0824f14703177aea63a690076",
+    ("stable-ar-quiver", "truncpoly(3)", "dot", 101): "901c99e4b393d25191cd14effe4ffa605b9eb00fd0bb200c38a0e7cda88d12df",
+    ("stable-ar-quiver", "truncpoly(3)", "json", 101): "f5c961feb3150e573758c312580f8b5fd92b22f0824f14703177aea63a690076",
+    ("stable-ar-quiver", "truncpoly(4)", "dot", 2): "f7b152677108111955cffd010165ff7a6cfdd3bd784f34a0a24e0a32d85cabc3",
+    ("stable-ar-quiver", "truncpoly(4)", "json", 2): "ac8cf9cdfcc7cb66b04f8b2d011cd088b151e2411939e717d0b73095fd2d9183",
+    ("stable-ar-quiver", "truncpoly(4)", "dot", 101): "f7b152677108111955cffd010165ff7a6cfdd3bd784f34a0a24e0a32d85cabc3",
+    ("stable-ar-quiver", "truncpoly(4)", "json", 101): "ac8cf9cdfcc7cb66b04f8b2d011cd088b151e2411939e717d0b73095fd2d9183",
+    ("stable-ar-quiver", "truncpoly(5)", "dot", 2): "9f012a40fa90119198a2de3bc38d5f7779d8ffc9de8ffbf2b97cf6f00fa117a6",
+    ("stable-ar-quiver", "truncpoly(5)", "json", 2): "dccf44bb99e313f0dc38875356ad0324c7054dedd1f2084c12e7747d398c9a7f",
+    ("stable-ar-quiver", "truncpoly(5)", "dot", 101): "9f012a40fa90119198a2de3bc38d5f7779d8ffc9de8ffbf2b97cf6f00fa117a6",
+    ("stable-ar-quiver", "truncpoly(5)", "json", 101): "dccf44bb99e313f0dc38875356ad0324c7054dedd1f2084c12e7747d398c9a7f",
+}
+
+
+@pytest.mark.parametrize("what, algebra, fmt, prime", sorted(AR_QUIVER_SHA256))
+def test_emit_ar_quiver_bytes_are_pinned(tmp_path, what, algebra, fmt, prime):
+    out = tmp_path / f"q.{fmt}"
+    assert main(["emit", what, "--algebra", algebra, "--prime", str(prime), "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == AR_QUIVER_SHA256[(what, algebra, fmt, prime)]

@@ -1,6 +1,7 @@
 """Module category tests: constructors, Hom, (co)kernels, covers, envelopes,
 Krull-Schmidt, classification, AR quivers."""
 
+import functools
 import itertools
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from homcat.modules import (
     is_projective,
     kci,
     known_indecomposables,
+    local_end_radical,
     make_module,
     projective_cover,
     projective_module,
@@ -45,7 +47,9 @@ from homcat.modules import (
     MMap,
     _projective_with_inclusion,
     _singular_shift,
+    _vec,
 )
+from test_stable import _self_injective_nakayama
 
 L1 = preset("lambda1", 101)
 L1_3 = preset("lambda1", 3)
@@ -555,12 +559,77 @@ def test_the_knitting_layer_loads_only_on_classification():
     assert out.stdout.split() == ["False", "True"]
 
 
+def _radical_quiver_arrows(alg):
+    """Arrow multiplicities dim rad(X,Y) / rad^2(X,Y) over the classified
+    indecomposables, with rad^2 spanned by two-step composites; rad(X, Y) is
+    all of Hom for distinct vertices, the maximal ideal of End for a vertex
+    with itself.  An independent count: the reference for the arrows that
+    ``ar_quiver`` reads from the knitting."""
+    ind = classify_indecomposables(alg)
+    p = alg.p
+    n = len(ind)
+    rad = {
+        (i, j): local_end_radical(ind[i]) if i == j else hom_space(ind[i], ind[j])
+        for i in range(n)
+        for j in range(n)
+    }
+    arrows = []
+    for i in range(n):
+        for j in range(n):
+            target = ind[j]
+            composites = []
+            for z in range(n):
+                for g in rad[(i, z)]:
+                    for h in rad[(z, j)]:
+                        composites.append((h @ g).mat)
+            rad_vec = _vec([f.mat for f in rad[(i, j)]], p, target.dim, ind[i].dim)
+            rad2_vec = _vec(composites, p, target.dim, ind[i].dim)
+            # two-step composites always land inside rad, so the arrow count
+            # is a plain rank difference
+            mult = rank(rad_vec) - rank(rad2_vec)
+            if mult > 0:
+                arrows.append((i, j, mult))
+    return tuple(arrows)
+
+
+def _d4_subspace(p):
+    """Path algebra of D4 with the three arrows a_i: i -> 0 into the centre (basis e0..e3, a1..a3)."""
+    entries = [[i, i, i, 1] for i in range(4)]
+    for i in (1, 2, 3):
+        entries += [[i, 3 + i, 3 + i, 1], [3 + i, 0, 3 + i, 1]]
+    return algebra_from_json({
+        "prime": p, "dim": 7, "structconst": entries, "unit": [1, 1, 1, 1, 0, 0, 0],
+        "idempotents": [[int(k == i) for k in range(7)] for i in range(4)],
+        "radical": [[int(k == 3 + i) for k in range(7)] for i in (1, 2, 3)],
+    })
+
+
+# the presets, the D4 subspace orientation and the self-injective Nakayama algebras of test_stable
+AR_REFERENCE_ALGEBRAS = [
+    pytest.param(functools.partial(preset, name, p), id=f"{name}-p{p}")
+    for p in (2, 3, 101)
+    for name in ["ground_field", "lambda1", "lambda2", "lambda3"] + [f"truncpoly({n})" for n in range(2, 6)]
+] + [
+    pytest.param(functools.partial(_d4_subspace, p), id=f"d4-p{p}") for p in (2, 3, 101)
+] + [
+    pytest.param(functools.partial(_self_injective_nakayama, n, loewy, p), id=f"nakayama({n},{loewy})-p{p}")
+    for p in (2, 5)
+    for n, loewy in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4))
+]
+
+
+@pytest.mark.parametrize("build", AR_REFERENCE_ALGEBRAS)
+def test_ar_quiver_arrows_equal_the_radical_count(build):
+    alg = build()
+    assert ar_quiver(alg).arrows == _radical_quiver_arrows(alg)
+
+
 @pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3", "truncpoly(3)", "truncpoly(4)"])
 def test_almost_split_middle_terms_match_the_radical_quiver(name):
     # the arrows X -> Y of rad/rad^2 are the summands of the middle term of the sequence starting at X
     alg = preset(name, 101)
     ind = classify_indecomposables(alg)
-    arrows = {(s, t): m for s, t, m in ar_quiver(alg).arrows}
+    arrows = {(s, t): m for s, t, m in _radical_quiver_arrows(alg)}
     for i, x in enumerate(ind):
         seq = almost_split_sequence(x)
         if seq is None:
@@ -577,6 +646,24 @@ def test_almost_split_middle_terms_match_the_radical_quiver(name):
         assert middle == {t: m for (s, t), m in arrows.items() if s == i}
 
 
+@pytest.mark.parametrize("injective, p", [(True, 13), (False, 17)])
+def test_a_vertex_whose_end_is_not_split_local_refuses_the_quiver(monkeypatch, injective, p):
+    # no preset has such a vertex, so the End check of homcat.knitting is
+    # made to fail on the injective, or on the non-injective, vertices
+    import homcat.knitting
+
+    real = homcat.knitting.local_end_radical
+
+    def refusing(m):
+        if is_injective(m) == injective:
+            raise GuardError("endomorphism algebra is not split local")
+        return real(m)
+
+    monkeypatch.setattr(homcat.knitting, "local_end_radical", refusing)
+    with pytest.raises(GuardError, match="split local"):
+        ar_quiver(preset("lambda1", p))  # primes no other test classifies at, so the knit runs
+
+
 D4_POSITIVE_ROOTS = {
     (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
     (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
@@ -586,16 +673,7 @@ D4_POSITIVE_ROOTS = {
 
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_classify_d4_subspace_orientation_matches_gabriel(p):
-    # path algebra of D4 with the three arrows a_i: i -> 0 into the centre (basis e0..e3, a1..a3)
-    entries = [[i, i, i, 1] for i in range(4)]
-    for i in (1, 2, 3):
-        entries += [[i, 3 + i, 3 + i, 1], [3 + i, 0, 3 + i, 1]]
-    alg = algebra_from_json({
-        "prime": p, "dim": 7, "structconst": entries, "unit": [1, 1, 1, 1, 0, 0, 0],
-        "idempotents": [[int(k == i) for k in range(7)] for i in range(4)],
-        "radical": [[int(k == 3 + i) for k in range(7)] for i in (1, 2, 3)],
-    })
-    ind = classify_indecomposables(alg)
+    ind = classify_indecomposables(_d4_subspace(p))
     assert len(ind) == 12
     assert {m.dim_vector() for m in ind} == D4_POSITIVE_ROOTS
 
@@ -678,7 +756,6 @@ def test_hom_left_exactness_on_short_exact_sequence():
         # that die in C are exactly those through A
         into_b_killed = [f for f in hom_b if (epi @ f).is_zero()]
         from_a = [inc @ g for g in hom_a]
-        from homcat.modules import _vec  # subspace comparison on flattenings
         va = _vec([f.mat for f in from_a], 101, p1.dim, t.dim)
         vb = _vec([f.mat for f in into_b_killed], 101, p1.dim, t.dim)
         assert rank(va) == rank(vb)

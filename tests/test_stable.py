@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from homcat.algebras import algebra_from_json, preset
-from homcat.complexes import cohomology_data, shift
+from homcat.complexes import cohomology_data, make_complex, shift
 from homcat.errors import GuardError, ValidationError
 from homcat.modules import (
+    MMap,
     classify_indecomposables,
+    direct_sum,
     is_isomorphic,
     is_projective,
     known_indecomposables,
@@ -133,8 +135,23 @@ def test_z0_of_shifted_complete_resolution_is_syzygy():
     assert is_isomorphic(z0(shift(cr.cx, 1)), cosyzygy(k)) is not None
 
 
+@pytest.mark.parametrize("defect", [-1, 0, 1])
+def test_z0_refuses_a_complex_not_exact_at_one_interior_degree(defect):
+    # P -T-> P -T-> P -T-> P -T-> P over k[T]/(T^2), exact inside, plus a second
+    # summand P in degree `defect` that d kills and nothing hits: H^defect = P
+    alg = preset("truncpoly(2)", 5)
+    pm = regular_module(alg)
+    t = MMap(pm, pm, pm.action[1])  # multiplication by T, a module map of the commutative algebra
+    pp, (first, _), (onto_first, _) = direct_sum([pm, pm])
+    objects = [pp if n == defect else pm for n in range(-2, 3)]
+    diffs = [t @ onto_first if n == defect else first @ t if n + 1 == defect else t for n in range(-2, 2)]
+    x = make_complex(alg, -2, objects, diffs)
+    with pytest.raises(ValidationError, match=f"complex not acyclic at interior degree {defect}$"):
+        z0(x)
+
+
 def test_a_narrower_window_reuses_the_covers_of_a_wider_one():
-    from homcat.derived import _cover_step
+    from homcat.modules import _cover_step
 
     m = simple_module(preset("truncpoly(4)", 10007), 0)
     wide = complete_resolution(m, (-6, 6))
