@@ -47,7 +47,6 @@ from homcat.complexes import (
     CMap,
     Cx,
     Htp,
-    cohomology,
     cohomology_dims,
     cone_complex,
     hom_complex,

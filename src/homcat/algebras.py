@@ -390,7 +390,7 @@ def algebra_generators(alg: Alg) -> list[np.ndarray]:
         col = Mat.column(alg.p, rad.a[:, t])
         if span.cols == 0 or not in_column_span(span, col):
             gens.append(rad.a[:, t].copy())
-            span = column_space(Mat(alg.p, np.hstack([span.a, col.a])))
+            span = Mat(alg.p, np.hstack([span.a, col.a]))  # col is outside the span
     if _close_under_products(alg, alg, [(g, g) for g in gens]) is None:
         gens = [alg.basis_vector(i) for i in range(alg.dim)]
     return gens
@@ -485,7 +485,7 @@ def _close_under_products(
                     continue
                 vecs.append(w)
                 imgs.append(b.mul(imgs[s], imgs[t]))
-                span = column_space(Mat(a.p, np.array(vecs).T))
+                span = Mat(a.p, np.hstack([span.a, w[:, None]]))  # w is independent of the span
                 changed = True
     if span.cols < a.dim:
         return None

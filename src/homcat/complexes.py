@@ -22,7 +22,7 @@ import numpy as np
 
 from homcat.algebras import Alg, preset
 from homcat.errors import ValidationError
-from homcat.linalg import Mat, column_space, kernel_basis, solve
+from homcat.linalg import Mat, block_diag, column_space, hstack, kernel_basis, rank, solve, vstack
 from homcat.modules import (
     MMap,
     Mod,
@@ -43,7 +43,7 @@ __all__ = [
     "shift",
     "shift_map",
     "cohomology_data",
-    "cohomology",
+    "cohomology_dim",
     "cohomology_dims",
     "cohomology_map",
     "cone_complex",
@@ -88,9 +88,12 @@ class Cx:
 
     def diff(self, n: int) -> MMap:
         k = n - self.lo
-        if 0 <= k < len(self.diffs):
-            return self.diffs[k]
-        return MMap.zero(self.obj(n), self.obj(n + 1))
+        return self.diffs[k] if 0 <= k < len(self.diffs) else MMap.zero(self.obj(n), self.obj(n + 1))
+
+    def _dmat(self, n: int) -> Mat:
+        """The matrix of d^n; a zero matrix, with no zero map built, outside the window."""
+        k = n - self.lo
+        return self.diffs[k].mat if 0 <= k < len(self.diffs) else _zeros(self.obj(n), self.obj(n + 1))
 
     def is_zero(self) -> bool:
         return not self.objects
@@ -168,43 +171,39 @@ def shift(x: Cx, k: int) -> Cx:
 
 @dataclass(frozen=True, eq=False)
 class CMap:
-    """A chain map: one component per degree, commuting with differentials."""
+    """A chain map commuting with differentials; only its support is stored, and
+    the checks and algebra below run over it (a missing component is zero)."""
 
     src: Cx
     dst: Cx
     comps: dict  # degree -> MMap
 
     def __post_init__(self):
+        x, y = self.src, self.dst
         for n, f in self.comps.items():
-            if f.src != self.src.obj(n) or f.dst != self.dst.obj(n):
+            if f.src != x.obj(n) or f.dst != y.obj(n):
                 raise ValidationError(f"component {n} has mismatched endpoints")
-        for n in range(min(self.src.lo, self.dst.lo) - 1, max(self.src.hi, self.dst.hi) + 1):
-            lhs = self.component(n + 1).mat @ self.src.diff(n).mat
-            rhs = self.dst.diff(n).mat @ self.component(n).mat
-            if lhs != rhs:
-                raise ValidationError(
-                    f"chain condition fails at degree {n}", witness=n
-                )
+        for n in sorted(_reach(self.comps)):  # both sides vanish elsewhere
+            if self._mat(n + 1) @ x._dmat(n) != y._dmat(n) @ self._mat(n):
+                raise ValidationError(f"chain condition fails at degree {n}", witness=n)
+
+    def _mat(self, n: int) -> Mat:
+        f = self.comps.get(n)
+        return f.mat if f is not None else _zeros(self.src.obj(n), self.dst.obj(n))
 
     def component(self, n: int) -> MMap:
-        f = self.comps.get(n)
-        if f is None:
-            return MMap.zero(self.src.obj(n), self.dst.obj(n))
-        return f
+        return self.comps.get(n) or MMap.zero(self.src.obj(n), self.dst.obj(n))
 
     def __matmul__(self, other: "CMap") -> "CMap":
         if other.dst != self.src:
             raise ValidationError("chain map composition endpoint mismatch")
-        comps = {}
-        for n in _combined_degrees(other.src, self.dst):
-            comps[n] = self.component(n) @ other.component(n)
-        return CMap(other.src, self.dst, _trim(comps))
+        a, b = self.comps, other.comps
+        return CMap.build(other.src, self.dst, {n: a[n] @ b[n] for n in sorted(a.keys() & b.keys())})
 
     def __add__(self, other: "CMap") -> "CMap":
-        comps = {}
-        for n in _combined_degrees(self.src, self.dst):
-            comps[n] = self.component(n) + other.component(n)
-        return CMap(self.src, self.dst, _trim(comps))
+        a, b = self.comps, other.comps
+        comps = {n: a[n] + b[n] if n in a and n in b else a.get(n) or b[n] for n in sorted(a.keys() | b.keys())}
+        return CMap(self.src, self.dst, comps)
 
     def __sub__(self, other: "CMap") -> "CMap":
         return self + (-other)
@@ -221,13 +220,11 @@ class CMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CMap) or self.src != other.src or self.dst != other.dst:
             return False
-        return all(
-            self.component(n).mat == other.component(n).mat
-            for n in _combined_degrees(self.src, self.dst)
-        )
+        return all(self._mat(n) == other._mat(n) for n in self.comps.keys() | other.comps.keys())
 
     def __hash__(self):
-        return hash(tuple(sorted((n, f.mat) for n, f in self.comps.items())))
+        # zero components are skipped: a map equals itself with explicit zeros added
+        return hash(tuple(sorted((n, f.mat) for n, f in self.comps.items() if not f.is_zero())))
 
     @staticmethod
     def identity(x: Cx) -> "CMap":
@@ -242,12 +239,18 @@ class CMap:
         return CMap(src, dst, _trim(dict(comps)))
 
 
+def _zeros(src: Mod, dst: Mod) -> Mat:
+    return Mat._reduced(src.alg.p, np.zeros((dst.dim, src.dim), dtype=np.int64))
+
+
+def _reach(comps: dict) -> set:
+    """Degrees n with n or n + 1 in the support; elsewhere every term at degree n is zero."""
+    return {m for k in comps for m in (k - 1, k)}
+
+
 def _combined_degrees(x: Cx, y: Cx) -> range:
-    if x.is_zero() and y.is_zero():
-        return range(0)
-    los = [c.lo for c in (x, y) if not c.is_zero()]
-    his = [c.hi for c in (x, y) if not c.is_zero()]
-    return range(min(los), max(his) + 1)
+    cs = [c for c in (x, y) if not c.is_zero()]
+    return range(min(c.lo for c in cs), max(c.hi for c in cs) + 1) if cs else range(0)
 
 
 def _trim(comps: dict) -> dict:
@@ -276,17 +279,17 @@ class Htp:
         for n, h in self.comps.items():
             if h.src != x.obj(n) or h.dst != y.obj(n - 1):
                 raise ValidationError(f"homotopy component {n} has wrong endpoints")
-        for n in _combined_degrees(x, y):
-            delta = self.phi.component(n).mat - self.psi.component(n).mat
-            rebuilt = y.diff(n - 1).mat @ self.component(n).mat + self.component(n + 1).mat @ x.diff(n).mat
-            if delta != rebuilt:
+        for n in sorted(self.phi.comps.keys() | self.psi.comps.keys() | _reach(self.comps)):
+            delta = self.phi._mat(n) - self.psi._mat(n)
+            if delta != y._dmat(n - 1) @ self._mat(n) + self._mat(n + 1) @ x._dmat(n):
                 raise ValidationError(f"homotopy identity fails at degree {n}", witness=n)
 
-    def component(self, n: int) -> MMap:
+    def _mat(self, n: int) -> Mat:
         h = self.comps.get(n)
-        if h is None:
-            return MMap.zero(self.phi.src.obj(n), self.phi.dst.obj(n - 1))
-        return h
+        return h.mat if h is not None else _zeros(self.phi.src.obj(n), self.phi.dst.obj(n - 1))
+
+    def component(self, n: int) -> MMap:
+        return self.comps.get(n) or MMap.zero(self.phi.src.obj(n), self.phi.dst.obj(n - 1))
 
     @staticmethod
     def zero(phi: CMap, psi: CMap) -> "Htp":
@@ -532,12 +535,13 @@ def cohomology_data(x: Cx, n: int) -> CohomologyData:
     return CohomologyData(module, z, proj, sec)
 
 
-def cohomology(x: Cx) -> list[tuple[int, Mod]]:
-    return [(n, cohomology_data(x, n).module) for n in x.degrees()]
+def cohomology_dim(x: Cx, n: int) -> int:
+    """dim H^n = dim X^n - rank d^n - rank d^(n-1); make_complex checked d o d = 0."""
+    return x.obj(n).dim - rank(x._dmat(n)) - rank(x._dmat(n - 1))
 
 
 def cohomology_dims(x: Cx) -> dict[int, int]:
-    return {n: h.dim for n, h in cohomology(x)}
+    return {n: cohomology_dim(x, n) for n in x.degrees()}
 
 
 def cohomology_map(f: CMap, n: int) -> MMap:
@@ -579,66 +583,38 @@ class ConeParts:
     _proj_y: dict
 
     def inj_x(self, n: int) -> MMap:
-        f = self._inj_x.get(n)
-        return f if f is not None else MMap.zero(self.x.obj(n + 1), self.cone.obj(n))
+        return self._inj_x.get(n) or MMap.zero(self.x.obj(n + 1), self.cone.obj(n))
 
     def inj_y(self, n: int) -> MMap:
-        f = self._inj_y.get(n)
-        return f if f is not None else MMap.zero(self.y.obj(n), self.cone.obj(n))
+        return self._inj_y.get(n) or MMap.zero(self.y.obj(n), self.cone.obj(n))
 
     def proj_x(self, n: int) -> MMap:
-        f = self._proj_x.get(n)
-        return f if f is not None else MMap.zero(self.cone.obj(n), self.x.obj(n + 1))
+        return self._proj_x.get(n) or MMap.zero(self.cone.obj(n), self.x.obj(n + 1))
 
     def proj_y(self, n: int) -> MMap:
-        f = self._proj_y.get(n)
-        return f if f is not None else MMap.zero(self.cone.obj(n), self.y.obj(n))
+        return self._proj_y.get(n) or MMap.zero(self.cone.obj(n), self.y.obj(n))
 
 
 def cone_complex(f: CMap) -> tuple[Cx, ConeParts]:
     """The mapping cone with its structure maps (inclusion, projection, blocks)."""
     x, y = f.src, f.dst
-    alg = x.alg
     degs = _combined_degrees(shift(x, 1), y)
-    inj_x: dict[int, MMap] = {}
-    inj_y: dict[int, MMap] = {}
-    proj_x: dict[int, MMap] = {}
-    proj_y: dict[int, MMap] = {}
-    mods: dict[int, Mod] = {}
+    mods, inj_x, inj_y, proj_x, proj_y = {}, {}, {}, {}, {}
     for n in degs:
-        total, injs, projs = direct_sum([x.obj(n + 1), y.obj(n)], alg)
-        mods[n] = total
-        inj_x[n], inj_y[n] = injs
-        proj_x[n], proj_y[n] = projs
-    diffs = {}
-    for n in degs:
-        if n + 1 not in mods:
-            continue
-        # [[-d_X, 0], [f, d_Y]] acting on (x1, y0)
-        d = (
-            inj_x[n + 1] @ (-x.diff(n + 1)) @ proj_x[n]
-            + inj_y[n + 1] @ f.component(n + 1) @ proj_x[n]
-            + inj_y[n + 1] @ y.diff(n) @ proj_y[n]
-        )
-        diffs[n] = d
-    lo = degs.start if len(degs) else 0
-    cx = make_complex(alg, lo, [mods[n] for n in degs], [diffs[n] for n in list(degs)[:-1]])
+        mods[n], (inj_x[n], inj_y[n]), (proj_x[n], proj_y[n]) = direct_sum([x.obj(n + 1), y.obj(n)], x.alg)
+    # d^n = [[-d_X^(n+1), 0], [f^(n+1), d_Y^n]] on x^(n+1) (+) y^n, one checked map per degree
+    diffs = [
+        MMap(mods[n], mods[n + 1], vstack([
+            hstack([-x._dmat(n + 1), _zeros(y.obj(n), x.obj(n + 2))]),
+            hstack([f._mat(n + 1), y._dmat(n)]),
+        ]))
+        for n in degs[:-1]
+    ]
+    cx = make_complex(x.alg, degs.start if len(degs) else 0, [mods[n] for n in degs], diffs)
     # trimming only drops zero-dimensional ends, where the block maps have
     # zero size and vanish from the chain maps anyway
-    iota = CMap.build(y, cx, {n: inj_y[n] for n in degs})
-    pi = CMap.build(cx, shift(x, 1), {n: proj_x[n] for n in degs})
-    parts = ConeParts(
-        x=x,
-        y=y,
-        cone=cx,
-        iota=iota,
-        pi=pi,
-        _inj_x=inj_x,
-        _inj_y=inj_y,
-        _proj_x=proj_x,
-        _proj_y=proj_y,
-    )
-    return cx, parts
+    iota, pi = CMap.build(y, cx, inj_y), CMap.build(cx, shift(x, 1), proj_x)
+    return cx, ConeParts(x, y, cx, iota, pi, inj_x, inj_y, proj_x, proj_y)
 
 
 # -- Hom complexes ------------------------------------------------------------------
@@ -751,8 +727,7 @@ def chain_map_basis(x: Cx, y: Cx) -> list[CMap]:
 
 def hom_k_dim(x: Cx, y: Cx) -> int:
     """dim Hom in the homotopy category = dim H^0 of the Hom complex."""
-    hc = hom_complex(x, y)
-    return cohomology_data(hc.cx, 0).module.dim
+    return cohomology_dim(hom_complex(x, y).cx, 0)
 
 
 # -- truncation and sums --------------------------------------------------------------
@@ -796,13 +771,7 @@ def direct_sum_cx(xs: list[Cx]) -> tuple[Cx, list[CMap], list[CMap]]:
         for t in range(len(xs)):
             injs[t][n] = inj_list[t]
             projs[t][n] = proj_list[t]
-    diffs = []
-    for n in range(lo, hi):
-        d = None
-        for t, x in enumerate(xs):
-            term = injs[t][n + 1] @ x.diff(n) @ projs[t][n]
-            d = term if d is None else d + term
-        diffs.append(d)
+    diffs = [MMap(mods[n], mods[n + 1], block_diag([x._dmat(n) for x in xs], alg.p)) for n in range(lo, hi)]
     total_cx = make_complex(alg, lo, [mods[n] for n in range(lo, hi + 1)], diffs)
     inj_maps = [CMap.build(x, total_cx, injs[t]) for t, x in enumerate(xs)]
     proj_maps = [CMap.build(total_cx, x, projs[t]) for t, x in enumerate(xs)]

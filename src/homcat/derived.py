@@ -21,6 +21,7 @@ from homcat.complexes import (
     HomComplex,
     _combined_degrees,
     cohomology_data,
+    cohomology_dim,
     cohomology_dims,
     cohomology_map,
     cone_complex,
@@ -274,8 +275,8 @@ def hom_derived(x: Cx, y: Cx, n: int, cap: int = 12) -> int:
     """
     r1 = resolve_complex(x, cap)
     r2 = resolve_complex(x, cap + 2)
-    d1 = cohomology_data(hom_complex(r1.res, y).cx, n).module.dim
-    d2 = cohomology_data(hom_complex(r2.res, y).cx, n).module.dim
+    d1 = cohomology_dim(hom_complex(r1.res, y).cx, n)
+    d2 = cohomology_dim(hom_complex(r2.res, y).cx, n)
     if d1 != d2:
         raise CapExhausted(f"hom_derived unstable at cap {cap}: {d1} vs {d2}")
     return d1
@@ -288,8 +289,7 @@ def ext(m: Mod, n_mod: Mod, degree: int, cap: int = 12) -> int:
     res = proj_resolution(m, cap)
     if res.res.is_zero():
         return 0
-    hc = hom_complex(res.res, stalk(n_mod, 0))
-    return cohomology_data(hc.cx, degree).module.dim
+    return cohomology_dim(hom_complex(res.res, stalk(n_mod, 0)).cx, degree)
 
 
 # -- isomorphism in the derived category ----------------------------------------------
@@ -627,7 +627,7 @@ def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), 
             pre_maps[k] = CMap.build(hc.cx, hc.cx, comps)
         profile = {}
         for n in hc.cx.degrees():
-            hdim = cohomology_data(hc.cx, n).module.dim
+            hdim = cohomology_dim(hc.cx, n)
             if hdim == 0:
                 continue
             action = [cohomology_map(pre_maps[k], n).mat for k in range(len(basis))]
@@ -679,6 +679,6 @@ def khom_agreement(m: Mod, x: Cx, cap: int = 12) -> tuple[int, int]:
         if x.obj(n).dim and not is_injective(x.obj(n)):
             raise ValidationError(f"component in degree {n} is not injective", witness=n)
     res = inj_resolution(m, cap)
-    from_res = cohomology_data(hom_complex(res.res, x).cx, 0).module.dim
-    from_stalk = cohomology_data(hom_complex(stalk(m, 0), x).cx, 0).module.dim
+    from_res = cohomology_dim(hom_complex(res.res, x).cx, 0)
+    from_stalk = cohomology_dim(hom_complex(stalk(m, 0), x).cx, 0)
     return from_res, from_stalk

@@ -15,7 +15,7 @@ import numpy as np
 from homcat.algebras import preset
 from homcat.complexes import (
     CMap,
-    cohomology_data,
+    cohomology_dim,
     cohomology_dims,
     cohomology_map,
     cone_complex,
@@ -287,9 +287,7 @@ def _ext_table_rows(alg, mods, max_degree: int, cap: int):
                 dims = {d: 0 for d in range(max_degree + 1)}
             else:
                 hc = hom_complex(res.res, stalk(n, 0))
-                dims = {
-                    d: cohomology_data(hc.cx, d).module.dim for d in range(max_degree + 1)
-                }
+                dims = {d: cohomology_dim(hc.cx, d) for d in range(max_degree + 1)}
             for d in range(max_degree + 1):
                 rows.append((i, j, d, dims[d]))
     return rows

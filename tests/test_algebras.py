@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from homcat import algebras
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat
+from homcat.linalg import Mat, column_space, in_column_span, inverse, rref
 from homcat.algebras import (
     algebra_from_json,
+    algebra_generators,
     algebra_iso_search,
     algebra_to_json,
     make_algebra,
@@ -250,3 +252,65 @@ def test_json_rejects_malformed_fields(corrupt, field):
     with pytest.raises(ValidationError) as err:
         algebra_from_json(data)
     assert err.value.witness == field
+
+
+def _reference_close(a, b, gens):
+    """The closure that re-eliminates the whole span after every new vector."""
+    vecs, imgs = [g for g, _ in gens], [h for _, h in gens]
+    span = column_space(Mat(a.p, np.array(vecs).T))
+    changed = True
+    while span.cols < a.dim and changed:
+        changed = False
+        for s in range(len(vecs)):
+            for t in range(len(vecs)):
+                w = a.mul(vecs[s], vecs[t])
+                if w.any() and not in_column_span(span, Mat.column(a.p, w)):
+                    vecs.append(w)
+                    imgs.append(b.mul(imgs[s], imgs[t]))
+                    span = column_space(Mat(a.p, np.array(vecs).T))
+                    changed = True
+    if span.cols < a.dim:
+        return None
+    _, pivots = rref(Mat(a.p, np.array(vecs).T))
+    v_inv = inverse(Mat(a.p, np.array(vecs).T).take_columns(pivots))
+    return None if v_inv is None else Mat(a.p, np.array(imgs).T).take_columns(pivots) @ v_inv
+
+
+def _reference_generators(alg):
+    gens = [np.asarray(e) for e in alg.idempotents]
+    powers = alg.radical_powers()
+    rad, span = powers[0], powers[1] if len(powers) > 1 else Mat.zeros(alg.p, alg.dim, 0)
+    for t in range(rad.cols):
+        col = Mat.column(alg.p, rad.a[:, t])
+        if span.cols == 0 or not in_column_span(span, col):
+            gens.append(rad.a[:, t].copy())
+            span = column_space(Mat(alg.p, np.hstack([span.a, col.a])))
+    if _reference_close(alg, alg, [(g, g) for g in gens]) is None:
+        gens = [alg.basis_vector(i) for i in range(alg.dim)]
+    return gens
+
+
+def _iso_outcome(a, b):
+    try:
+        iso = algebra_iso_search(a, b)
+    except GuardError as err:
+        return str(err)
+    return None if iso is None else (iso.forward, iso.backward)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_incremental_span_keeps_generators_and_isomorphisms(p, monkeypatch):
+    # appending a vector outside the span, instead of re-eliminating every
+    # vector, must not change any generating set or isomorphism found
+    algs = [preset(n, p) for n in ALL_PRESETS + ["truncpoly(3)"]]
+    algs += [opposite(a) for a in algs]
+    for a in algs:
+        got = algebra_generators.__wrapped__(a)
+        want = _reference_generators(a)
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+        gens = [(g, g) for g in got]
+        assert algebras._close_under_products(a, a, gens) == _reference_close(a, a, gens)
+    outcomes = [_iso_outcome(a, b) for a in algs for b in algs]
+    assert sum(o is not None and not isinstance(o, str) for o in outcomes) >= len(algs)
+    monkeypatch.setattr(algebras, "_close_under_products", _reference_close)
+    assert outcomes == [_iso_outcome(a, b) for a in algs for b in algs]

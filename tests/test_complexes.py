@@ -14,6 +14,7 @@ from homcat.complexes import (
     Htp,
     chain_map_basis,
     cohomology_data,
+    cohomology_dim,
     cohomology_dims,
     cohomology_map,
     cone_complex,
@@ -367,3 +368,111 @@ def test_homotopy_identity_failure_reports_its_degree():
     with pytest.raises(ValidationError, match="homotopy identity") as err:
         Htp(idx, zero, {1: ident.scale(2)})
     assert err.value.witness == 0
+
+
+def _witness(build):
+    """The witness degree of the ValidationError that build() raises, or None."""
+    try:
+        build()
+    except ValidationError as err:
+        return err.witness
+    return None
+
+
+def _mat(comps, n, src, dst):
+    return comps[n].mat if n in comps else Mat.zeros(src.alg.p, dst.dim, src.dim)
+
+
+def _dense_chain_witness(x, y, comps):
+    """The lowest failing degree of f^(n+1) d_x^n = d_y^n f^n over the whole window."""
+    for n in range(min(x.lo, y.lo) - 1, max(x.hi, y.hi) + 1):
+        lhs = _mat(comps, n + 1, x.obj(n + 1), y.obj(n + 1)) @ x.diff(n).mat
+        if lhs != y.diff(n).mat @ _mat(comps, n, x.obj(n), y.obj(n)):
+            return n
+    return None
+
+
+def _dense_htp_witness(phi, psi, comps):
+    """The lowest failing degree of phi^n - psi^n = d_y^(n-1) h^n + h^(n+1) d_x^n over the window."""
+    x, y = phi.src, phi.dst
+    for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
+        h = [_mat(comps, k, x.obj(k), y.obj(k - 1)) for k in (n, n + 1)]
+        rebuilt = y.diff(n - 1).mat @ h[0] + h[1] @ x.diff(n).mat
+        if phi.component(n).mat - psi.component(n).mat != rebuilt:
+            return n
+    return None
+
+
+def _tampered(comps, x, y, k, rng):
+    """comps plus a random module map x^n -> y^(n-k) at a random degree n, on or off the support."""
+    window = range(min(x.lo, y.lo) - 1, max(x.hi, y.hi) + 2)
+    spots = [(n, f) for n in window if x.obj(n).dim and y.obj(n - k).dim for f in hom_space(x.obj(n), y.obj(n - k))]
+    if not spots:
+        return dict(comps)
+    n, f = spots[int(rng.integers(len(spots)))]
+    extra = f.scale(int(rng.integers(1, x.alg.p)))
+    return {**comps, n: comps[n] + extra if n in comps else extra}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_support_checks_match_the_dense_checks(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = random_complex(L1, rng, max_support=4, dim_cap=4, lo_range=(-1, 0))
+        for y in (x, random_complex(L1, rng, max_support=4, dim_cap=4, lo_range=(-1, 0))):
+            phi, psi, htp = random_homotopic_pair(x, y, rng)
+            for comps in (phi.comps, psi.comps, {n: f for n, f in psi.comps.items() if rng.random() < 0.5}):
+                for c in (comps, _tampered(comps, x, y, 0, rng)):
+                    assert _witness(lambda: CMap(x, y, c)) == _dense_chain_witness(x, y, c)
+            for h in (htp.comps, _tampered(htp.comps, x, y, 1, rng)):
+                assert _witness(lambda: Htp(psi, phi, h)) == _dense_htp_witness(psi, phi, h)
+            zero = CMap.zero(x, y)
+            for f, g, h in ((phi, phi, htp.comps), (zero, psi, {}), (phi, zero, htp.comps)):
+                assert _witness(lambda: Htp(f, g, h)) == _dense_htp_witness(f, g, h)
+
+
+def test_checks_reach_one_degree_below_the_support():
+    # at min(support) - 1 only f^(n+1) d_x^n (or h^(n+1) d_x^n) can be nonzero
+    x, ident = _three_term_complex()
+    assert _witness(lambda: CMap(x, x, {2: ident})) == _dense_chain_witness(x, x, {2: ident}) == 1
+    zero = CMap.zero(x, x)
+    assert _witness(lambda: Htp(zero, zero, {2: ident})) == _dense_htp_witness(zero, zero, {2: ident}) == 1
+    # a component of psi alone, with phi and h zero, is checked too
+    assert _witness(lambda: Htp(zero, CMap.identity(x), {})) == _dense_htp_witness(zero, CMap.identity(x), {}) == 0
+
+
+def test_graded_maps_build_no_zero_maps(monkeypatch):
+    p = projective_module(L1, 0)
+    ident, zero = MMap.identity(p), MMap.zero(p, p)
+    x = make_complex(L1, -4, [p] * 8, [ident, zero] * 3 + [ident])  # contractible, degrees -4..3
+    y = make_complex(L1, -8, [p] * 12, [ident, zero] * 5 + [ident])
+    calls = []
+    real = MMap.zero
+    monkeypatch.setattr(MMap, "zero", staticmethod(lambda src, dst: calls.append(1) or real(src, dst)))
+    idx = CMap.identity(x)
+    inc = CMap(x, y, {n: ident for n in x.degrees()})
+    sparse = CMap(x, x, {-4: ident, -3: ident})  # d^(-3) = 0 cuts it off
+    assert inc @ idx == inc and idx + sparse - sparse == idx and idx @ sparse == sparse
+    Htp(idx, CMap.zero(x, x), {n: ident for n in range(-3, 5, 2)})
+    assert calls == []
+
+
+def test_equal_chain_maps_hash_equal():
+    l1 = preset("lambda1", 5)
+    m = projective_module(l1, 0)
+    x = make_complex(l1, 0, [m, m], [MMap.identity(m)])
+    explicit = CMap(x, x, {0: MMap.zero(m, m)})
+    assert explicit == CMap.zero(x, x) and hash(explicit) == hash(CMap.zero(x, x))
+    padded = CMap(x, x, {0: MMap.identity(m), 1: MMap.identity(m), 5: MMap.zero(x.obj(5), x.obj(5))})
+    assert padded == CMap.identity(x) and hash(padded) == hash(CMap.identity(x))
+    assert len({explicit, CMap.zero(x, x), padded, CMap.identity(x)}) == 2
+
+
+@pytest.mark.parametrize("p", [2, 101, 2097143])
+def test_cohomology_dim_from_ranks_matches_cohomology_data(p):
+    rng = np.random.default_rng(p)
+    for alg in (preset("lambda1", p), preset("truncpoly(3)", p)):
+        for _ in range(6):
+            x = random_complex(alg, rng, max_support=4, dim_cap=5)
+            for n in range(x.lo - 1, x.hi + 2):
+                assert cohomology_dim(x, n) == cohomology_data(x, n).module.dim
