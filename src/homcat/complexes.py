@@ -530,8 +530,7 @@ def cohomology_data(x: Cx, n: int) -> CohomologyData:
         raise ValidationError("boundaries escape cocycles; complex invalid")
     proj, sec = quotient_structure(z.cols, b_in_z)
     z_action = _restricted_action(xn, z)
-    h_action = [proj @ a @ sec for a in z_action]
-    module = make_module(x.alg, h_action)
+    module = make_module(x.alg, (proj.a @ z_action % x.alg.p) @ sec.a)
     return CohomologyData(module, z, proj, sec)
 
 

@@ -1,8 +1,8 @@
 """The abelian category of finite-dimensional right modules over an algebra.
 
-A module is a tuple of action matrices, one per algebra basis element, acting
-on column coordinates.  Because the algebra acts on the right, composition
-reads in right-action order: the law checked at construction is
+A module is one stacked array of action matrices, one per algebra basis
+element, acting on column coordinates.  Because the algebra acts on the right,
+composition reads in right-action order: the law checked at construction is
 
     action[j] @ action[i] == sum_k c[i][j][k] action[k]
 
@@ -25,7 +25,6 @@ from homcat.errors import GuardError, ValidationError
 from homcat.linalg import (
     Mat,
     _rref_array,
-    block_diag,
     column_space,
     hstack,
     in_column_span,
@@ -73,34 +72,50 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Mod:
-    """A validated right module: one action matrix per algebra basis element."""
+    """A validated right module: the action of the algebra basis as one array.
+
+    ``acts`` is a read-only (alg.dim, dim, dim) int64 array, acts[i] the matrix
+    of basis element i; ``action`` gives the same matrices as ``Mat`` views of
+    it.  Build modules with ``make_module``, which returns one shared object
+    per (algebra object, action) while it stays in its bounded cache.
+    Equality is structural: equal algebras and equal action arrays.
+    """
 
     alg: Alg
     dim: int
-    action: tuple[Mat, ...]
+    acts: np.ndarray
     _hash: int | None = field(default=None, init=False, repr=False)
 
+    @property
+    def action(self) -> tuple[Mat, ...]:
+        """The action matrices, as read-only ``Mat`` views of ``acts``."""
+        p = self.alg.p
+        return tuple(Mat._reduced(p, a) for a in self.acts)
+
     def rho(self, x: np.ndarray) -> Mat:
-        """Action matrix of the algebra element with coordinates x."""
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i, xi in enumerate(np.mod(x, self.alg.p)):
-            if xi:
-                out = out + xi * self.action[i].a
-        return Mat(self.alg.p, out)
+        """Action matrix of the algebra element with coordinates x.
+
+        One product with the flattened action array: alg.dim terms below
+        p^2 <= 2^42 each, so the int64 sum cannot overflow before it is reduced.
+        """
+        p, n = self.alg.p, self.dim
+        return Mat._reduced(p, (np.mod(x, p) @ self.acts.reshape(len(self.acts), n * n)).reshape(n, n) % p)
 
     def dim_vector(self) -> tuple[int, ...]:
         """Dimensions of the slices M e_j over the designated idempotents."""
         return tuple(rank(self.rho(e)) for e in self.alg.idempotents)
 
     def key(self) -> bytes:
-        return b"".join(m.key() for m in self.action) or b"0"
+        """The ``Mat.key`` bytes of the action matrices, concatenated in basis order."""
+        shape = self.dim.to_bytes(4, "little") * 2
+        return b"".join(shape + a.tobytes() for a in self.acts) or b"0"
 
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, Mod)
-            and self.alg == other.alg
             and self.dim == other.dim
-            and self.action == other.action
+            and self.alg == other.alg
+            and bool(np.array_equal(self.acts, other.acts))
         )
 
     def __hash__(self) -> int:
@@ -134,9 +149,7 @@ class MMap:
         f = self.mat.a
         if not f.any():
             return  # the zero map commutes with every action
-        src = np.stack([m.a for m in self.src.action])
-        dst = np.stack([m.a for m in self.dst.action])
-        bad = np.flatnonzero(np.any((f @ src - dst @ f) % p, axis=(1, 2)))
+        bad = np.flatnonzero(np.any((f @ self.src.acts - self.dst.acts @ f) % p, axis=(1, 2)))
         if bad.size:
             i = int(bad[0])
             raise ValidationError(
@@ -188,21 +201,51 @@ class MMap:
 
 
 def make_module(alg: Alg, action) -> Mod:
-    """Validate the right-module law and the unit axiom; report the witness pair."""
-    mats = tuple(m if isinstance(m, Mat) else Mat(alg.p, m) for m in action)
-    if len(mats) != alg.dim:
-        raise ValidationError(f"need {alg.dim} action matrices, got {len(mats)}")
-    dims = {m.shape for m in mats}
-    if len(dims) > 1:
-        raise ValidationError("action matrices have mixed shapes")
-    n = mats[0].rows if mats else 0
-    if mats and mats[0].cols != n:
+    """The validated module over ``alg`` with the given action matrices.
+
+    ``action`` lists alg.dim square matrices (``Mat``s over alg.p, or anything
+    ``Mat`` accepts), or is one stacked (alg.dim, n, n) integer array; entries
+    are reduced mod p.  Equal actions over one algebra object give one
+    ``Mod`` while it stays in the bounded cache of ``_interned``: the
+    right-module law and the unit axiom are checked once per value, and a
+    failure raises ``ValidationError`` with the witness pair on every call.
+    """
+    p = alg.p
+    if isinstance(action, np.ndarray) and action.ndim == 3 and action.dtype.kind == "i":
+        acts = np.mod(action, p, dtype=np.int64, order="C")
+    else:
+        mats = [_reduced_matrix(m, p) for m in action]
+        if len({a.shape for a in mats}) > 1:
+            raise ValidationError("action matrices have mixed shapes")
+        acts = np.stack(mats) if mats else np.zeros((0, 0, 0), dtype=np.int64)
+    if len(acts) != alg.dim:
+        raise ValidationError(f"need {alg.dim} action matrices, got {len(acts)}")
+    n = acts.shape[1]
+    if acts.shape[2] != n:
         raise ValidationError("action matrices must be square")
-    mod = Mod(alg=alg, dim=n, action=mats)
+    acts.flags.writeable = False
+    # keyed on the algebra object, so the module returned has alg as its algebra;
+    # the cached module keeps alg alive, so its id is not reused meanwhile
+    return _interned(id(alg), Mod(alg=alg, dim=n, acts=acts))
+
+
+def _reduced_matrix(m, p: int) -> np.ndarray:
+    if not isinstance(m, Mat):
+        return Mat(p, m).a
+    if m.p != p:
+        raise ValueError(f"mixed moduli {m.p} and {p}")
+    return m.a
+
+
+@functools.lru_cache(maxsize=1024)
+def _interned(alg_id: int, mod: Mod) -> Mod:
+    """The first module equal to ``mod`` over the algebra object ``alg_id``, once
+    it has passed the module law and the unit axiom; a failed check is not
+    cached, so it raises again on the next call."""
+    alg, acts, n = mod.alg, mod.acts, mod.dim
     if n > 0:
-        stacked = np.stack([m.a for m in mats])  # (algdim, n, n)
-        got = np.einsum("jab,ibc->ijac", stacked, stacked) % alg.p
-        want = np.einsum("ijk,kab->ijab", alg.structconst, stacked) % alg.p
+        got = np.einsum("jab,ibc->ijac", acts, acts) % alg.p
+        want = np.einsum("ijk,kab->ijab", alg.structconst, acts) % alg.p
         if not np.array_equal(got, want):
             bad = np.argwhere((got - want) % alg.p != 0)[0]
             raise ValidationError(
@@ -210,7 +253,7 @@ def make_module(alg: Alg, action) -> Mod:
                 f"({int(bad[0])}, {int(bad[1])})",
                 witness=(int(bad[0]), int(bad[1])),
             )
-    if mod.rho(alg.unit) != Mat.identity(alg.p, n):
+    if not np.array_equal(mod.rho(alg.unit).a, np.eye(n, dtype=np.int64)):
         raise ValidationError("unit does not act as the identity")
     return mod
 
@@ -226,16 +269,17 @@ def regular_module(alg: Alg) -> Mod:
     return make_module(alg, [alg.right_mult(alg.basis_vector(i)) for i in range(alg.dim)])
 
 
-def _restricted_action(m: Mod, basis: Mat) -> list[Mat]:
-    """Action matrices on a submodule given by a column basis; raises if the
+def _restricted_action(m: Mod, basis: Mat) -> np.ndarray:
+    """Stacked action on a submodule given by a column basis; raises if the
     span is not invariant."""
-    if basis.cols == 0:
-        return [Mat.zeros(m.alg.p, 0, 0)] * m.alg.dim
-    stacked = solve(basis, hstack([m.action[i] @ basis for i in range(m.alg.dim)]))
+    p, d, k = m.alg.p, m.alg.dim, basis.cols
+    if k == 0:
+        return np.zeros((d, 0, 0), dtype=np.int64)
+    moved = (m.acts @ basis.a) % p  # (d, m.dim, k): the images of the basis under each b_i
+    stacked = solve(basis, Mat._reduced(p, np.hstack(moved)))
     if stacked is None:
         raise ValidationError("column span is not invariant under the action")
-    k = basis.cols
-    return [Mat(m.alg.p, stacked.a[:, i * k : (i + 1) * k]) for i in range(m.alg.dim)]
+    return stacked.a.reshape(k, d, k).transpose(1, 0, 2)
 
 
 def submodule(m: Mod, basis: Mat) -> tuple[Mod, MMap]:
@@ -248,8 +292,7 @@ def submodule(m: Mod, basis: Mat) -> tuple[Mod, MMap]:
 def quotient_module(m: Mod, sub_basis: Mat) -> tuple[Mod, MMap]:
     """Quotient by an invariant column span, with its projection."""
     proj, sec = quotient_structure(m.dim, sub_basis)
-    mats = [proj @ m.action[i] @ sec for i in range(m.alg.dim)]
-    quot = make_module(m.alg, mats)
+    quot = make_module(m.alg, (proj.a @ m.acts % m.alg.p) @ sec.a)
     return quot, MMap(m, quot, proj)
 
 
@@ -366,16 +409,17 @@ def direct_sum(mods: list[Mod], alg: Alg | None = None) -> tuple[Mod, list[MMap]
     if any(m.alg != alg for m in mods):
         raise ValidationError("direct_sum over mixed algebras")
     p = alg.p
-    mats = [block_diag([m.action[i] for m in mods], p) for i in range(alg.dim)]
-    total = make_module(alg, mats)
+    offsets = list(itertools.accumulate((m.dim for m in mods), initial=0))
+    n = offsets[-1]
+    acts = np.zeros((alg.dim, n, n), dtype=np.int64)
+    for m, lo in zip(mods, offsets):
+        acts[:, lo : lo + m.dim, lo : lo + m.dim] = m.acts
+    total = make_module(alg, acts)
+    eye = np.eye(n, dtype=np.int64)
     injections, projections = [], []
-    offset = 0
-    for m in mods:
-        inj = np.zeros((total.dim, m.dim), dtype=np.int64)
-        inj[offset : offset + m.dim, :] = np.eye(m.dim, dtype=np.int64)
-        injections.append(MMap(m, total, Mat(p, inj)))
-        projections.append(MMap(total, m, Mat(p, inj.T)))
-        offset += m.dim
+    for m, lo in zip(mods, offsets):
+        injections.append(MMap(m, total, Mat._reduced(p, eye[:, lo : lo + m.dim])))
+        projections.append(MMap(total, m, Mat._reduced(p, eye[lo : lo + m.dim])))
     return total, injections, projections
 
 
@@ -418,7 +462,6 @@ def projective_cover(m: Mod) -> tuple[Mod, MMap]:
         z = zero_module(alg)
         return z, MMap.zero(z, m)
     t, q = top(m)
-    acts = np.stack([a.a for a in m.action])
     pieces: list[Mod] = []
     blocks: list[np.ndarray] = []
     for j, e in enumerate(alg.idempotents):
@@ -433,7 +476,7 @@ def projective_cover(m: Mod) -> tuple[Mod, MMap]:
         # the basis element of e_j A with algebra coordinates beta goes to
         # v * beta = sum_i beta_i action[i] @ v; both sums have terms below
         # p^2 <= 2^42 and are reduced before the next one
-        moved = np.einsum("iab,bs->ias", acts, gens) % p
+        moved = np.einsum("iab,bs->ias", m.acts, gens) % p
         cols = np.einsum("ias,ib->asb", moved, pj_basis.a) % p
         blocks.append(cols.reshape(m.dim, -1))  # generator-major, as the summands
         pieces += [pj] * gens.shape[1]
@@ -474,7 +517,7 @@ def _require_split_basic(alg: Alg) -> None:
 def dual_module(m: Mod, target_alg: Alg | None = None) -> Mod:
     """Linear dual as a right module over the opposite algebra."""
     aop = opposite(m.alg) if target_alg is None else target_alg
-    return make_module(aop, [a.transpose() for a in m.action])
+    return make_module(aop, m.acts.transpose(0, 2, 1))
 
 
 def injective_envelope(m: Mod) -> tuple[Mod, MMap]:
@@ -485,7 +528,7 @@ def injective_envelope(m: Mod) -> tuple[Mod, MMap]:
     back.  The dual of the cover epi is the validated embedding.
     """
     epi, _ = _cover_step(dual_module(m))
-    env = make_module(m.alg, [a.transpose() for a in epi.src.action])
+    env = make_module(m.alg, epi.src.acts.transpose(0, 2, 1))
     mono = MMap(m, env, epi.mat.transpose())
     if kernel_basis(mono.mat).cols != 0:
         raise ValidationError("internal inconsistency: envelope map not injective")

@@ -47,8 +47,7 @@ def random_module(alg: Alg, rng: np.random.Generator, max_projectives: int = 2, 
         gens = []
         for _ in range(int(rng.integers(1, 3))):
             v = rng.integers(0, alg.p, size=total.dim)
-            cols = [total.rho(alg.basis_vector(i)).a @ v for i in range(alg.dim)]
-            gens.append(np.stack(cols, axis=1))
+            gens.append((total.acts @ v).T)  # column i: v times basis element i
         span = column_space(Mat(alg.p, np.hstack(gens) % alg.p))
         if mode == 1:
             mod = submodule(total, span)[0]

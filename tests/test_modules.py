@@ -1,6 +1,7 @@
 """Module category tests: constructors, Hom, (co)kernels, covers, envelopes,
 Krull-Schmidt, classification, AR quivers."""
 
+import dataclasses
 import functools
 import itertools
 import subprocess
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcat.algebras import algebra_from_json, preset
+from homcat.algebras import algebra_from_json, opposite, preset
 from homcat.derived import proj_resolution
 from homcat.errors import CapExhausted, GuardError, ValidationError
-from homcat.linalg import Mat, column_space, inverse, is_invertible, kernel_basis, rank, solve
+from homcat.linalg import Mat, block_diag, column_space, inverse, is_invertible, kernel_basis, rank, solve
 from homcat.knitting import almost_split_sequence, ar_translate, ar_translate_inverse
 from homcat.modules import (
     ar_quiver,
@@ -53,6 +54,7 @@ from test_stable import _self_injective_nakayama
 
 L1 = preset("lambda1", 101)
 L1_3 = preset("lambda1", 3)
+_PRESETS = ["lambda1", "lambda2", "lambda3", "truncpoly(2)", "truncpoly(3)", "truncpoly(4)", "truncpoly(5)"]
 
 
 def test_regular_module_dims():
@@ -86,6 +88,93 @@ def test_make_module_rejects_bad_action():
     bad = [good.action[0], Mat.identity(5, 2)]  # T acting as identity
     with pytest.raises(ValidationError, match="structure constants"):
         make_module(a, bad)
+
+
+# -- interned modules ------------------------------------------------------------------
+
+
+def test_equal_actions_give_one_module_object():
+    alg = preset("lambda1", 101)
+    first = make_module(alg, regular_module(alg).action)
+    stacked = np.stack([a.a for a in first.action])
+    for action in (
+        list(first.action),
+        [a.a.tolist() for a in first.action],
+        stacked,
+        stacked.astype(np.int32),
+        stacked - alg.p,  # unreduced entries reduce to the same action
+        [a + alg.p for a in stacked],
+    ):
+        assert make_module(alg, action) is first
+    # one array; the Mat matrices are read-only views of it
+    assert first.acts.shape == (alg.dim, first.dim, first.dim) and not first.acts.flags.writeable
+    assert all(np.shares_memory(a.a, first.acts) for a in first.action)
+
+
+def test_other_algebras_do_not_share_an_interned_module():
+    alg = preset("lambda1", 101)
+    simple = simple_module(alg, 0)  # a 1-dimensional module: also a module over p = 3 and over A^op
+    others = [preset("lambda1", 3), opposite(alg), dataclasses.replace(alg, name="a copy")]
+    for other in others:
+        m = make_module(other, simple.acts)
+        assert m is not simple and m.alg is other and make_module(other, [a.a for a in simple.action]) is m
+    with pytest.raises(ValueError, match="mixed moduli"):  # Mats over p = 101 given to an algebra over 3
+        make_module(others[0], simple.action)
+    assert make_module(others[0], simple.acts) != simple  # another prime
+    assert make_module(others[1], simple.acts) != simple  # the opposite algebra
+    assert make_module(others[2], simple.acts) == simple  # equal algebras: equal modules, two objects
+
+
+def test_a_rejected_action_is_not_cached():
+    from homcat.modules import _interned
+
+    a = preset("truncpoly(2)", 5)
+    bad = [regular_module(a).action[0], Mat.identity(5, 2)]  # T acting as identity
+    hits = _interned.cache_info().hits
+    witnesses = []
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="structure constants") as err:
+            make_module(a, bad)
+        witnesses.append(err.value.witness)
+    assert witnesses == [(1, 1), (1, 1)]
+    assert _interned.cache_info().hits == hits
+
+
+def test_the_module_cache_is_bounded_and_a_rebuilt_module_is_equal():
+    from homcat.modules import _interned
+
+    assert _interned.cache_info().maxsize is not None
+    alg = preset("lambda2", 101)
+    old = make_module(alg, regular_module(alg).action)
+    _interned.cache_clear()
+    new = make_module(alg, old.action)
+    assert new is not old and new == old and hash(new) == hash(old)
+    assert make_module(alg, old.action) is new
+
+
+def _per_basis_rho(m, x):
+    """The sum over basis elements that ``Mod.rho`` replaced; the reference."""
+    out = np.zeros((m.dim, m.dim), dtype=np.int64)
+    for i, xi in enumerate(np.mod(x, m.alg.p)):
+        if xi:
+            out = out + xi * m.action[i].a
+    return Mat(m.alg.p, out)
+
+
+@pytest.mark.parametrize("p", [2, 101, 2097143])
+@pytest.mark.parametrize("name", ["ground_field", *_PRESETS])
+def test_rho_matches_the_per_basis_sum(name, p):
+    alg = preset(name, p)
+    rng = np.random.default_rng(p)
+    reg = regular_module(alg)
+    mods = [reg, _rebased(reg, 0), injective_envelope(simple_module(alg, 0))[0], zero_module(alg)]
+    xs = [rng.integers(-p, 2 * p, size=alg.dim) for _ in range(5)] + [np.full(alg.dim, p - 1), alg.unit]
+    for m in mods:
+        for x in xs:
+            assert m.rho(x) == _per_basis_rho(m, x)
+        # the key keeps the bytes of the per-matrix keys
+        assert m.key() == b"".join(a.key() for a in m.action)
+        assert hash(m) == hash((m.dim, b"".join(a.key() for a in m.action)))
 
 
 def test_hom_space_simple_scalars():
@@ -150,6 +239,14 @@ def test_direct_sum_empty_and_singleton():
     assert total.dim == m.dim and injs[0].mat == Mat.identity(101, 3)
 
 
+def test_direct_sum_action_is_the_block_diagonal_of_the_summands():
+    mods = [projective_module(L1, 0), simple_module(L1, 1), zero_module(L1), _rebased(regular_module(L1), 1)]
+    total, _, _ = direct_sum(mods)
+    for i, a in enumerate(total.action):
+        assert a == block_diag([m.action[i] for m in mods])
+    assert direct_sum(mods)[0] is total
+
+
 def test_top_and_socle():
     p1 = projective_module(L1, 0)
     t, q = top(p1)
@@ -209,9 +306,6 @@ def _reference_cover_columns(m):
             for b in range(pj_basis.cols):
                 columns.append((m.rho(pj_basis.a[:, b]) @ v).a[:, 0])
     return np.stack(columns, axis=1)
-
-
-_PRESETS = ["lambda1", "lambda2", "lambda3", "truncpoly(2)", "truncpoly(3)", "truncpoly(4)", "truncpoly(5)"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 2097143])
