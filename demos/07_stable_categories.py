@@ -7,7 +7,7 @@ can be read off either directly or from those complete resolutions.
 
 from homcat.algebras import preset
 from homcat.linalg import rank
-from homcat.modules import is_isomorphic, known_indecomposables, simple_module
+from homcat.modules import is_isomorphic, simple_module
 from homcat.stable import (
     assert_self_injective,
     complete_resolution,

@@ -32,7 +32,6 @@ from homcat.modules import (
     is_isomorphic,
     is_projective,
     kci,
-    known_indecomposables,
     make_module,
     projective_cover,
     projective_module,

@@ -97,7 +97,7 @@ def _ext_table_json(algebra_name: str, p: int) -> dict:
     labels = ["m" + "".join(str(d) for d in m.dim_vector()) for m in mods]
     rows = [
         {"src": labels[i], "dst": labels[j], "degree": d, "dim": dim}
-        for i, j, d, dim in _ext_table_rows(alg, mods, 4, 12)
+        for i, j, d, dim in _ext_table_rows(mods, 4, 12)
     ]
     return {"algebra": algebra_name, "prime": p, "rows": rows}
 

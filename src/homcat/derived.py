@@ -40,6 +40,7 @@ from homcat.modules import (
     MMap,
     Mod,
     _cover_step,
+    classify_indecomposables,
     decompose,
     decompose_with_maps,
     dual_module,
@@ -48,7 +49,6 @@ from homcat.modules import (
     is_injective,
     is_isomorphic,
     is_projective,
-    known_indecomposables,
     local_end_radical,
     make_module,
     submodule,
@@ -592,10 +592,12 @@ def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), 
 
     (1) Computes Gamma = End(t) and searches for an isomorphism with
     ``target``, falling back to the opposite algebra (the side is recorded).
-    (2) For every known indecomposable M of the base algebra, computes the
-    cohomology of Hom*(P_t, M) as Gamma-modules, where the Gamma-action comes
-    from lifted endomorphisms acting by precomposition.  (3) Checks the
-    resulting table separates the indecomposables across the shift window.
+    (2) For every indecomposable M of the base algebra, as certified by
+    ``classify_indecomposables``, computes the cohomology of Hom*(P_t, M) as
+    Gamma-modules, where the Gamma-action comes from lifted endomorphisms
+    acting by precomposition.  (3) Checks the resulting table separates the
+    indecomposables across the shift window.  Raises the classifier's
+    CapExhausted or GuardError on an algebra it cannot certify.
     """
     gamma, basis = end_algebra(t)
     iso = algebra_iso_search(gamma, target)
@@ -605,7 +607,7 @@ def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), 
         side = "opposite"
     res = proj_resolution(t, cap)
     lifts = [_lift_endomorphism(res, g) for g in basis]
-    indecomposables = known_indecomposables(t.alg)
+    indecomposables = classify_indecomposables(t.alg)
     registry = _IsoRegistry()
     table = []
     signatures = {}

@@ -39,7 +39,7 @@ from homcat.derived import (
     tilting_check,
 )
 from homcat.errors import CapExhausted, HomcatError
-from homcat.linalg import is_invertible, kernel_basis, rank
+from homcat.linalg import inverse, is_invertible, kernel_basis, rank
 from homcat.modules import (
     ar_quiver,
     classify_indecomposables,
@@ -278,7 +278,7 @@ def _ex_1_6_3_counts(options: Options) -> tuple[str, int, list[Check]]:
     return "lambda1,lambda2,lambda3", p, checks
 
 
-def _ext_table_rows(alg, mods, max_degree: int, cap: int):
+def _ext_table_rows(mods, max_degree: int, cap: int):
     rows = []
     for i, m in enumerate(mods):
         res = proj_resolution(m, cap)
@@ -301,7 +301,7 @@ def _ex_1_6_3_ext(options: Options) -> tuple[str, int, list[Check]]:
     for name in ("lambda1", "lambda2", "lambda3"):
         alg = preset(name, p)
         mods = classify_indecomposables(alg)
-        rows = _ext_table_rows(alg, mods, 4, options.cap)
+        rows = _ext_table_rows(mods, 4, options.cap)
         over = sum(1 for _, _, _, dim in rows if dim > 1)
         checks.append(Check(f"Ext dims at most 1 over {name}", 0, over))
         ext2 = sum(dim for _, _, d, dim in rows if d == 2)
@@ -505,8 +505,6 @@ def _ex_3_1_1(options: Options) -> tuple[str, int, list[Check]]:
         oracle = True
         for n in range(min(f.src.lo, f.dst.lo), max(f.src.hi, f.dst.hi) + 1):
             hm = cohomology_map(f, n)
-            from homcat.linalg import inverse
-
             if hm.src.dim != hm.dst.dim or inverse(hm.mat) is None:
                 oracle = False
                 break

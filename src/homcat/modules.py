@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from homcat.algebras import Alg, algebra_generators, opposite, preset
+from homcat.algebras import Alg, algebra_generators, opposite
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import (
     Mat,
@@ -63,7 +63,6 @@ __all__ = [
     "decompose",
     "decompose_with_maps",
     "classify_indecomposables",
-    "known_indecomposables",
     "ar_quiver",
     "submodule",
     "quotient_module",
@@ -330,14 +329,17 @@ def _hom_basis(m: Mod, n: Mod) -> tuple[tuple[MMap, ...], np.ndarray, np.ndarray
     if m.dim == 0 or n.dim == 0:
         return (), np.zeros((0, m.dim * n.dim), dtype=np.int64), np.zeros(0, dtype=np.intp)
     p = m.alg.p
-    blocks = []
-    eye_n = np.eye(n.dim, dtype=np.int64)
-    eye_m = np.eye(m.dim, dtype=np.int64)
-    for g in algebra_generators(m.alg):
-        am = m.rho(g)
-        an = n.rho(g)
-        blocks.append(np.kron(eye_n, am.a.T) - np.kron(an.a, eye_m))
-    vecs = np.ascontiguousarray(kernel_basis(Mat(p, np.vstack(blocks))).a.T)
+    gens = algebra_generators(m.alg)
+    # F rho_m(g) - rho_n(g) F = 0 on the row-major entries of F: generator g
+    # contributes the rows I_n (x) rho_m(g)^T - rho_n(g) (x) I_m, written by
+    # index into one array, system[g, i, j, k, l] = row (g, i, j), column (k, l)
+    system = np.zeros((len(gens), n.dim, m.dim, n.dim, m.dim), dtype=np.int64)
+    on_n, on_m = np.arange(n.dim), np.arange(m.dim)
+    system[:, on_n, :, on_n, :] = np.stack([m.rho(g).a.T for g in gens])
+    system[:, :, on_m, :, on_m] -= np.stack([n.rho(g).a for g in gens])
+    np.mod(system, p, out=system)
+    rows = system.reshape(-1, n.dim * m.dim)
+    vecs = np.ascontiguousarray(kernel_basis(Mat._reduced(p, rows)).a.T)
     vecs.flags.writeable = False
     free = vecs.shape[1] - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
     # the maps are read-only views of the rows: the cache holds each basis once
@@ -398,6 +400,17 @@ def kci(f: MMap) -> tuple[tuple[Mod, MMap], tuple[Mod, MMap], tuple[Mod, MMap]]:
     return (ker, ker_inc), (cok, cok_proj), (img, img_inc)
 
 
+def _block_sum(alg: Alg, mods: list[Mod]) -> tuple[Mod, list[int]]:
+    """The sum module of mods over alg, its action block diagonal in list order,
+    with the first coordinate of each summand."""
+    offsets = list(itertools.accumulate((m.dim for m in mods), initial=0))
+    n = offsets[-1]
+    acts = np.zeros((alg.dim, n, n), dtype=np.int64)
+    for m, lo in zip(mods, offsets):
+        acts[:, lo : lo + m.dim, lo : lo + m.dim] = m.acts
+    return make_module(alg, acts), offsets
+
+
 def direct_sum(mods: list[Mod], alg: Alg | None = None) -> tuple[Mod, list[MMap], list[MMap]]:
     """Biproduct with canonical injections and projections."""
     if not mods:
@@ -409,13 +422,8 @@ def direct_sum(mods: list[Mod], alg: Alg | None = None) -> tuple[Mod, list[MMap]
     if any(m.alg != alg for m in mods):
         raise ValidationError("direct_sum over mixed algebras")
     p = alg.p
-    offsets = list(itertools.accumulate((m.dim for m in mods), initial=0))
-    n = offsets[-1]
-    acts = np.zeros((alg.dim, n, n), dtype=np.int64)
-    for m, lo in zip(mods, offsets):
-        acts[:, lo : lo + m.dim, lo : lo + m.dim] = m.acts
-    total = make_module(alg, acts)
-    eye = np.eye(n, dtype=np.int64)
+    total, offsets = _block_sum(alg, mods)
+    eye = np.eye(total.dim, dtype=np.int64)
     injections, projections = [], []
     for m, lo in zip(mods, offsets):
         injections.append(MMap(m, total, Mat._reduced(p, eye[:, lo : lo + m.dim])))
@@ -480,7 +488,7 @@ def projective_cover(m: Mod) -> tuple[Mod, MMap]:
         cols = np.einsum("ias,ib->asb", moved, pj_basis.a) % p
         blocks.append(cols.reshape(m.dim, -1))  # generator-major, as the summands
         pieces += [pj] * gens.shape[1]
-    total, _, _ = direct_sum(pieces, alg)
+    total, _ = _block_sum(alg, pieces)
     # the e_j sum to 1, so some slice of top(m) is nonzero and blocks is not empty
     epi = MMap(total, m, Mat._reduced(p, np.hstack(blocks)))
     if rank(epi.mat) != m.dim:
@@ -796,17 +804,6 @@ def is_injective(m: Mod) -> bool:
 # -- classification of indecomposables -------------------------------------------
 
 
-def _preset_name_of(alg: Alg) -> str | None:
-    candidates = ["lambda1", "lambda2", "lambda3", "ground_field", f"truncpoly({alg.dim})"]
-    for name in candidates:
-        try:
-            if alg == preset(name, alg.p):
-                return name
-        except ValueError:
-            continue
-    return None
-
-
 def classify_indecomposables(alg: Alg) -> list[Mod]:
     """Complete duplicate-free list of indecomposables; every answer returned is certified.
 
@@ -833,32 +830,6 @@ def classify_indecomposables(alg: Alg) -> list[Mod]:
     from homcat.knitting import knit  # the AR layer builds on this module; loaded on first use
 
     return knit(alg)[0]
-
-
-def known_indecomposables(alg: Alg) -> list[Mod]:
-    """Directly constructed indecomposable lists for the preset algebras.
-
-    Works at any prime without knitting; a test cross-check of
-    ``classify_indecomposables`` and the module list of ``derived.tilting_check``.
-    """
-    name = _preset_name_of(alg)
-    if name is None:
-        raise GuardError("known indecomposables only available for presets")
-    if name == "lambda2":
-        out = [simple_module(alg, j) for j in range(3)]
-        out.append(projective_module(alg, 0))
-        out.append(projective_module(alg, 2))
-        out.append(_indecomposable_injectives(alg)[1])
-    else:
-        # uniserial projectives: the indecomposables are the quotients of each
-        # e_j A by the tails of its (ordered) basis
-        out = []
-        for a in range(len(alg.idempotents)):
-            pj = projective_module(alg, a)
-            tails = np.eye(pj.dim, dtype=np.int64)
-            out.extend(quotient_module(pj, Mat(alg.p, tails[:, keep:]))[0] for keep in range(1, pj.dim + 1))
-    out.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
-    return out
 
 
 # -- AR quiver --------------------------------------------------------------------

@@ -193,6 +193,25 @@ def test_verify_report_bytes_are_pinned(tmp_path, suite):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256[suite]
 
 
+# sha256 of `homcat emit tilting-report --format json` for both targets at three primes
+TILTING_REPORT_SHA256 = {
+    ("lambda2", 2): "62d1866bb8d91f42c7945fac489e5baf3dce9b177cc2412c128b157ddaf5164d",
+    ("lambda2", 3): "b36786325af006ec3872aa55d23fadba4e8ea651f71493a7f39c3a3d87221fb2",
+    ("lambda2", 101): "45e6f353746452c6ad44559663924b3fb9eb2b6d9033a3604cb8d5fdf216cd46",
+    ("lambda3", 2): "a74b3db8c92ed196531b3ef29de4ee60a332f98c05b7472121f74f663b7836cb",
+    ("lambda3", 3): "cf37704e72ec8007353d40a5fa94440b12c12c7315b526c3930542f7515e233b",
+    ("lambda3", 101): "6c004f8e8081c7cb15595d22001b592c428e0c5330ac6363444ff35a74ac3b3b",
+}
+
+
+@pytest.mark.parametrize("algebra, prime", sorted(TILTING_REPORT_SHA256))
+def test_emit_tilting_report_bytes_are_pinned(tmp_path, algebra, prime):
+    out = tmp_path / "t.json"
+    args = ["emit", "tilting-report", "--algebra", algebra, "--prime", str(prime), "--format", "json"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TILTING_REPORT_SHA256[(algebra, prime)]
+
+
 # sha256 of `homcat emit ar-quiver` for every preset and of `emit stable-ar-quiver`
 # for truncpoly(2..5), in both formats at p = 2 and p = 101
 AR_QUIVER_SHA256 = {

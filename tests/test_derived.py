@@ -42,7 +42,6 @@ from homcat.modules import (
     hom_space,
     injective_envelope,
     is_isomorphic,
-    known_indecomposables,
     projective_module,
     quotient_module,
     regular_module,
@@ -52,6 +51,9 @@ from homcat.modules import (
     radical_submodule,
 )
 from homcat.samples import random_complex, random_chain_map, random_injective_complex
+
+from preset_lists import known_indecomposables
+from test_modules import _d4_subspace
 
 L1 = preset("lambda1", 101)
 L3 = preset("lambda3", 101)
@@ -413,6 +415,17 @@ def test_tilting_check_regular_identity_case():
     report = tilting_check(regular_module(L1), L1)
     assert report["end_dim"] == 6
     assert report["iso_found"]
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_tilting_check_runs_on_an_algebra_that_is_not_a_preset(p):
+    # the module list comes from the certified classifier: D4 has Gabriel's n(n-1) = 12 indecomposables
+    alg = _d4_subspace(p)
+    report = tilting_check(regular_module(alg), alg)
+    assert report["end_dim"] == 7
+    assert report["iso_found"] and report["iso_side"] == "direct"
+    assert report["injective_on_shifts"]
+    assert len({row["module_index"] for row in report["table"]}) == 12
 
 
 def test_khom_agreement_simples_vs_injective_complexes():

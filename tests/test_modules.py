@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcat.algebras import algebra_from_json, opposite, preset
+from homcat.algebras import algebra_from_json, algebra_generators, opposite, preset
 from homcat.derived import proj_resolution
 from homcat.errors import CapExhausted, GuardError, ValidationError
 from homcat.linalg import Mat, block_diag, column_space, inverse, is_invertible, kernel_basis, rank, solve
@@ -32,7 +32,6 @@ from homcat.modules import (
     is_isomorphic,
     is_projective,
     kci,
-    known_indecomposables,
     local_end_radical,
     make_module,
     projective_cover,
@@ -46,10 +45,12 @@ from homcat.modules import (
     top,
     zero_module,
     MMap,
+    _hom_basis,
     _projective_with_inclusion,
     _singular_shift,
     _vec,
 )
+from preset_lists import known_indecomposables
 from test_stable import _self_injective_nakayama
 
 L1 = preset("lambda1", 101)
@@ -710,6 +711,27 @@ AR_REFERENCE_ALGEBRAS = [
     for p in (2, 5)
     for n, loewy in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4))
 ]
+
+
+def _kronecker_hom_rows(m, n):
+    """Hom(m, n) as the row-major flattenings that solve the intertwining system
+    stacked from Kronecker products, one block per generator: the reference
+    for the system ``_hom_basis`` writes in place."""
+    eye_n, eye_m = np.eye(n.dim, dtype=np.int64), np.eye(m.dim, dtype=np.int64)
+    blocks = [np.kron(eye_n, m.rho(g).a.T) - np.kron(n.rho(g).a, eye_m) for g in algebra_generators(m.alg)]
+    return kernel_basis(Mat(m.alg.p, np.vstack(blocks))).a.T
+
+
+@pytest.mark.parametrize("build", AR_REFERENCE_ALGEBRAS)
+def test_hom_basis_equals_the_kronecker_system(build):
+    # every pair of indecomposables, the regular module and a sum of three
+    # indecomposables: square and non-square systems, over 1 to 4 idempotents
+    alg = build()
+    mods = classify_indecomposables(alg) + [regular_module(alg)]
+    mods.append(direct_sum(mods[-4:-1])[0])
+    for x in mods:
+        for y in mods:
+            assert np.array_equal(_hom_basis(x, y)[1], _kronecker_hom_rows(x, y))
 
 
 @pytest.mark.parametrize("build", AR_REFERENCE_ALGEBRAS)

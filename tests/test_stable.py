@@ -12,7 +12,6 @@ from homcat.modules import (
     direct_sum,
     is_isomorphic,
     is_projective,
-    known_indecomposables,
     projective_module,
     regular_module,
     simple_module,
@@ -28,6 +27,8 @@ from homcat.stable import (
     syzygy,
     z0,
 )
+
+from preset_lists import known_indecomposables
 
 T2 = preset("truncpoly(2)", 101)
 T3 = preset("truncpoly(3)", 101)
