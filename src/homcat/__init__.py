@@ -8,7 +8,7 @@ dense linear algebra over F_p.  All certificates (homotopies, isomorphisms,
 resolutions) are re-verified exactly on construction.
 """
 
-from homcat.linalg import Fp, Mat
+from homcat.linalg import Mat
 from homcat.algebras import (
     Alg,
     AlgIso,

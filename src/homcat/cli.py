@@ -15,7 +15,7 @@ import sys
 
 from homcat.algebras import preset
 from homcat.derived import tilting_check
-from homcat.errors import CapExhausted, GuardError
+from homcat.errors import HomcatError
 from homcat.exercises import (
     Options,
     Report,
@@ -72,13 +72,8 @@ def _cmd_verify(args) -> int:
     ids = [k for k, _ in available_exercises()] if args.exercise == "all" else [args.exercise]
     reports = []
     for exercise_id in ids:
-        try:
-            report = run_exercise(exercise_id, options)
-        except (ValueError, GuardError) as err:
-            print(str(err), file=sys.stderr)
-            return 2
-        reports.append(report)
-        _print_report(report)
+        reports.append(run_exercise(exercise_id, options))
+        _print_report(reports[-1])
     if args.out:
         payload = (
             reports[0].to_json()
@@ -121,23 +116,18 @@ def _tilting_report_json(algebra_name: str, p: int) -> dict:
 def _cmd_emit(args) -> int:
     kind = args.what
     if kind in ("ext-table", "tilting-report") and args.format != "json":
-        print(f"{kind} only supports --format json", file=sys.stderr)
-        return 2
+        raise ValueError(f"{kind} only supports --format json")
     p = args.prime if args.prime is not None else 101 if kind == "tilting-report" else 2
-    try:
-        if kind == "ar-quiver":
-            quiver = ar_quiver(preset(args.algebra, p))
-            payload = quiver.to_dot("ar_quiver") if args.format == "dot" else quiver.to_json()
-        elif kind == "stable-ar-quiver":
-            quiver = stable_ar_quiver(preset(args.algebra, p))
-            payload = quiver.to_dot("stable_ar_quiver") if args.format == "dot" else quiver.to_json()
-        elif kind == "ext-table":
-            payload = _ext_table_json(args.algebra, p)
-        else:
-            payload = _tilting_report_json(args.algebra, p)
-    except (ValueError, GuardError, CapExhausted) as err:
-        print(str(err), file=sys.stderr)
-        return 2
+    if kind == "ar-quiver":
+        quiver = ar_quiver(preset(args.algebra, p))
+        payload = quiver.to_dot("ar_quiver") if args.format == "dot" else quiver.to_json()
+    elif kind == "stable-ar-quiver":
+        quiver = stable_ar_quiver(preset(args.algebra, p))
+        payload = quiver.to_dot("stable_ar_quiver") if args.format == "dot" else quiver.to_json()
+    elif kind == "ext-table":
+        payload = _ext_table_json(args.algebra, p)
+    else:
+        payload = _tilting_report_json(args.algebra, p)
     with open(args.out, "w", encoding="utf-8") as fh:
         if isinstance(payload, str):
             fh.write(payload)
@@ -149,10 +139,14 @@ def _cmd_emit(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; a refused input (ValueError or any HomcatError) prints
+    its message to stderr and exits 2, a failed check exits 1."""
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_emit(args)
+    try:
+        return _cmd_verify(args) if args.command == "verify" else _cmd_emit(args)
+    except (ValueError, HomcatError) as err:
+        print(str(err), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ wrapped-around entries.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +32,9 @@ from homcat.errors import GuardError
 
 __all__ = [
     "MAX_PRIME",
-    "Fp",
     "Mat",
     "is_prime",
     "validate_prime",
-    "inv_mod",
     "rref",
     "rank",
     "is_invertible",
@@ -86,50 +83,6 @@ def validate_prime(p: int) -> None:
         raise GuardError(f"modulus {p} exceeds MAX_PRIME = 2**21; int64 products could overflow")
     if not is_prime(int(p)):
         raise ValueError(f"modulus must be a prime integer, got {p!r}")
-
-
-def inv_mod(x: int, p: int) -> int:
-    x = int(x) % p
-    if x == 0:
-        raise ZeroDivisionError(f"0 is not invertible mod {p}")
-    return pow(x, -1, p)
-
-
-@dataclass(frozen=True)
-class Fp:
-    """A residue in the prime field F_p."""
-
-    residue: int
-    p: int
-
-    def __post_init__(self):
-        validate_prime(self.p)
-        object.__setattr__(self, "residue", int(self.residue) % self.p)
-
-    def _check(self, other: "Fp") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other: "Fp") -> "Fp":
-        self._check(other)
-        return Fp(self.residue + other.residue, self.p)
-
-    def __sub__(self, other: "Fp") -> "Fp":
-        self._check(other)
-        return Fp(self.residue - other.residue, self.p)
-
-    def __mul__(self, other: "Fp") -> "Fp":
-        self._check(other)
-        return Fp(self.residue * other.residue, self.p)
-
-    def __neg__(self) -> "Fp":
-        return Fp(-self.residue, self.p)
-
-    def inv(self) -> "Fp":
-        return Fp(inv_mod(self.residue, self.p), self.p)
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
 
 
 class Mat:

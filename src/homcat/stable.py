@@ -5,7 +5,9 @@ Here projectives and injectives coincide, so modules admit two-sided
 cocycles recover the module.  Both halves come from ``derived._cover_chain``:
 below degree zero the covers of the syzygies of m, from degree zero up the
 duals of the covers of the syzygies of D m over the opposite algebra, since
-D = Hom_k(-, k) turns projective covers into injective envelopes.
+D = Hom_k(-, k) turns projective covers into injective envelopes.  The halves
+are assembled as in ``proj_resolution`` and ``inj_resolution``, by
+``derived._projective_side`` and ``derived._dual_side``.
 ``cosyzygy`` is dual to ``syzygy`` the same way.  Every cover step is memoized
 (``modules._cover_step``), so the chains of a narrow window are prefixes of
 those of a wide one: widening a window takes only the new covers, and
@@ -25,7 +27,7 @@ import numpy as np
 
 from homcat.algebras import Alg
 from homcat.complexes import Cx, make_complex, squares_system, zero_complex
-from homcat.derived import _cover_chain
+from homcat.derived import _cover_chain, _dual_side, _projective_side
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, kernel_basis, rank
 from homcat.modules import (
@@ -85,6 +87,14 @@ def assert_self_injective(alg: Alg) -> list[tuple[Mod, Mod]]:
     return matching
 
 
+def _require_self_injective(alg: Alg) -> None:
+    """GuardError unless the algebra is self-injective (``assert_self_injective``)."""
+    try:
+        assert_self_injective(alg)
+    except ValidationError as err:
+        raise GuardError(str(err)) from err
+
+
 def _projective_factoring_subspace(m: Mod, n: Mod) -> Mat:
     """Flattened span of the maps m -> n factoring through a projective.
 
@@ -99,7 +109,7 @@ def _projective_factoring_subspace(m: Mod, n: Mod) -> Mat:
 
 def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
     """Hom(m, n) modulo projectives: dimension and representative basis."""
-    assert_self_injective(m.alg)
+    _require_self_injective(m.alg)
     p = m.alg.p
     if m.dim == 0 or n.dim == 0:
         return 0, []
@@ -120,14 +130,14 @@ def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
 
 def syzygy(m: Mod) -> Mod:
     """Kernel of the projective cover."""
-    assert_self_injective(m.alg)
+    _require_self_injective(m.alg)
     return _cover_step(m)[1].src
 
 
 def cosyzygy(m: Mod) -> Mod:
     """Cokernel of the injective envelope: the dual of the syzygy of D m over
     the opposite algebra."""
-    assert_self_injective(m.alg)
+    _require_self_injective(m.alg)
     return dual_module(_cover_step(dual_module(m))[1].src, m.alg)
 
 
@@ -153,7 +163,7 @@ def complete_resolution(m: Mod, window: tuple[int, int] = (-4, 4)) -> CompleteRe
     acyclicity, and Z^0 is certified isomorphic to m.  Results are cached per
     (module, window).
     """
-    assert_self_injective(m.alg)
+    _require_self_injective(m.alg)
     lo, hi = window
     if lo > -2 or hi < 2:
         raise ValueError("window must span at least two degrees on each side")
@@ -172,19 +182,13 @@ def complete_resolution(m: Mod, window: tuple[int, int] = (-4, 4)) -> CompleteRe
 
 def _splice(m: Mod, lo: int, hi: int) -> Cx:
     """The covers P_k(m) of the syzygies of m in degrees lo..-1 (P_k in degree
-    -1-k), then the duals D P_k(D m) of the covers for D m over the opposite
-    algebra in degrees 0..hi (D P_k in degree k)."""
-    alg = m.alg
+    -1-k), then the injective resolution of m, the duals D P_k(D m) of the
+    covers for D m over the opposite algebra, in degrees 0..hi (D P_k in
+    degree k), joined by P_0(m) ->> m >-> D P_0(D m)."""
     left = _cover_chain(m, -lo)
-    right = _cover_chain(dual_module(m), hi + 1)
-    objects = [epi.src for epi, _ in reversed(left)] + [dual_module(epi.src, alg) for epi, _ in right]
-    mono = MMap(m, objects[-lo], right[0][0].mat.transpose())
-    diffs = [left[k][1] @ left[k + 1][0] for k in range(-lo - 2, -1, -1)] + [mono @ left[0][0]]
-    diffs += [
-        MMap(objects[-lo + k], objects[-lo + k + 1], (right[k][1].mat @ right[k + 1][0].mat).transpose())
-        for k in range(hi)
-    ]
-    return make_complex(alg, lo, objects, diffs)
+    pobjects, pdiffs = _projective_side(left)
+    iobjects, idiffs, envelope = _dual_side(m, _cover_chain(dual_module(m), hi + 1))
+    return make_complex(m.alg, lo, pobjects + iobjects, pdiffs + [envelope @ left[0][0]] + idiffs)
 
 
 def z0(x: Cx) -> Mod:
@@ -268,14 +272,6 @@ def stable_hom_via_cr(m: Mod, n: Mod, window: tuple[int, int] = (-4, 4)) -> int:
     if dims[0] != dims[1]:
         raise ValidationError(f"stable Hom unstable across windows: {dims}")
     return dims[0]
-
-
-def _require_self_injective(alg: Alg) -> None:
-    """GuardError unless the algebra is self-injective (``assert_self_injective``)."""
-    try:
-        assert_self_injective(alg)
-    except ValidationError as err:
-        raise GuardError(str(err)) from err
 
 
 def stable_indecomposables(alg: Alg) -> list[Mod]:

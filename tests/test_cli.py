@@ -145,6 +145,13 @@ def test_verify_refuses_a_window_too_narrow_for_complete_resolutions(tmp_path, c
     assert not out.exists()
 
 
+def test_verify_refuses_a_cap_too_small_with_exit_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "1.6.3-ext", "--cap", "1", "--out", str(out)]) == 2
+    assert "did not terminate within 1 steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

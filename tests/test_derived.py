@@ -111,6 +111,20 @@ def test_inj_resolution_cap_leftover_lives_over_the_algebra():
     assert exc.value.leftover.alg is L3
 
 
+def test_inj_resolution_refuses_a_cap_below_one():
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        inj_resolution(injective_envelope(simple_module(L1, 0))[0], 0)
+
+
+def test_inj_resolution_resolves_no_module_over_the_opposite_algebra():
+    # the cover chain of D m is dualized directly; no second verified resolution
+    inj_resolution.cache_clear()
+    before = proj_resolution.cache_info().misses
+    inj_resolution(simple_module(L3, 0))
+    assert inj_resolution.cache_info().misses == 1
+    assert proj_resolution.cache_info().misses == before
+
+
 def test_proj_resolution_cap_exhaustion_truncpoly():
     k = simple_module(T2, 0)
     with pytest.raises(CapExhausted):
@@ -229,6 +243,24 @@ def test_hom_derived_between_stalks():
             assert hom_derived(stalk(m, 0), stalk(n, 0), -1) == 0
 
 
+def test_hom_derived_resolves_once():
+    rng = np.random.default_rng(35)
+    x = random_complex(L1, rng, max_support=3, dim_cap=4)
+    y = random_complex(L1, rng, max_support=3, dim_cap=4)
+    resolve_complex.cache_clear()
+    hom_derived(x, y, 0)
+    assert resolve_complex.cache_info().misses == 1
+
+
+def test_resolve_complex_is_the_same_at_a_larger_cap():
+    # the cap only bounds cover chains, which stop at a zero syzygy
+    rng = np.random.default_rng(36)
+    for _ in range(6):
+        x = random_complex(L1, rng, max_support=3, dim_cap=5)
+        small, large = resolve_complex(x, 12), resolve_complex(x, 14)
+        assert small.res == large.res and small.comparison == large.comparison
+
+
 def test_ext_degree_zero_is_hom():
     p1 = projective_module(L1, 0)
     s1 = simple_module(L1, 0)
@@ -266,6 +298,12 @@ def test_is_iso_in_D_identity_and_quotient():
     f = CMap.build(stalk(p1, 0), stalk(s1, 0), {0: quotient})
     ok, cert = is_iso_in_D(f)
     assert not ok and cert is None
+
+
+def test_is_iso_in_D_refuses_the_zero_map_between_equal_stalks():
+    # equal cohomology dimensions, but H^0 of the zero map is not invertible
+    x = stalk(simple_module(L1, 0), 0)
+    assert is_iso_in_D(CMap.zero(x, x)) == (False, None)
 
 
 def test_is_iso_in_D_of_resolution_comparison():

@@ -52,6 +52,21 @@ def test_lambda1_not_self_injective():
         assert_self_injective(L1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: stable_hom(m, m),
+        syzygy,
+        cosyzygy,
+        complete_resolution,
+    ],
+    ids=["stable_hom", "syzygy", "cosyzygy", "complete_resolution"],
+)
+def test_stable_entry_points_refuse_lambda1_with_guard_error(call):
+    with pytest.raises(GuardError, match="self-injective"):
+        call(simple_module(L1, 0))
+
+
 def test_stable_hom_projective_source_or_target():
     reg = regular_module(T2)
     k = _kmod(T2)
