@@ -5,7 +5,7 @@ rings, and the ground field; modules are tuples of action matrices and all
 functors are exact linear algebra.
 """
 
-from homcat.algebras import opposite, preset
+from homcat.algebras import preset
 from homcat.linalg import kernel_basis
 from homcat.modules import (
     decompose,

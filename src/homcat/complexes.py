@@ -26,7 +26,9 @@ from homcat.linalg import Mat, block_diag, column_space, hstack, kernel_basis, r
 from homcat.modules import (
     MMap,
     Mod,
-    direct_sum,
+    _block_inclusion,
+    _block_projection,
+    _block_sum,
     hom_coords,
     hom_space,
     make_module,
@@ -251,6 +253,15 @@ def _reach(comps: dict) -> set:
 def _combined_degrees(x: Cx, y: Cx) -> range:
     cs = [c for c in (x, y) if not c.is_zero()]
     return range(min(c.lo for c in cs), max(c.hi for c in cs) + 1) if cs else range(0)
+
+
+def _cmap_of(src: Cx, dst: Cx, block) -> CMap:
+    """The chain map with the matrix block(n) in each degree n where src and dst are nonzero."""
+    return CMap.build(src, dst, {
+        n: MMap(src.obj(n), dst.obj(n), block(n))
+        for n in _combined_degrees(src, dst)
+        if src.obj(n).dim and dst.obj(n).dim
+    })
 
 
 def _trim(comps: dict) -> dict:
@@ -565,42 +576,21 @@ def euler_characteristic(x: Cx) -> int:
 
 @dataclass(frozen=True)
 class ConeParts:
-    """Block structure of a mapping cone C(f)^n = X^(n+1) (+) Y^n.
+    """The structure maps of a mapping cone C(f)^n = X^(n+1) (+) Y^n.
 
-    The per-degree accessors return genuine zero maps outside the window, so
-    callers can compose blocks without range bookkeeping.
+    Any other map into or out of a cone is a block matrix in this layout,
+    written by its caller.
     """
 
-    x: Cx
-    y: Cx
-    cone: Cx
-    iota: CMap  # Y -> C
-    pi: CMap  # C -> Sigma X
-    _inj_x: dict
-    _inj_y: dict
-    _proj_x: dict
-    _proj_y: dict
-
-    def inj_x(self, n: int) -> MMap:
-        return self._inj_x.get(n) or MMap.zero(self.x.obj(n + 1), self.cone.obj(n))
-
-    def inj_y(self, n: int) -> MMap:
-        return self._inj_y.get(n) or MMap.zero(self.y.obj(n), self.cone.obj(n))
-
-    def proj_x(self, n: int) -> MMap:
-        return self._proj_x.get(n) or MMap.zero(self.cone.obj(n), self.x.obj(n + 1))
-
-    def proj_y(self, n: int) -> MMap:
-        return self._proj_y.get(n) or MMap.zero(self.cone.obj(n), self.y.obj(n))
+    iota: CMap  # Y -> C: the Y-columns of the identity
+    pi: CMap  # C -> Sigma X: the X-rows of the identity
 
 
 def cone_complex(f: CMap) -> tuple[Cx, ConeParts]:
-    """The mapping cone with its structure maps (inclusion, projection, blocks)."""
-    x, y = f.src, f.dst
-    degs = _combined_degrees(shift(x, 1), y)
-    mods, inj_x, inj_y, proj_x, proj_y = {}, {}, {}, {}, {}
-    for n in degs:
-        mods[n], (inj_x[n], inj_y[n]), (proj_x[n], proj_y[n]) = direct_sum([x.obj(n + 1), y.obj(n)], x.alg)
+    """The mapping cone with its inclusion iota and projection pi."""
+    x, y, sx = f.src, f.dst, shift(f.src, 1)
+    degs = _combined_degrees(sx, y)
+    mods = {n: _block_sum(x.alg, [x.obj(n + 1), y.obj(n)])[0] for n in degs}
     # d^n = [[-d_X^(n+1), 0], [f^(n+1), d_Y^n]] on x^(n+1) (+) y^n, one checked map per degree
     diffs = [
         MMap(mods[n], mods[n + 1], vstack([
@@ -610,10 +600,10 @@ def cone_complex(f: CMap) -> tuple[Cx, ConeParts]:
         for n in degs[:-1]
     ]
     cx = make_complex(x.alg, degs.start if len(degs) else 0, [mods[n] for n in degs], diffs)
-    # trimming only drops zero-dimensional ends, where the block maps have
-    # zero size and vanish from the chain maps anyway
-    iota, pi = CMap.build(y, cx, inj_y), CMap.build(cx, shift(x, 1), proj_x)
-    return cx, ConeParts(x, y, cx, iota, pi, inj_x, inj_y, proj_x, proj_y)
+    # trimming only drops zero-dimensional ends, where no component is built
+    iota = {n: _block_inclusion(y.obj(n), mods[n], x.obj(n + 1).dim) for n in y.degrees()}
+    pi = {n: _block_projection(mods[n], x.obj(n + 1), 0) for n in sx.degrees()}
+    return cx, ConeParts(CMap.build(y, cx, iota), CMap.build(cx, sx, pi))
 
 
 # -- Hom complexes ------------------------------------------------------------------
@@ -751,27 +741,29 @@ def truncate(x: Cx, n: int) -> Cx:
 
 
 def direct_sum_cx(xs: list[Cx]) -> tuple[Cx, list[CMap], list[CMap]]:
-    """Degreewise biproduct with canonical injections and projections."""
+    """Degreewise biproduct, block diagonal in list order, with canonical
+    injections and projections."""
     if not xs:
         raise ValidationError("direct_sum_cx of an empty list needs at least one complex")
     alg = xs[0].alg
+    if any(x.alg != alg for x in xs):
+        raise ValidationError("direct_sum_cx over mixed algebras")
     nonzero = [x for x in xs if not x.is_zero()]
     if not nonzero:
         z = zero_complex(alg)
         return z, [CMap.zero(x, z) for x in xs], [CMap.zero(z, x) for x in xs]
-    lo = min(x.lo for x in nonzero)
-    hi = max(x.hi for x in nonzero)
-    mods = {}
-    injs: list[dict] = [dict() for _ in xs]
-    projs: list[dict] = [dict() for _ in xs]
-    for n in range(lo, hi + 1):
-        total, inj_list, proj_list = direct_sum([x.obj(n) for x in xs], alg)
-        mods[n] = total
-        for t in range(len(xs)):
-            injs[t][n] = inj_list[t]
-            projs[t][n] = proj_list[t]
-    diffs = [MMap(mods[n], mods[n + 1], block_diag([x._dmat(n) for x in xs], alg.p)) for n in range(lo, hi)]
-    total_cx = make_complex(alg, lo, [mods[n] for n in range(lo, hi + 1)], diffs)
-    inj_maps = [CMap.build(x, total_cx, injs[t]) for t, x in enumerate(xs)]
-    proj_maps = [CMap.build(total_cx, x, projs[t]) for t, x in enumerate(xs)]
-    return total_cx, inj_maps, proj_maps
+    degs = range(min(x.lo for x in nonzero), max(x.hi for x in nonzero) + 1)
+    mods, offsets = {}, {}
+    for n in degs:
+        mods[n], offsets[n] = _block_sum(alg, [x.obj(n) for x in xs])
+    diffs = [MMap(mods[n], mods[n + 1], block_diag([x._dmat(n) for x in xs], alg.p)) for n in degs[:-1]]
+    total = make_complex(alg, degs.start, [mods[n] for n in degs], diffs)
+    injs = [
+        CMap.build(x, total, {n: _block_inclusion(x.obj(n), mods[n], offsets[n][t]) for n in x.degrees()})
+        for t, x in enumerate(xs)
+    ]
+    projs = [
+        CMap.build(total, x, {n: _block_projection(mods[n], x.obj(n), offsets[n][t]) for n in x.degrees()})
+        for t, x in enumerate(xs)
+    ]
+    return total, injs, projs

@@ -143,13 +143,13 @@ def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
     if (conditions.a @ eta % p).any():  # certificate: eta lies in the socle
         raise ValidationError("internal inconsistency: eta is not in the socle")
     eta_map = Mat._reduced(p, (eta @ vecs % p).reshape(x.dim, omega.dim))
-    xp, (inj_x, inj_p), (_, proj_p) = direct_sum([x, p0])
-    pushed = MMap(omega, xp, inj_x.mat @ eta_map - inj_p.mat @ inc.mat)
+    xp, (incl_x, incl_p), (_, proj_p) = direct_sum([x, p0])
+    pushed = MMap(omega, xp, incl_x.mat @ eta_map - incl_p.mat @ inc.mat)
     e, quot = quotient_module(xp, pushed.mat)
     onto = linalg.solve(quot.mat.transpose(), (epi.mat @ proj_p.mat).transpose())
     if onto is None:
         raise ValidationError("internal inconsistency: the pushout does not map onto z")
-    left, right = quot @ inj_x, MMap(e, z, onto.transpose())
+    left, right = quot @ incl_x, MMap(e, z, onto.transpose())
     if not (right @ left).is_zero() or rank(left.mat) != x.dim or rank(right.mat) != z.dim or e.dim != x.dim + z.dim:
         raise ValidationError("internal inconsistency: the almost split sequence is not exact")
     return left, right

@@ -328,8 +328,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     a._check(b)
     if a.rows != b.rows:
         raise ValueError(f"solve: row mismatch {a.rows} vs {b.rows}")
-    aug = np.hstack([a.a, b.a]).copy()
-    red, pivots = _rref_array(aug, a.p)
+    red, pivots = _rref_array(np.hstack([a.a, b.a]), a.p)
     n = a.cols
     if any(pc >= n for pc in pivots):
         return None

@@ -411,6 +411,16 @@ def _block_sum(alg: Alg, mods: list[Mod]) -> tuple[Mod, list[int]]:
     return make_module(alg, acts), offsets
 
 
+def _block_inclusion(m: Mod, total: Mod, lo: int) -> MMap:
+    """The inclusion of the summand m at coordinate lo of a block sum: identity columns."""
+    return MMap(m, total, Mat._reduced(m.alg.p, np.eye(total.dim, m.dim, -lo, dtype=np.int64)))
+
+
+def _block_projection(total: Mod, m: Mod, lo: int) -> MMap:
+    """The projection of a block sum onto its summand m at coordinate lo: identity rows."""
+    return MMap(total, m, Mat._reduced(m.alg.p, np.eye(m.dim, total.dim, lo, dtype=np.int64)))
+
+
 def direct_sum(mods: list[Mod], alg: Alg | None = None) -> tuple[Mod, list[MMap], list[MMap]]:
     """Biproduct with canonical injections and projections."""
     if not mods:
@@ -421,13 +431,9 @@ def direct_sum(mods: list[Mod], alg: Alg | None = None) -> tuple[Mod, list[MMap]
     alg = mods[0].alg
     if any(m.alg != alg for m in mods):
         raise ValidationError("direct_sum over mixed algebras")
-    p = alg.p
     total, offsets = _block_sum(alg, mods)
-    eye = np.eye(total.dim, dtype=np.int64)
-    injections, projections = [], []
-    for m, lo in zip(mods, offsets):
-        injections.append(MMap(m, total, Mat._reduced(p, eye[:, lo : lo + m.dim])))
-        projections.append(MMap(total, m, Mat._reduced(p, eye[lo : lo + m.dim])))
+    injections = [_block_inclusion(m, total, lo) for m, lo in zip(mods, offsets)]
+    projections = [_block_projection(total, m, lo) for m, lo in zip(mods, offsets)]
     return total, injections, projections
 
 
@@ -714,11 +720,11 @@ def is_isomorphic(m: Mod, n: Mod) -> MMap | None:
             return f
     targets = decompose_with_maps(n)
     total = Mat.zeros(m.alg.p, n.dim, m.dim)
-    for x, _, proj_x in decompose_with_maps(m):
+    for x, _, onto_x in decompose_with_maps(m):
         for k, (y, inc_y, _) in enumerate(targets):
             f = _indecomposable_iso(x, y)
             if f is not None:
-                total = total + inc_y.mat @ f.mat @ proj_x.mat
+                total = total + inc_y.mat @ f.mat @ onto_x.mat
                 del targets[k]
                 break
         else:

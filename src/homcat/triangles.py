@@ -29,11 +29,12 @@ from homcat.complexes import (
     shift_map,
     solve_squares,
     zero_complex,
+    _cmap_of,
     _combined_degrees,
 )
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, column_space, inverse, kernel_basis, rank, solve
-from homcat.modules import MMap, Mod, submodule
+from homcat.linalg import Mat, block_diag, column_space, inverse, kernel_basis, rank, solve
+from homcat.modules import MMap, Mod, _block_inclusion, _block_projection, submodule
 
 __all__ = [
     "Tri",
@@ -137,22 +138,18 @@ def cone_triangle(f: CMap) -> Tri:
     x, y = f.src, f.dst
     c, parts = cone_complex(f)
     iota, pi = parts.iota, parts.pi
-    # iota o f ~ 0 with witness h^n = inclusion of X^n into C^(n-1)
+    # iota o f ~ 0 with witness h^n = [I; 0]: X^n into C^(n-1) = X^n (+) Y^(n-1)
     h1 = Htp(
         iota @ f,
         CMap.zero(x, c),
-        {
-            n: parts.inj_x(n - 1)
-            for n in x.degrees()
-            if x.obj(n).dim and c.obj(n - 1).dim
-        },
+        {n: _block_inclusion(x.obj(n), c.obj(n - 1), 0) for n in x.degrees() if x.obj(n).dim},
     )
     h2 = Htp.zero(pi @ iota, CMap.zero(y, shift(x, 1)))
-    # (Sigma f) o pi ~ 0 with witness H^n = projection of C^n onto Y^n
+    # (Sigma f) o pi ~ 0 with witness H^n = [0 I]: C^n = X^(n+1) (+) Y^n onto Y^n
     h3 = Htp(
         shift_map(f, 1) @ pi,
         CMap.zero(c, shift(y, 1)),
-        {n: parts.proj_y(n) for n in c.degrees() if c.obj(n).dim and y.obj(n).dim},
+        {n: _block_projection(c.obj(n), y.obj(n), x.obj(n + 1).dim) for n in y.degrees() if y.obj(n).dim},
     )
     return Tri(f=f, g=iota, h=pi, kind="cone", comp_certs=(h1, h2, h3), cone_cmp=None)
 
@@ -202,31 +199,14 @@ def sum_triangles(tris: list[Tri]) -> Tri:
         raise ValidationError("sum of an empty family of triangles")
     if len(tris) == 1:
         return tris[0]
-    x_sum, x_injs, x_projs = direct_sum_cx([t.x for t in tris])
-    y_sum, y_injs, y_projs = direct_sum_cx([t.y for t in tris])
-    z_sum, z_injs, z_projs = direct_sum_cx([t.z for t in tris])
-    f = _block_cmap(tris, lambda t: t.f, x_sum, y_sum, x_projs, y_injs)
-    g = _block_cmap(tris, lambda t: t.g, y_sum, z_sum, y_projs, z_injs)
-    # the degreewise pieces of Sigma(x_sum) are the summand shifts on the nose
-    sx_injs = [shift_map(i, 1) for i in x_injs]
-    h = _block_cmap(tris, lambda t: t.h, z_sum, shift(x_sum, 1), z_projs, sx_injs)
+    x_sum = direct_sum_cx([t.x for t in tris])[0]
+    y_sum = direct_sum_cx([t.y for t in tris])[0]
+    z_sum = direct_sum_cx([t.z for t in tris])[0]
+    f = _cmap_of(x_sum, y_sum, lambda n: block_diag([t.f._mat(n) for t in tris]))
+    g = _cmap_of(y_sum, z_sum, lambda n: block_diag([t.g._mat(n) for t in tris]))
+    # Sigma of the sum is the sum of the shifts, degree by degree
+    h = _cmap_of(z_sum, shift(x_sum, 1), lambda n: block_diag([t.h._mat(n) for t in tris]))
     return certify_triangle(f, g, h)
-
-
-def _block_cmap(tris, pick, src_sum, dst_sum, src_projs, dst_injs) -> CMap:
-    comps = {}
-    for n in _combined_degrees(src_sum, dst_sum):
-        if src_sum.obj(n).dim == 0 or dst_sum.obj(n).dim == 0:
-            continue
-        acc = Mat.zeros(src_sum.alg.p, dst_sum.obj(n).dim, src_sum.obj(n).dim)
-        for t_idx, t in enumerate(tris):
-            acc = acc + (
-                dst_injs[t_idx].component(n).mat
-                @ pick(t).component(n).mat
-                @ src_projs[t_idx].component(n).mat
-            )
-        comps[n] = MMap(src_sum.obj(n), dst_sum.obj(n), acc)
-    return CMap.build(src_sum, dst_sum, comps)
 
 
 # -- octahedron ---------------------------------------------------------------------
@@ -261,28 +241,12 @@ def octahedron(f: CMap, g: CMap) -> Oct:
     tri_g = cone_triangle(g)
     gf = g @ f
     tri_gf = cone_triangle(gf)
-    cf, pf = cone_complex(f)
-    cg, pg = cone_complex(g)
-    cgf, pgf = cone_complex(gf)
-    a_comps = {}
-    for n in _combined_degrees(cf, cgf):
-        if cf.obj(n).dim == 0 or cgf.obj(n).dim == 0:
-            continue
-        a_comps[n] = (
-            pgf.inj_x(n) @ pf.proj_x(n)
-            + pgf.inj_y(n) @ g.component(n) @ pf.proj_y(n)
-        )
-    a = CMap.build(cf, cgf, a_comps)
-    b_comps = {}
-    for n in _combined_degrees(cgf, cg):
-        if cgf.obj(n).dim == 0 or cg.obj(n).dim == 0:
-            continue
-        b_comps[n] = (
-            pg.inj_x(n) @ f.component(n + 1) @ pgf.proj_x(n)
-            + pg.inj_y(n) @ pgf.proj_y(n)
-        )
-    b = CMap.build(cgf, cg, b_comps)
-    gamma = shift_map(pf.iota, 1) @ pg.pi  # cone(g) -> Sigma cone(f)
+    p = f.src.alg.p
+    # a = [[I, 0], [0, g]]: X^(n+1) (+) Y^n -> X^(n+1) (+) Z^n
+    a = _cmap_of(tri_f.z, tri_gf.z, lambda n: block_diag([Mat.identity(p, f.src.obj(n + 1).dim), g._mat(n)]))
+    # b = [[f, 0], [0, I]]: X^(n+1) (+) Z^n -> Y^(n+1) (+) Z^n
+    b = _cmap_of(tri_gf.z, tri_g.z, lambda n: block_diag([f._mat(n + 1), Mat.identity(p, g.dst.obj(n).dim)]))
+    gamma = shift_map(tri_f.g, 1) @ tri_g.h  # cone(g) -> Sigma cone(f)
     tri_cones = certify_triangle(a, b, gamma)
     squares = (
         Htp.zero(a @ tri_f.g, tri_gf.g @ g),

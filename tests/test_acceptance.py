@@ -4,9 +4,6 @@ Every test ends by printing one pass/fail line; run with ``pytest -s`` (or
 read the captured output) to see the full scoreboard.
 """
 
-import numpy as np
-import pytest
-
 from homcat.exercises import Options, run_exercise
 
 RESULTS = []

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from homcat.cli import main
-from homcat.exercises import Options, available_exercises, run_exercise
+from homcat.exercises import available_exercises, run_exercise
 
 
 def test_unknown_exercise_lists_ids():

@@ -1,6 +1,7 @@
 """Complexes: validation, cohomology, shifts, cones, homotopies, Hom complexes."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import homcat
 from homcat.algebras import preset
 from homcat.complexes import (
     CMap,
+    ConeParts,
     DegreewiseSolver,
     Htp,
     chain_map_basis,
@@ -18,6 +20,7 @@ from homcat.complexes import (
     cohomology_dims,
     cohomology_map,
     cone_complex,
+    direct_sum_cx,
     euler_characteristic,
     hom_complex,
     hom_k_dim,
@@ -32,7 +35,7 @@ from homcat.complexes import (
 )
 from homcat.derived import proj_resolution
 from homcat.errors import ValidationError
-from homcat.linalg import Mat, inverse, rank
+from homcat.linalg import Mat, inverse
 from homcat.modules import (
     MMap,
     hom_space,
@@ -124,6 +127,45 @@ def test_cone_of_zero_is_shift_plus_target_on_the_nose():
     c, _ = cone_complex(CMap.zero(x, y))
     total, _, _ = direct_sum_cx([shift(x, 1), y])
     assert c == total
+
+
+def test_cone_parts_hold_only_iota_and_pi():
+    # every other map into or out of a cone is a block matrix its caller writes
+    assert [field.name for field in dataclasses.fields(ConeParts)] == ["iota", "pi"]
+
+
+def test_cones_and_sums_of_complexes_make_no_direct_sum_call(monkeypatch):
+    # each degree is one block sum, and the structure maps are identity slices
+    import homcat.complexes
+    import homcat.modules
+
+    f = proj_resolution(simple_module(L1, 0)).comparison
+    x, y = f.src, f.dst
+    calls = []
+    real = homcat.modules.direct_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homcat.modules, "direct_sum", counting)
+    monkeypatch.setattr(homcat.complexes, "direct_sum", counting, raising=False)
+    c, _ = cone_complex(f)
+    total, _, _ = direct_sum_cx([x, y, c])
+    assert calls == []
+    assert total.total_dim() == x.total_dim() + y.total_dim() + c.total_dim()
+
+
+def test_direct_sum_cx_is_a_biproduct():
+    rng = np.random.default_rng(44)
+    xs = [random_complex(L1, rng, max_support=3, dim_cap=4) for _ in range(3)]
+    xs += [_p2_to_p1(), make_complex(L1, 0, [], [])]
+    total, injs, projs = direct_sum_cx(xs)
+    for s, (x, inj) in enumerate(zip(xs, injs)):
+        for t, (y, proj) in enumerate(zip(xs, projs)):
+            assert proj @ inj == (CMap.identity(x) if s == t else CMap.zero(x, y))
+    round_trips = [inj @ proj for inj, proj in zip(injs, projs)]
+    assert sum(round_trips[1:], round_trips[0]) == CMap.identity(total)
 
 
 def test_cone_of_projective_quotient_pattern():

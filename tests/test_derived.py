@@ -12,9 +12,7 @@ import homcat
 from homcat.algebras import algebra_iso_search, opposite, preset
 from homcat.complexes import (
     CMap,
-    cohomology_data,
     cohomology_dims,
-    hom_complex,
     make_complex,
     stalk,
 )
@@ -36,7 +34,6 @@ from homcat.derived import (
     tilting_check,
 )
 from homcat.errors import CapExhausted, ValidationError
-from homcat.linalg import Mat
 from homcat.modules import (
     direct_sum,
     hom_space,
@@ -47,10 +44,9 @@ from homcat.modules import (
     regular_module,
     simple_module,
     socle,
-    submodule,
     radical_submodule,
 )
-from homcat.samples import random_complex, random_chain_map, random_injective_complex
+from homcat.samples import random_complex, random_injective_complex
 
 from preset_lists import known_indecomposables
 from test_modules import _d4_subspace
@@ -312,6 +308,21 @@ def test_is_iso_in_D_of_resolution_comparison():
     ok, cert = is_iso_in_D(res.comparison)
     assert ok
     assert cert["round_trip"] is not None
+
+
+def test_is_iso_in_D_builds_one_cone_per_true_answer(monkeypatch):
+    # with the target's resolution cached, only f itself is checked: the lift
+    # g is a quasi-isomorphism by two out of three
+    import homcat.derived
+
+    x = random_complex(L1, np.random.default_rng(17), max_support=3, dim_cap=4)
+    res = resolve_complex(x, 12)
+    calls = []
+    real = homcat.derived._verify_quasi_iso
+    monkeypatch.setattr(homcat.derived, "_verify_quasi_iso", lambda f: calls.append(f) or real(f))
+    ok, cert = is_iso_in_D(res.comparison, 12)
+    assert ok and cert["resolution"] is res
+    assert calls == [res.comparison]
 
 
 def test_dg_end_of_projective_stalk():

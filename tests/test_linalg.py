@@ -341,6 +341,31 @@ def test_elimination_kernel_matches_the_numpy_reference(case):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("p", [2, 101, 2_097_143])
+def test_rref_rank_and_solve_match_the_reference_and_keep_their_inputs(p):
+    # the reference gives the same forms and the same particular solutions
+    rng = np.random.default_rng(p)
+    for _ in range(30):
+        r, c = (int(k) for k in rng.integers(0, 8, size=2))
+        a = Mat(p, rng.integers(1, p, size=(r, c)) * (rng.random((r, c)) < 0.5))
+        b = Mat(p, rng.integers(0, p, size=(r, 2)))
+        before_a, before_b = a.a.copy(), b.a.copy()
+        want, want_pivots = _numpy_rref(a.a.copy(), p)
+        red, pivots = rref(a)
+        assert pivots == tuple(want_pivots) and np.array_equal(red.a, want)
+        assert rank(a) == len(want_pivots)
+        aug, aug_pivots = _numpy_rref(np.hstack([a.a, b.a]), p)
+        x = solve(a, b)
+        if any(pc >= c for pc in aug_pivots):
+            assert x is None
+        else:
+            want_x = np.zeros((c, 2), dtype=np.int64)
+            for i, pc in enumerate(aug_pivots):
+                want_x[pc] = aug[i, c:]
+            assert np.array_equal(x.a, want_x)
+        assert np.array_equal(a.a, before_a) and np.array_equal(b.a, before_b)
+
+
 def test_stacking_rejects_mixed_moduli():
     five, seven = Mat(5, [[1]]), Mat(7, [[1]])
     for stack in (hstack, vstack, block_diag):

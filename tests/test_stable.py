@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from homcat.algebras import algebra_from_json, preset
-from homcat.complexes import cohomology_data, make_complex, shift
+from homcat.complexes import make_complex, shift
 from homcat.errors import GuardError, ValidationError
 from homcat.modules import (
     MMap,
-    classify_indecomposables,
     direct_sum,
     is_isomorphic,
     is_projective,
-    projective_module,
     regular_module,
     simple_module,
 )

@@ -9,18 +9,19 @@ from homcat.complexes import (
     CMap,
     cohomology_dims,
     cone_complex,
+    direct_sum_cx,
     make_complex,
     null_homotopy,
     shift,
     shift_map,
     stalk,
 )
+from homcat.derived import proj_resolution
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, rank
-from homcat.modules import MMap, hom_space, projective_module, simple_module
+from homcat.linalg import rank
+from homcat.modules import MMap, direct_sum, hom_space, projective_module, simple_module
 from homcat.samples import random_chain_map, random_complex
 from homcat.triangles import (
-    Tri,
     certify_triangle,
     cone_triangle,
     fill_in,
@@ -44,6 +45,14 @@ def _random_map(alg, rng, **kw):
     x = random_complex(alg, rng, **kw)
     y = random_complex(alg, rng, **kw)
     return random_chain_map(x, y, rng)
+
+
+def _projective_maps():
+    """Nonzero maps stalk(P3) -> stalk(P2) -> stalk(P1) over lambda1."""
+    p3, p2, p1 = (projective_module(L1, j) for j in (2, 1, 0))
+    f = CMap.build(stalk(p3, 0), stalk(p2, 0), {0: hom_space(p3, p2)[0]})
+    g = CMap.build(stalk(p2, 0), stalk(p1, 0), {0: hom_space(p2, p1)[0]})
+    return f, g
 
 
 def test_cone_triangle_certificates_verify():
@@ -99,6 +108,25 @@ def test_sum_of_rotated_triangles_via_solver():
     assert total.kind == "iso-to-cone"
 
 
+def test_sum_triangles_maps_commute_with_the_summand_maps():
+    f, _ = _projective_maps()
+    comparison = proj_resolution(simple_module(L1, 0)).comparison
+    tris = [cone_triangle(f), cone_triangle(comparison)]
+    tris.append(rotate(tris[1]))  # a third map with a sign
+    total = sum_triangles(tris)
+    _, x_injs, x_projs = direct_sum_cx([t.x for t in tris])
+    _, y_injs, y_projs = direct_sum_cx([t.y for t in tris])
+    _, z_injs, z_projs = direct_sum_cx([t.z for t in tris])
+    for t, tri in enumerate(tris):
+        sx_inj, sx_proj = shift_map(x_injs[t], 1), shift_map(x_projs[t], 1)
+        assert total.f @ x_injs[t] == y_injs[t] @ tri.f
+        assert y_projs[t] @ total.f == tri.f @ x_projs[t]
+        assert total.g @ y_injs[t] == z_injs[t] @ tri.g
+        assert z_projs[t] @ total.g == tri.g @ y_projs[t]
+        assert total.h @ z_injs[t] == sx_inj @ tri.h
+        assert sx_proj @ total.h == tri.h @ z_projs[t]
+
+
 def test_singleton_sum_is_identity():
     rng = np.random.default_rng(5)
     f = _random_map(L1, rng, max_support=2, dim_cap=3)
@@ -107,12 +135,7 @@ def test_singleton_sum_is_identity():
 
 
 def test_octahedron_on_projective_maps():
-    p3 = projective_module(L1, 2)
-    p2 = projective_module(L1, 1)
-    p1 = projective_module(L1, 0)
-    f = CMap.build(stalk(p3, 0), stalk(p2, 0), {0: hom_space(p3, p2)[0]})
-    g = CMap.build(stalk(p2, 0), stalk(p1, 0), {0: hom_space(p2, p1)[0]})
-    oct_ = octahedron(f, g)
+    oct_ = octahedron(*_projective_maps())
     assert oct_.tri_cones.kind == "iso-to-cone"
     # cohomology bookkeeping across the third cone
     hc = cohomology_dims(oct_.tri_cones.z.obj(0) and oct_.tri_g.z or oct_.tri_g.z)
@@ -130,6 +153,32 @@ def test_octahedron_random():
         oct_ = octahedron(f, g)
         for cert in oct_.square_certs:
             assert cert.phi == cert.psi  # strict squares
+
+
+def test_octahedron_blocks_equal_the_composite_formula():
+    # the reference sums products of the injections and projections of each
+    # cone degree: a = i_X p_X + i_Z g p_Y and b = i_Y f p_X + i_Z p_Z
+    rng = np.random.default_rng(63)
+    comparison = proj_resolution(simple_module(L1, 0)).comparison
+    u, v, w = (random_complex(L1, rng, max_support=2, dim_cap=3, lo_range=(0, 0)) for _ in range(3))
+    pairs = [
+        _projective_maps(),
+        (comparison, CMap.identity(comparison.dst).scale(3)),
+        (random_chain_map(u, v, rng), random_chain_map(v, w, rng)),
+    ]
+    for f, g in pairs:
+        assert not f.is_zero() and not g.is_zero()
+        oct_ = octahedron(f, g)
+        x, y, z = f.src, f.dst, g.dst
+        cxs = [c for c in (x, y, z) if not c.is_zero()]
+        for n in range(min(c.lo for c in cxs) - 1, max(c.hi for c in cxs) + 1):
+            _, _, (px_f, py_f) = direct_sum([x.obj(n + 1), y.obj(n)])
+            _, (ix_gf, iz_gf), (px_gf, pz_gf) = direct_sum([x.obj(n + 1), z.obj(n)])
+            _, (iy_g, iz_g), _ = direct_sum([y.obj(n + 1), z.obj(n)])
+            a = ix_gf @ px_f + iz_gf @ g.component(n) @ py_f
+            b = iy_g @ f.component(n + 1) @ px_gf + iz_g @ pz_gf
+            assert oct_.a.component(n).mat == a.mat
+            assert oct_.b.component(n).mat == b.mat
 
 
 def test_octahedron_identity_edge_cases():
