@@ -433,8 +433,8 @@ def squares_system(ends: tuple[Cx, Cx] | None, squares) -> DegreewiseSolver:
             if rows and cols:
                 solver.add_eq(
                     [
-                        (("w", n + 1), None, src.diff(n).mat, +1),
-                        (("w", n), dst.diff(n).mat, None, -1),
+                        (("w", n + 1), None, src._dmat(n), +1),
+                        (("w", n), dst._dmat(n), None, -1),
                     ],
                     Mat.zeros(p, rows, cols),
                 )
@@ -448,16 +448,16 @@ def squares_system(ends: tuple[Cx, Cx] | None, squares) -> DegreewiseSolver:
             rows, cols = y.obj(n).dim, x.obj(n).dim
             if rows == 0 or cols == 0:
                 continue
-            terms = [((k, n), y.diff(n - 1).mat, None, +1), ((k, n + 1), None, x.diff(n).mat, +1)]
-            lmat = left.component(n).mat if left is not None else None
-            rmat = right.component(n).mat if right is not None else None
+            terms = [((k, n), y._dmat(n - 1), None, +1), ((k, n + 1), None, x._dmat(n), +1)]
+            lmat = left._mat(n) if left is not None else None
+            rmat = right._mat(n) if right is not None else None
             if ends is not None:
                 terms.append((("w", n), lmat, rmat, -1))
-                solver.add_eq(terms, -target.component(n).mat)
+                solver.add_eq(terms, -target._mat(n))
             else:
                 known = [m for m in (lmat, rmat) if m is not None]
                 const = reduce(operator.matmul, known) if known else Mat.identity(p, cols)
-                solver.add_eq(terms, const - target.component(n).mat)
+                solver.add_eq(terms, const - target._mat(n))
     return solver
 
 
@@ -532,8 +532,8 @@ def cohomology_data(x: Cx, n: int) -> CohomologyData:
     from homcat.modules import _restricted_action
 
     xn = x.obj(n)
-    z = kernel_basis(x.diff(n).mat)
-    boundaries = x.diff(n - 1).mat
+    z = kernel_basis(x._dmat(n))
+    boundaries = x._dmat(n - 1)
     if z.cols == 0:
         return CohomologyData(zero_module(x.alg), z, Mat.zeros(x.alg.p, 0, 0), Mat.zeros(x.alg.p, 0, 0))
     b_in_z = solve(z, column_space(boundaries)) if boundaries.cols else Mat.zeros(x.alg.p, z.cols, 0)
@@ -560,7 +560,7 @@ def cohomology_map(f: CMap, n: int) -> MMap:
     hy = cohomology_data(f.dst, n)
     if hx.module.dim == 0 or hy.module.dim == 0:
         return MMap.zero(hx.module, hy.module)
-    image = f.component(n).mat @ hx.cocycles
+    image = f._mat(n) @ hx.cocycles
     in_zy = solve(hy.cocycles, image)
     if in_zy is None:
         raise ValidationError("chain map does not preserve cocycles")
@@ -614,7 +614,7 @@ class HomComplex:
     """The total Hom complex of two bounded complexes, over the ground field.
 
     Degree n gathers all module maps x^i -> y^(i+n); the stored basis
-    bookkeeping converts between coordinate vectors and graded map components.
+    bookkeeping gives graded map components their coordinate vectors.
     """
 
     cx: Cx
@@ -624,17 +624,6 @@ class HomComplex:
 
     def degree_dim(self, n: int) -> int:
         return len(self.basis.get(n, []))
-
-    def element(self, n: int, coeffs) -> dict[int, MMap]:
-        """Assemble the graded map with the given coordinates in degree n."""
-        items = self.basis.get(n, [])
-        comps: dict[int, MMap] = {}
-        for c, (i, f) in zip(coeffs, items):
-            if not c:
-                continue
-            cur = comps.get(i)
-            comps[i] = f.scale(int(c)) if cur is None else cur + f.scale(int(c))
-        return comps
 
     def blocks(self, n: int) -> dict[int, slice]:
         """Source degree i -> the slice of the degree-n basis holding maps x^i -> y^(i+n)."""
@@ -697,7 +686,7 @@ def hom_complex(x: Cx, y: Cx) -> HomComplex:
         for i, cols in _blocks(src_items).items():
             fs = np.stack([f.mat.a for _, f in src_items[cols]])
             # D f = d_y f at source degree i, -(-1)^n f d_x at source degree i - 1
-            for j, image, s in ((i, y.diff(i + n).mat.a @ fs, 1), (i - 1, fs @ x.diff(i - 1).mat.a, -sign)):
+            for j, image, s in ((i, y._dmat(i + n).a @ fs, 1), (i - 1, fs @ x._dmat(i - 1).a, -sign)):
                 coords = hom_coords(x.obj(j), y.obj(j + n + 1), image % p)
                 dmat[dst_blocks.get(j, slice(0)), cols] += s * coords.T
         dmaps.append(MMap(mods[n], mods[n + 1], Mat(p, dmat)))
@@ -706,12 +695,17 @@ def hom_complex(x: Cx, y: Cx) -> HomComplex:
 
 
 def chain_map_basis(x: Cx, y: Cx) -> list[CMap]:
-    """A basis of the space of chain maps x -> y (cocycles in Hom degree 0)."""
-    hc = hom_complex(x, y)
-    if hc.degree_dim(0) == 0:
-        return []
-    z = kernel_basis(hc.cx.diff(0).mat)
-    return [CMap.build(x, y, hc.element(0, z.a[:, t])) for t in range(z.cols)]
+    """A basis of the space of chain maps x -> y: the null space of the chain
+    condition in ``squares_system((x, y), [])``.
+
+    Its unknowns are the Hom(x^n, y^n) coordinates in degree order, the
+    columns of Hom^0(x, y), and its solutions are the cocycles of Hom^0, so
+    this is the echelon basis of ker D^0 without building the Hom complex.
+    """
+    return [
+        CMap.build(x, y, {n: MMap(x.obj(n), y.obj(n), m) for (_, n), m in sol.items() if not m.is_zero()})
+        for sol in squares_system((x, y), []).nullspace()
+    ]
 
 
 def hom_k_dim(x: Cx, y: Cx) -> int:
@@ -740,9 +734,9 @@ def truncate(x: Cx, n: int) -> Cx:
     return make_complex(x.alg, x.lo, objects, diffs)
 
 
-def direct_sum_cx(xs: list[Cx]) -> tuple[Cx, list[CMap], list[CMap]]:
-    """Degreewise biproduct, block diagonal in list order, with canonical
-    injections and projections."""
+def _sum_cx(xs: list[Cx]) -> tuple[Cx, dict[int, list[int]]]:
+    """The degreewise sum complex, block diagonal in list order, with the first
+    coordinate of each summand in each degree (no injections or projections)."""
     if not xs:
         raise ValidationError("direct_sum_cx of an empty list needs at least one complex")
     alg = xs[0].alg
@@ -750,20 +744,25 @@ def direct_sum_cx(xs: list[Cx]) -> tuple[Cx, list[CMap], list[CMap]]:
         raise ValidationError("direct_sum_cx over mixed algebras")
     nonzero = [x for x in xs if not x.is_zero()]
     if not nonzero:
-        z = zero_complex(alg)
-        return z, [CMap.zero(x, z) for x in xs], [CMap.zero(z, x) for x in xs]
+        return zero_complex(alg), {}
     degs = range(min(x.lo for x in nonzero), max(x.hi for x in nonzero) + 1)
     mods, offsets = {}, {}
     for n in degs:
         mods[n], offsets[n] = _block_sum(alg, [x.obj(n) for x in xs])
     diffs = [MMap(mods[n], mods[n + 1], block_diag([x._dmat(n) for x in xs], alg.p)) for n in degs[:-1]]
-    total = make_complex(alg, degs.start, [mods[n] for n in degs], diffs)
+    return make_complex(alg, degs.start, [mods[n] for n in degs], diffs), offsets
+
+
+def direct_sum_cx(xs: list[Cx]) -> tuple[Cx, list[CMap], list[CMap]]:
+    """Degreewise biproduct, block diagonal in list order, with canonical
+    injections and projections."""
+    total, offsets = _sum_cx(xs)
     injs = [
-        CMap.build(x, total, {n: _block_inclusion(x.obj(n), mods[n], offsets[n][t]) for n in x.degrees()})
+        CMap.build(x, total, {n: _block_inclusion(x.obj(n), total.obj(n), offsets[n][t]) for n in x.degrees()})
         for t, x in enumerate(xs)
     ]
     projs = [
-        CMap.build(total, x, {n: _block_projection(mods[n], x.obj(n), offsets[n][t]) for n in x.degrees()})
+        CMap.build(total, x, {n: _block_projection(total.obj(n), x.obj(n), offsets[n][t]) for n in x.degrees()})
         for t, x in enumerate(xs)
     ]
     return total, injs, projs

@@ -329,17 +329,8 @@ class DGAlg:
     mult: dict
     unit: np.ndarray
 
-    def degree_dims(self) -> dict[int, int]:
-        return {n: self.hom.degree_dim(n) for n in self.hom.cx.degrees()}
-
     def differential(self, n: int) -> Mat:
         return self.hom.cx.diff(n).mat
-
-    def product(self, m: int, a: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
-        table = self.mult.get((m, n))
-        if table is None:
-            return np.zeros(self.hom.degree_dim(m + n), dtype=np.int64)
-        return np.einsum("kij,i,j->k", table, a % self.hom.source.alg.p, b % self.hom.source.alg.p) % self.hom.source.alg.p
 
 
 def dg_end(p_cx: Cx) -> DGAlg:

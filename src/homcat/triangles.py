@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from homcat.complexes import (
     CMap,
     Cx,
@@ -21,7 +19,6 @@ from homcat.complexes import (
     chain_map_basis,
     cohomology_map,
     cone_complex,
-    direct_sum_cx,
     lift_map,
     make_complex,
     null_homotopy,
@@ -31,9 +28,10 @@ from homcat.complexes import (
     zero_complex,
     _cmap_of,
     _combined_degrees,
+    _sum_cx,
 )
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, block_diag, column_space, inverse, kernel_basis, rank, solve
+from homcat.linalg import Mat, block_diag, column_space, kernel_basis, rank, solve
 from homcat.modules import MMap, Mod, _block_inclusion, _block_projection, submodule
 
 __all__ = [
@@ -199,9 +197,9 @@ def sum_triangles(tris: list[Tri]) -> Tri:
         raise ValidationError("sum of an empty family of triangles")
     if len(tris) == 1:
         return tris[0]
-    x_sum = direct_sum_cx([t.x for t in tris])[0]
-    y_sum = direct_sum_cx([t.y for t in tris])[0]
-    z_sum = direct_sum_cx([t.z for t in tris])[0]
+    x_sum = _sum_cx([t.x for t in tris])[0]
+    y_sum = _sum_cx([t.y for t in tris])[0]
+    z_sum = _sum_cx([t.z for t in tris])[0]
     f = _cmap_of(x_sum, y_sum, lambda n: block_diag([t.f._mat(n) for t in tris]))
     g = _cmap_of(y_sum, z_sum, lambda n: block_diag([t.g._mat(n) for t in tris]))
     # Sigma of the sum is the sum of the shifts, degree by degree
@@ -338,148 +336,88 @@ def semisimple_split(x: Cx) -> tuple[Cx, CMap, CMap, Htp]:
 
     Returns (S, p, s, htp): S has H^n(x) in degree n with zero differentials,
     p: x -> S and s: S -> x satisfy p s = id strictly and s p ~ id via htp.
+    S^n is a complement L^n of the boundaries in the cocycles and s its
+    inclusion; p and htp are solved by ``solve_squares`` (p s ~ id is p s = id,
+    since S has zero differentials) and ``null_homotopy``.
     """
     alg = x.alg
     if alg.radical.cols != 0:
         raise ValidationError("splitting requires a semisimple algebra (zero radical)")
-    p_field = alg.p
-    if x.is_zero():
-        z = zero_complex(alg)
-        ident = CMap.zero(x, x)
-        return z, CMap.zero(x, z), CMap.zero(z, x), Htp.zero(ident, ident)
-    pieces: dict[int, dict] = {}
+    incs = {}
     for n in x.degrees():
-        xn = x.obj(n)
-        z_basis = kernel_basis(x.diff(n).mat)
-        zmod, zinc = submodule(xn, z_basis)
-        c_basis = kernel_basis(_retraction(xn, zinc).mat)
-        b_ambient = column_space(x.diff(n - 1).mat)
-        b_in_z = solve(z_basis, b_ambient)
+        z_basis = kernel_basis(x._dmat(n))
+        zmod, _ = submodule(x.obj(n), z_basis)
+        b_in_z = solve(z_basis, column_space(x._dmat(n - 1)))
         if b_in_z is None:
             raise ValidationError("boundaries escape cocycles; complex invalid")
-        bmod, binc = submodule(zmod, b_in_z)
-        l_in_z = kernel_basis(_retraction(zmod, binc).mat)
-        l_basis = z_basis @ l_in_z
-        lmod, _ = submodule(xn, l_basis)
-        pieces[n] = {
-            "l_basis": l_basis,
-            "b_basis": column_space(z_basis @ b_in_z),
-            "c_basis": c_basis,
-            "lmod": lmod,
-        }
-    objects = [pieces[n]["lmod"] for n in x.degrees()]
+        _, binc = submodule(zmod, b_in_z)
+        incs[n] = submodule(x.obj(n), z_basis @ kernel_basis(_retraction(zmod, binc).mat))[1]
+    objects = [incs[n].src for n in x.degrees()]
     stalk_sum = make_complex(
         alg,
         x.lo,
         objects,
         [MMap.zero(objects[k], objects[k + 1]) for k in range(len(objects) - 1)],
     )
-    p_comps = {}
-    s_comps = {}
-    h_comps = {}
-    for n in x.degrees():
-        data = pieces[n]
-        lmod = data["lmod"]
-        xn = x.obj(n)
-        full = Mat(
-            p_field, np.hstack([data["b_basis"].a, data["l_basis"].a, data["c_basis"].a])
-        )
-        full_inv = inverse(full)
-        if full_inv is None:
-            raise ValidationError("internal inconsistency: B + L + C is not a basis")
-        nb = data["b_basis"].cols
-        nl = data["l_basis"].cols
-        if lmod.dim:
-            p_comps[n] = MMap(xn, lmod, Mat(p_field, full_inv.a[nb : nb + nl, :]))
-            s_comps[n] = MMap(lmod, xn, data["l_basis"])
-        prev = pieces.get(n - 1)
-        if prev is not None and nb:
-            dc = solve(data["b_basis"], x.diff(n - 1).mat @ prev["c_basis"])
-            dc_inv = inverse(dc) if dc is not None else None
-            if dc_inv is None:
-                raise ValidationError("internal inconsistency: d does not map C onto B")
-            h_comps[n] = MMap(
-                xn,
-                x.obj(n - 1),
-                prev["c_basis"] @ dc_inv @ Mat(p_field, full_inv.a[:nb, :]),
-            )
-    pmap = CMap.build(x, stalk_sum, p_comps)
-    smap = CMap.build(stalk_sum, x, s_comps)
+    smap = CMap.build(stalk_sum, x, incs)
+    out = solve_squares((x, stalk_sum), [(None, smap, CMap.identity(stalk_sum))])
+    if out is None:
+        raise ValidationError("internal inconsistency: the cocycle complement has no retraction")
+    pmap = out[0]
     if not (pmap @ smap) == CMap.identity(stalk_sum):
         raise ValidationError("internal inconsistency: p s != id on stalks")
-    # id - s p is the projection onto B (+) C, which is d h + h d for the
-    # inverse of d on the complement C
-    htp = Htp(CMap.identity(x), smap @ pmap, h_comps)
+    htp = null_homotopy(CMap.identity(x), smap @ pmap)
+    if htp is None:
+        raise ValidationError("internal inconsistency: s p is not homotopic to the identity")
     return stalk_sum, pmap, smap, htp
 
 
 # -- split sequences ----------------------------------------------------------------
 
 
-def split_seq_to_triangle(
-    i: CMap, pr: CMap, sections: dict | None = None
-) -> tuple[Tri, dict]:
+def split_seq_to_triangle(i: CMap, pr: CMap) -> tuple[Tri, dict]:
     """Turn a degreewise split exact sequence 0 -> X -> Y -> Z -> 0 into a
     certified triangle.
 
-    Sections are solved degreewise when not provided; the connecting map is
-    r d s for the matching retraction r, tried with both signs against the
-    cone certificate.  Raises when the sequence is not degreewise split exact.
+    Sections s and retractions r (r i = id, i r + s pr = id) are solved
+    degreewise.  Then d_Y s = i (r d s) + s d_Z, so the connecting map is
+    h = -r d s, certified once against the cone.  Raises when the sequence is
+    not degreewise split exact.
     """
     x, y, z = i.src, i.dst, pr.dst
     if pr.src != y:
         raise ValidationError("maps do not compose")
     if not (pr @ i).is_zero():
         raise ValidationError("composite is not zero")
-    degs_all = set(_combined_degrees(x, y)) | set(_combined_degrees(y, z))
-    secs: dict[int, MMap] = {} if sections is None else dict(sections)
+    secs: dict[int, MMap] = {}
     rets: dict[int, MMap] = {}
-    for n in sorted(degs_all):
+    for n in sorted(set(_combined_degrees(x, y)) | set(_combined_degrees(y, z))):
         yn, zn, xn = y.obj(n), z.obj(n), x.obj(n)
-        if rank(i.component(n).mat) != xn.dim:
+        if rank(i._mat(n)) != xn.dim:
             raise ValidationError(f"first map not injective in degree {n}")
-        if rank(pr.component(n).mat) != zn.dim:
+        if rank(pr._mat(n)) != zn.dim:
             raise ValidationError(f"second map not surjective in degree {n}")
         if xn.dim + zn.dim != yn.dim:
             raise ValidationError(f"sequence not exact in degree {n}")
+        residue = Mat.identity(y.alg.p, yn.dim)
         if zn.dim:
-            s_n = secs.get(n)
-            if s_n is None:
-                s_n = _section(pr.component(n))
-                secs[n] = s_n
-            elif (pr.component(n) @ s_n).mat != Mat.identity(y.alg.p, zn.dim):
-                raise ValidationError(f"provided section fails in degree {n}")
+            secs[n] = _section(pr.component(n))
+            residue = residue - secs[n].mat @ pr._mat(n)
         if xn.dim:
-            ident = Mat.identity(y.alg.p, yn.dim)
-            s_n = secs.get(n)
-            residue = ident - (
-                s_n.mat @ pr.component(n).mat if s_n is not None else Mat.zeros(y.alg.p, yn.dim, yn.dim)
-            )
-            r_mat = solve(i.component(n).mat, residue)
+            r_mat = solve(i._mat(n), residue)
             if r_mat is None:
                 raise ValidationError(f"no retraction in degree {n}")
             rets[n] = MMap(yn, xn, r_mat)
-    target = shift(x, 1)
-    h_comps = {}
-    for n in sorted(degs_all):
-        zn = z.obj(n)
-        xn1 = x.obj(n + 1)
-        if zn.dim == 0 or xn1.dim == 0:
-            continue
-        r_next = rets.get(n + 1)
-        s_n = secs.get(n)
-        if r_next is None or s_n is None:
-            continue
-        h_comps[n] = MMap(zn, xn1, r_next.mat @ y.diff(n).mat @ s_n.mat)
-    last_err = None
-    for sign in (1, -1):
-        try:
-            h = CMap.build(z, target, {n: f.scale(sign) for n, f in h_comps.items()})
-            tri = certify_triangle(i, pr, h)
-            return tri, {"sections": secs, "retractions": rets}
-        except ValidationError as err:
-            last_err = err
-    raise ValidationError(f"split sequence did not certify against the cone: {last_err}")
+    h = CMap.build(z, shift(x, 1), {
+        n: MMap(z.obj(n), x.obj(n + 1), -(rets[n + 1].mat @ y._dmat(n) @ s_n.mat))
+        for n, s_n in secs.items()
+        if n + 1 in rets
+    })
+    try:
+        tri = certify_triangle(i, pr, h)
+    except ValidationError as err:
+        raise ValidationError(f"split sequence did not certify against the cone: {err}") from err
+    return tri, {"sections": secs, "retractions": rets}
 
 
 def _section(p_n: MMap) -> MMap:

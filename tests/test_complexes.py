@@ -35,7 +35,7 @@ from homcat.complexes import (
 )
 from homcat.derived import proj_resolution
 from homcat.errors import ValidationError
-from homcat.linalg import Mat, inverse
+from homcat.linalg import Mat, inverse, kernel_basis
 from homcat.modules import (
     MMap,
     hom_space,
@@ -329,6 +329,43 @@ def test_chain_map_basis_matches_hom_of_modules():
     n = projective_module(L1, 1)
     basis = chain_map_basis(stalk(m, 0), stalk(n, 0))
     assert len(basis) == len(hom_space(m, n))
+
+
+def _chain_map_basis_from_hom_complex(x, y):
+    """The echelon basis of ker D^0 on the Hom complex, decoded map by map:
+    the construction ``chain_map_basis`` replaced, kept as its reference."""
+    hc = hom_complex(x, y)
+    if hc.degree_dim(0) == 0:
+        return []
+    z = kernel_basis(hc.cx.diff(0).mat)
+    out = []
+    for t in range(z.cols):
+        comps = {}
+        for c, (i, f) in zip(z.a[:, t], hc.basis[0]):
+            if c:
+                comps[i] = comps[i] + f.scale(int(c)) if i in comps else f.scale(int(c))
+        out.append(CMap.build(x, y, comps))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_chain_map_basis_equals_the_hom_complex_cocycles(p):
+    rng = np.random.default_rng(p)
+    pairs = 0
+    for name in ("lambda1", "truncpoly(3)"):
+        alg = preset(name, p)
+        for _ in range(8):
+            x = random_complex(alg, rng, max_support=3, dim_cap=3)
+            y = random_complex(alg, rng, max_support=3, dim_cap=3)
+            for src, dst in ((x, y), (y, x), (x, x)):
+                basis = chain_map_basis(src, dst)
+                reference = _chain_map_basis_from_hom_complex(src, dst)
+                assert len(basis) == len(reference)
+                for f, g in zip(basis, reference):
+                    assert f.comps.keys() == g.comps.keys()
+                    assert all(f.comps[n].mat == g.comps[n].mat for n in f.comps)
+                pairs += bool(basis)
+    assert pairs >= 10  # of 48: enough pairs with nonzero chain maps to compare
 
 
 def test_truncation_profile():

@@ -265,6 +265,25 @@ def test_semisimple_split_random_betti():
             assert s.obj(n).dim == betti
 
 
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_semisimple_split_certificates(p):
+    gf = preset("ground_field", p)
+    rng = np.random.default_rng(p)
+    nonzero = 0
+    for _ in range(6):
+        x = random_complex(gf, rng, max_support=4, dim_cap=5)
+        s, pm, sm, htp = semisimple_split(x)
+        assert pm @ sm == CMap.identity(s)
+        assert htp.phi == CMap.identity(x)
+        assert htp.psi == sm @ pm
+        assert all(s.obj(n).dim == d for n, d in cohomology_dims(x).items())
+        nonzero += not s.is_zero()
+    assert nonzero
+    zero = make_complex(gf, 0, [], [])
+    s, pm, sm, htp = semisimple_split(zero)
+    assert s.is_zero() and pm.is_zero() and sm.is_zero() and htp.phi == CMap.identity(zero)
+
+
 def test_semisimple_split_refuses_non_semisimple():
     x = stalk(simple_module(L1, 0), 0)
     with pytest.raises(ValidationError, match="semisimple"):
@@ -291,6 +310,28 @@ def test_split_seq_from_cone():
     c, parts = cone_complex(f)
     tri, data = split_seq_to_triangle(parts.iota, parts.pi)
     assert tri.kind == "iso-to-cone"
+
+
+def test_split_seq_certifies_its_connecting_map_once(monkeypatch):
+    # the cone input of test_split_seq_from_cone: h = -r d s is the connecting map
+    import homcat.triangles as triangles
+
+    rng = np.random.default_rng(11)
+    f = _random_map(L1, rng, max_support=2, dim_cap=3)
+    c, parts = cone_complex(f)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return certify_triangle(*args)
+
+    monkeypatch.setattr(triangles, "certify_triangle", counted)
+    tri, data = split_seq_to_triangle(parts.iota, parts.pi)
+    assert len(calls) == 1
+    assert null_homotopy(tri.h) is None  # the other sign would not certify
+    secs, rets = data["sections"], data["retractions"]
+    for n, g in tri.h.comps.items():
+        assert g.mat == -(rets[n + 1].mat @ c.diff(n).mat @ secs[n].mat)
 
 
 def test_split_seq_rejects_non_split():
