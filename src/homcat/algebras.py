@@ -60,6 +60,7 @@ class Alg:
     radical: Mat  # columns span the Jacobson radical
     name: str = "algebra"
     _opposite: "Alg | None" = field(default=None, init=False, repr=False)
+    _hash: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.structconst.flags.writeable = False
@@ -116,7 +117,11 @@ class Alg:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.dim, self.structconst.tobytes(), self.unit.tobytes()))
+        # computed once, since every cache keyed by an algebra hashes it
+        if self._hash is None:
+            key = (self.p, self.dim, self.structconst.tobytes(), self.unit.tobytes())
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Alg({self.name}, dim={self.dim}, p={self.p})"

@@ -22,13 +22,24 @@ import numpy as np
 
 from homcat.algebras import Alg, preset
 from homcat.errors import ValidationError
-from homcat.linalg import Mat, block_diag, column_space, hstack, kernel_basis, rank, solve, vstack
+from homcat.linalg import (
+    Mat,
+    block_diag,
+    column_space,
+    hstack,
+    kernel_basis,
+    quotient_structure,
+    rank,
+    solve,
+    vstack,
+)
 from homcat.modules import (
     MMap,
     Mod,
     _block_inclusion,
     _block_projection,
     _block_sum,
+    _restricted_action,
     hom_coords,
     hom_space,
     make_module,
@@ -528,9 +539,6 @@ class CohomologyData:
 
 
 def cohomology_data(x: Cx, n: int) -> CohomologyData:
-    from homcat.linalg import quotient_structure
-    from homcat.modules import _restricted_action
-
     xn = x.obj(n)
     z = kernel_basis(x._dmat(n))
     boundaries = x._dmat(n - 1)
@@ -540,7 +548,7 @@ def cohomology_data(x: Cx, n: int) -> CohomologyData:
     if b_in_z is None:
         raise ValidationError("boundaries escape cocycles; complex invalid")
     proj, sec = quotient_structure(z.cols, b_in_z)
-    z_action = _restricted_action(xn, z)
+    z_action = _restricted_action(xn.acts, z)
     module = make_module(x.alg, (proj.a @ z_action % x.alg.p) @ sec.a)
     return CohomologyData(module, z, proj, sec)
 
@@ -651,47 +659,51 @@ def _blocks(items: list) -> dict[int, slice]:
     return out
 
 
-def hom_complex(x: Cx, y: Cx) -> HomComplex:
-    """Hom*(x, y) as a complex of ground-field modules.
+def _hom_items(x: Cx, y: Cx, n: int) -> list:
+    """The degree-n basis of Hom*(x, y): (source degree i, map x^i -> y^(i+n)),
+    grouped by source degree, each group the ``hom_space`` basis."""
+    return [
+        (i, f)
+        for i in x.degrees()
+        if x.obj(i).dim and y.obj(i + n).dim
+        for f in hom_space(x.obj(i), y.obj(i + n))
+    ]
 
-    H^0 computes Hom in the homotopy category; the basis bookkeeping supports
-    dg-algebra structure on Hom*(P, P).  Each differential block is one
-    stacked product per source block, read off by ``hom_coords``.
+
+def _hom_dmat(x: Cx, y: Cx, n: int, src_items: list, dst_items: list) -> Mat:
+    """The matrix of D^n: Hom^n -> Hom^(n+1) in the bases ``src_items`` and
+    ``dst_items`` of ``_hom_items``: one stacked product per source block,
+    read off by ``hom_coords``."""
+    p = x.alg.p
+    dst_blocks = _blocks(dst_items)
+    dmat = np.zeros((len(dst_items), len(src_items)), dtype=np.int64)
+    sign = 1 if n % 2 == 0 else -1
+    for i, cols in _blocks(src_items).items():
+        fs = np.stack([f.mat.a for _, f in src_items[cols]])
+        # D f = d_y f at source degree i, -(-1)^n f d_x at source degree i - 1
+        for j, image, s in ((i, y._dmat(i + n).a @ fs, 1), (i - 1, fs @ x._dmat(i - 1).a, -sign)):
+            coords = hom_coords(x.obj(j), y.obj(j + n + 1), image % p)
+            dmat[dst_blocks.get(j, slice(0)), cols] += s * coords.T
+    return Mat(p, dmat)
+
+
+def hom_complex(x: Cx, y: Cx) -> HomComplex:
+    """Hom*(x, y) as a complex of ground-field modules, with its basis.
+
+    The basis bookkeeping gives graded maps their coordinates and supports
+    dg-algebra structure on Hom*(P, P); a dimension of Hom in K reads only
+    three degrees, through ``hom_k_dim``.
     """
     if x.alg != y.alg:
         raise ValidationError("hom_complex between complexes over different algebras")
     p = x.alg.p
     ground = preset("ground_field", p)
-    if x.is_zero() or y.is_zero():
-        return HomComplex(zero_complex(ground), x, y, {})
-    lo = y.lo - x.hi
-    hi = y.hi - x.lo
-    basis: dict[int, list] = {}
-    for n in range(lo, hi + 1):
-        items = []
-        for i in x.degrees():
-            if y.obj(i + n).dim == 0 or x.obj(i).dim == 0:
-                continue
-            for f in hom_space(x.obj(i), y.obj(i + n)):
-                items.append((i, f))
-        if items:
-            basis[n] = items
-    mods = {n: make_module(ground, [Mat.identity(p, len(basis.get(n, [])))]) for n in range(lo, hi + 1)}
-    dmaps = []
-    for n in range(lo, hi):
-        src_items = basis.get(n, [])
-        dst_blocks = _blocks(basis.get(n + 1, []))
-        dmat = np.zeros((mods[n + 1].dim, len(src_items)), dtype=np.int64)
-        sign = 1 if n % 2 == 0 else -1
-        for i, cols in _blocks(src_items).items():
-            fs = np.stack([f.mat.a for _, f in src_items[cols]])
-            # D f = d_y f at source degree i, -(-1)^n f d_x at source degree i - 1
-            for j, image, s in ((i, y._dmat(i + n).a @ fs, 1), (i - 1, fs @ x._dmat(i - 1).a, -sign)):
-                coords = hom_coords(x.obj(j), y.obj(j + n + 1), image % p)
-                dmat[dst_blocks.get(j, slice(0)), cols] += s * coords.T
-        dmaps.append(MMap(mods[n], mods[n + 1], Mat(p, dmat)))
-    cx = make_complex(ground, lo, [mods[n] for n in range(lo, hi + 1)], dmaps)
-    return HomComplex(cx, x, y, basis)
+    degs = range(y.lo - x.hi, y.hi - x.lo + 1)  # empty or all zero when x or y is zero
+    items = {n: _hom_items(x, y, n) for n in degs}
+    mods = {n: make_module(ground, [Mat.identity(p, len(items[n]))]) for n in degs}
+    dmaps = [MMap(mods[n], mods[n + 1], _hom_dmat(x, y, n, items[n], items[n + 1])) for n in degs[:-1]]
+    cx = make_complex(ground, degs.start, [mods[n] for n in degs], dmaps)
+    return HomComplex(cx, x, y, {n: b for n, b in items.items() if b})
 
 
 def chain_map_basis(x: Cx, y: Cx) -> list[CMap]:
@@ -708,9 +720,17 @@ def chain_map_basis(x: Cx, y: Cx) -> list[CMap]:
     ]
 
 
-def hom_k_dim(x: Cx, y: Cx) -> int:
-    """dim Hom in the homotopy category = dim H^0 of the Hom complex."""
-    return cohomology_dim(hom_complex(x, y).cx, 0)
+def hom_k_dim(x: Cx, y: Cx, n: int = 0) -> int:
+    """dim Hom_K(x, Sigma^n y) = dim H^n of the Hom complex, read from its
+    degrees n - 1, n and n + 1 only: dim Hom^n - rank D^n - rank D^(n-1),
+    once D^n o D^(n-1) = 0 is checked."""
+    if x.alg != y.alg:
+        raise ValidationError("hom_k_dim between complexes over different algebras")
+    below, here, above = (_hom_items(x, y, k) for k in (n - 1, n, n + 1))
+    d_in, d_out = _hom_dmat(x, y, n - 1, below, here), _hom_dmat(x, y, n, here, above)
+    if not (d_out @ d_in).is_zero():
+        raise ValidationError(f"D o D != 0 at degree {n - 1} of the Hom complex", witness=n - 1)
+    return len(here) - rank(d_out) - rank(d_in)
 
 
 # -- truncation and sums --------------------------------------------------------------

@@ -26,6 +26,7 @@ from homcat.complexes import (
     cohomology_map,
     cone_complex,
     hom_complex,
+    hom_k_dim,
     lift_map,
     make_complex,
     shift,
@@ -40,6 +41,7 @@ from homcat.modules import (
     MMap,
     Mod,
     _cover_step,
+    _restricted_action,
     classify_indecomposables,
     decompose,
     decompose_with_maps,
@@ -272,20 +274,19 @@ def hom_derived(x: Cx, y: Cx, n: int, cap: int = 12) -> int:
     """dim Hom in the derived category between x and the n-th shift of y.
 
     Computed as dim H^n of the Hom complex out of a projective resolution of
-    x.  The cap only bounds the cover chains, each of which stops at a zero
-    syzygy, so a resolution that returns is the same at every larger cap.
+    x, by ``hom_k_dim`` from its degrees n - 1, n and n + 1.  The cap only
+    bounds the cover chains, each of which stops at a zero syzygy, so a
+    resolution that returns is the same at every larger cap.
     """
-    return cohomology_dim(hom_complex(resolve_complex(x, cap).res, y).cx, n)
+    return hom_k_dim(resolve_complex(x, cap).res, y, n)
 
 
 def ext(m: Mod, n_mod: Mod, degree: int, cap: int = 12) -> int:
-    """dim Ext^degree between modules, from a minimal projective resolution."""
+    """dim Ext^degree between modules: dim Hom_K(P, Sigma^degree n_mod) for the
+    minimal projective resolution P of m, from three degrees of the Hom complex."""
     if degree < 0:
         raise ValueError("ext degree must be nonnegative")
-    res = proj_resolution(m, cap)
-    if res.res.is_zero():
-        return 0
-    return cohomology_dim(hom_complex(res.res, stalk(n_mod, 0)).cx, degree)
+    return hom_k_dim(proj_resolution(m, cap).res, stalk(n_mod, 0), degree)
 
 
 # -- isomorphism in the derived category ----------------------------------------------
@@ -465,24 +466,27 @@ def idempotent_slice_algebra(alg: Alg, indices) -> tuple[Alg, Mat, np.ndarray]:
 
 
 def _slice_module(gamma: Alg, basis: Mat, e: np.ndarray, m: Mod) -> tuple[Mod, Mat]:
-    """The right Gamma-module M e, with its embedding basis inside M."""
-    proj_e = m.rho(e)
-    mbasis = column_space(proj_e)
+    """The right Gamma-module M e, with its embedding basis inside M.
+
+    The Gamma basis elements act on M as the combinations of the A-action
+    given by the columns of ``basis`` (alg.dim terms below p^2 each: no int64
+    overflow); their restriction to M e is one stacked ``solve``.
+    """
+    mbasis = column_space(m.rho(e))
     if mbasis.cols == 0:
         return zero_module(gamma), mbasis
-    mats = []
-    for t in range(gamma.dim):
-        act = m.rho(basis.a[:, t])
-        restricted = solve(mbasis, act @ mbasis)
-        if restricted is None:
-            raise ValidationError("slice of module is not invariant")
-        mats.append(restricted)
-    return make_module(gamma, mats), mbasis
+    n = m.dim
+    acts = (basis.a.T @ m.acts.reshape(m.alg.dim, n * n)).reshape(gamma.dim, n, n) % m.alg.p
+    return make_module(gamma, _restricted_action(acts, mbasis)), mbasis
 
 
 def idempotent_slice(alg: Alg, indices, x: Cx) -> Cx:
     """Degreewise slice X e as a complex of Gamma = e A e modules."""
-    gamma, basis, e = idempotent_slice_algebra(alg, indices)
+    return _slice_cx(*idempotent_slice_algebra(alg, indices), x)
+
+
+def _slice_cx(gamma: Alg, basis: Mat, e: np.ndarray, x: Cx) -> Cx:
+    """X e over Gamma, from the output of ``idempotent_slice_algebra``."""
     if x.is_zero():
         return zero_complex(gamma)
     objects = []
@@ -505,9 +509,8 @@ def idempotent_slice(alg: Alg, indices, x: Cx) -> Cx:
 
 def idempotent_slice_dims(alg: Alg, indices, x: Cx) -> tuple[dict[int, int], dict[int, int]]:
     """(H^n of the sliced complex, slice of H^n) dimension profiles."""
-    sliced = idempotent_slice(alg, indices, x)
-    h_of_slice = cohomology_dims(sliced)
     gamma, basis, e = idempotent_slice_algebra(alg, indices)
+    h_of_slice = cohomology_dims(_slice_cx(gamma, basis, e, x))
     slice_of_h = {}
     for n in x.degrees():
         hmod = cohomology_data(x, n).module
@@ -668,7 +671,4 @@ def khom_agreement(m: Mod, x: Cx, cap: int = 12) -> tuple[int, int]:
     for n in x.degrees():
         if x.obj(n).dim and not is_injective(x.obj(n)):
             raise ValidationError(f"component in degree {n} is not injective", witness=n)
-    res = inj_resolution(m, cap)
-    from_res = cohomology_dim(hom_complex(res.res, x).cx, 0)
-    from_stalk = cohomology_dim(hom_complex(stalk(m, 0), x).cx, 0)
-    return from_res, from_stalk
+    return hom_k_dim(inj_resolution(m, cap).res, x), hom_k_dim(stalk(m, 0), x)

@@ -15,12 +15,10 @@ import numpy as np
 from homcat.algebras import preset
 from homcat.complexes import (
     CMap,
-    cohomology_dim,
     cohomology_dims,
     cohomology_map,
     cone_complex,
     direct_sum_cx,
-    hom_complex,
     hom_k_dim,
     null_homotopy,
     stalk,
@@ -279,18 +277,12 @@ def _ex_1_6_3_counts(options: Options) -> tuple[str, int, list[Check]]:
 
 
 def _ext_table_rows(mods, max_degree: int, cap: int):
-    rows = []
-    for i, m in enumerate(mods):
-        res = proj_resolution(m, cap)
-        for j, n in enumerate(mods):
-            if res.res.is_zero():
-                dims = {d: 0 for d in range(max_degree + 1)}
-            else:
-                hc = hom_complex(res.res, stalk(n, 0))
-                dims = {d: cohomology_dim(hc.cx, d) for d in range(max_degree + 1)}
-            for d in range(max_degree + 1):
-                rows.append((i, j, d, dims[d]))
-    return rows
+    return [
+        (i, j, d, ext(m, n, d, cap))
+        for i, m in enumerate(mods)
+        for j, n in enumerate(mods)
+        for d in range(max_degree + 1)
+    ]
 
 
 def _ex_1_6_3_ext(options: Options) -> tuple[str, int, list[Check]]:

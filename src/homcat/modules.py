@@ -268,13 +268,13 @@ def regular_module(alg: Alg) -> Mod:
     return make_module(alg, [alg.right_mult(alg.basis_vector(i)) for i in range(alg.dim)])
 
 
-def _restricted_action(m: Mod, basis: Mat) -> np.ndarray:
-    """Stacked action on a submodule given by a column basis; raises if the
-    span is not invariant."""
-    p, d, k = m.alg.p, m.alg.dim, basis.cols
+def _restricted_action(acts: np.ndarray, basis: Mat) -> np.ndarray:
+    """The stacked action matrices ``acts`` restricted to a column basis, with
+    one ``solve``; raises if the span is not invariant."""
+    p, d, k = basis.p, len(acts), basis.cols
     if k == 0:
         return np.zeros((d, 0, 0), dtype=np.int64)
-    moved = (m.acts @ basis.a) % p  # (d, m.dim, k): the images of the basis under each b_i
+    moved = (acts @ basis.a) % p  # (d, dim, k): the images of the basis under each acts[i]
     stacked = solve(basis, Mat._reduced(p, np.hstack(moved)))
     if stacked is None:
         raise ValidationError("column span is not invariant under the action")
@@ -284,7 +284,7 @@ def _restricted_action(m: Mod, basis: Mat) -> np.ndarray:
 def submodule(m: Mod, basis: Mat) -> tuple[Mod, MMap]:
     """Submodule on a column span, with its inclusion."""
     b = column_space(basis)
-    sub = make_module(m.alg, _restricted_action(m, b))
+    sub = make_module(m.alg, _restricted_action(m.acts, b))
     return sub, MMap(sub, m, b)
 
 

@@ -13,9 +13,11 @@ are assembled as in ``proj_resolution`` and ``inj_resolution``, by
 those of a wide one: widening a window takes only the new covers, and
 ``syzygy``, ``cosyzygy`` and the resolutions read the same ones.  Stable Homs
 (maps modulo those factoring through a projective) can be computed either
-directly or as H^0 of the Hom complex between complete resolutions; both
-routes are implemented and cross-checked, and the stable AR quiver is the AR
-quiver without its projective vertices.
+directly or as H^0 of the Hom complex between complete resolutions, read on
+the window interior from its degrees -1, 0 and 1 (``complexes._hom_items``
+and ``_hom_dmat``, as ``hom_k_dim`` reads them); both routes are implemented
+and cross-checked, and the stable AR quiver is the AR quiver without its
+projective vertices.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from homcat.algebras import Alg
-from homcat.complexes import Cx, make_complex, squares_system, zero_complex
+from homcat.complexes import Cx, _hom_dmat, _hom_items, make_complex, zero_complex
 from homcat.derived import _cover_chain, _dual_side, _projective_side
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, kernel_basis, rank
@@ -214,46 +216,19 @@ def _interior_h0(x: Cx, y: Cx) -> int:
 
     Truncating a two-sided acyclic complex creates one spurious homotopy
     class supported at the window boundary; restricting both the chain maps
-    and the homotopy images to the interior removes it.
+    (ker D^0) and the boundaries (the image of D^(-1)) to the rows of the
+    interior source degrees of Hom^0 removes it.  Hom coordinates are
+    injective in each degree, so these ranks are those of the restricted maps.
     """
-    p = x.alg.p
     lo = max(x.lo, y.lo) + 1
     hi = min(x.hi, y.hi) - 1
     if lo > hi:
         raise ValidationError("window too small: empty interior")
-
-    def restricted(comps: dict[int, Mat]) -> np.ndarray:
-        parts = []
-        for n in range(lo, hi + 1):
-            f = comps.get(n)
-            size = y.obj(n).dim * x.obj(n).dim
-            if f is None:
-                parts.append(np.zeros(size, dtype=np.int64))
-            else:
-                parts.append(f.a.reshape(-1))
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-    # chain maps solved degreewise (much cheaper than the full Hom complex)
-    v_cols = [
-        restricted({n: m for (_, n), m in sol.items()})
-        for sol in squares_system((x, y), []).nullspace()
-    ]
-    b_cols = []
-    for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 2):
-        if x.obj(n).dim == 0 or y.obj(n - 1).dim == 0:
-            continue
-        for h in hom_space(x.obj(n), y.obj(n - 1)):
-            comps = {}
-            lead = y.diff(n - 1) @ h
-            if not lead.is_zero():
-                comps[n] = lead.mat
-            trail = h @ x.diff(n - 1)
-            if not trail.is_zero():
-                comps[n - 1] = trail.mat
-            b_cols.append(restricted(comps))
-    v_rank = rank(Mat(p, np.stack(v_cols, axis=1))) if v_cols else 0
-    b_rank = rank(Mat(p, np.stack(b_cols, axis=1))) if b_cols else 0
-    return v_rank - b_rank
+    below, here, above = (_hom_items(x, y, k) for k in (-1, 0, 1))
+    interior = [t for t, (i, _) in enumerate(here) if lo <= i <= hi]
+    cocycles = kernel_basis(_hom_dmat(x, y, 0, here, above))
+    boundaries = _hom_dmat(x, y, -1, below, here)
+    return rank(Mat(x.alg.p, cocycles.a[interior])) - rank(Mat(x.alg.p, boundaries.a[interior]))
 
 
 def stable_hom_via_cr(m: Mod, n: Mod, window: tuple[int, int] = (-4, 4)) -> int:

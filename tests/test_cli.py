@@ -219,6 +219,25 @@ def test_emit_tilting_report_bytes_are_pinned(tmp_path, algebra, prime):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TILTING_REPORT_SHA256[(algebra, prime)]
 
 
+# sha256 of `homcat emit ext-table --format json` for the three matrix algebras at p = 2 and p = 3
+EXT_TABLE_SHA256 = {
+    ("lambda1", 2): "1820478d417e355aebc43a447e0cf452c6e889d5efcae1a477942c25638203aa",
+    ("lambda1", 3): "b4d4733b7977c176b50defb2ad7b75598daa32a3fedbff8b338b0ff0b78c71e4",
+    ("lambda2", 2): "1663aa9e53bb83880b3906ff5150e7c32dcea50a271493c6dc1885f3f3b6e864",
+    ("lambda2", 3): "5e5fe054df8b666a2bd30708adafe70c3e5397f74dd084d64e10fc86e46f672e",
+    ("lambda3", 2): "c0a49e26fdb642c229f51800984c5cf9e0d2173fddd2e7cce7c3d8f1a5e8542a",
+    ("lambda3", 3): "2ebc9240098c37d0beec21a7621a409012a8bfc796f86b3265e3464b5294925b",
+}
+
+
+@pytest.mark.parametrize("algebra, prime", sorted(EXT_TABLE_SHA256))
+def test_emit_ext_table_bytes_are_pinned(tmp_path, algebra, prime):
+    out = tmp_path / "e.json"
+    args = ["emit", "ext-table", "--algebra", algebra, "--prime", str(prime), "--format", "json"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXT_TABLE_SHA256[(algebra, prime)]
+
+
 # sha256 of `homcat emit ar-quiver` for every preset and of `emit stable-ar-quiver`
 # for truncpoly(2..5), in both formats at p = 2 and p = 101
 AR_QUIVER_SHA256 = {

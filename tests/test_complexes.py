@@ -324,6 +324,33 @@ def test_hom_k_resolution_vs_simple():
     assert hom_k_dim(x, s1) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_hom_k_dim_reads_the_hom_complex_cohomology(p):
+    rng = np.random.default_rng(p)
+    checked = 0
+    for name in ("lambda1", "truncpoly(3)"):
+        alg = preset(name, p)
+        zero = make_complex(alg, 0, [], [])
+        for _ in range(6):
+            x = random_complex(alg, rng, max_support=3, dim_cap=3)
+            y = random_complex(alg, rng, max_support=3, dim_cap=3)
+            for src, dst in ((x, y), (y, x), (x, x), (x, zero), (zero, y), (zero, zero)):
+                hc = hom_complex(src, dst).cx
+                window = range(hc.lo - 1, hc.hi + 2) if not hc.is_zero() else range(-1, 2)
+                for n in window:
+                    assert hom_k_dim(src, dst, n) == cohomology_dim(hc, n), (src, dst, n)
+                    checked += cohomology_dim(hc, n) > 0
+    assert checked >= 10  # enough nonzero degrees to compare
+
+
+def test_hom_k_dim_rejects_mixed_algebras():
+    x = stalk(simple_module(L1, 0), 0)
+    with pytest.raises(ValidationError, match="different algebras"):
+        hom_k_dim(x, stalk(simple_module(T2, 0), 0))
+    with pytest.raises(ValidationError, match="different algebras"):
+        hom_k_dim(x, make_complex(T2, 0, [], []), 1)
+
+
 def test_chain_map_basis_matches_hom_of_modules():
     m = projective_module(L1, 0)
     n = projective_module(L1, 1)

@@ -2,6 +2,7 @@
 endomorphism algebras, tilting, Hom-agreement with injective complexes."""
 
 import ast
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import homcat
 from homcat.algebras import algebra_iso_search, opposite, preset
 from homcat.complexes import (
     CMap,
+    cohomology_dim,
     cohomology_dims,
     make_complex,
     stalk,
@@ -34,6 +36,7 @@ from homcat.derived import (
     tilting_check,
 )
 from homcat.errors import CapExhausted, ValidationError
+from homcat.exercises import _ext_table_rows
 from homcat.modules import (
     direct_sum,
     hom_space,
@@ -485,6 +488,30 @@ def test_khom_agreement_simples_vs_injective_complexes():
             x = random_injective_complex(L1, rng)
             a, b = khom_agreement(m, x)
             assert a == b
+
+
+def test_derived_dimensions_build_no_hom_complex(monkeypatch):
+    rng = np.random.default_rng(3)
+    simples = _simples(L1)
+    x, inj = random_complex(L1, rng), random_injective_complex(L1, rng)
+    px, res = resolve_complex(x).res, inj_resolution(simples[0]).res
+    original = homcat.complexes.hom_complex
+    want_derived = [cohomology_dim(original(px, stalk(simples[0], 0)).cx, n) for n in range(-1, 3)]
+    want_khom = tuple(cohomology_dim(original(src, inj).cx, 0) for src in (res, stalk(simples[0], 0)))
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homcat") and getattr(module, "hom_complex", None) is original:
+            monkeypatch.setattr(module, "hom_complex", counted)
+    assert [hom_derived(x, stalk(simples[0], 0), n) for n in range(-1, 3)] == want_derived
+    assert khom_agreement(simples[0], inj) == want_khom
+    assert ext(simples[0], simples[1], 1) == 1
+    assert len(_ext_table_rows(simples, 2, 12)) == 3 * len(simples) ** 2
+    assert calls == []
 
 
 def test_khom_agreement_rejects_non_injective():

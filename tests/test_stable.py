@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from homcat.algebras import algebra_from_json, preset
-from homcat.complexes import make_complex, shift
+from homcat.complexes import make_complex, shift, squares_system
 from homcat.errors import GuardError, ValidationError
+from homcat.linalg import Mat, rank
 from homcat.modules import (
     MMap,
     direct_sum,
+    hom_space,
     is_isomorphic,
     is_projective,
     regular_module,
     simple_module,
 )
 from homcat.stable import (
+    _interior_h0,
     assert_self_injective,
     complete_resolution,
     cosyzygy,
@@ -188,6 +191,60 @@ def test_stable_hom_via_cr_matches_direct_truncpoly3():
     for a in mods:
         for b in mods:
             assert stable_hom_via_cr(a, b, (-4, 4)) == stable_hom(a, b)[0]
+
+
+def _interior_h0_by_chain_maps(x, y):
+    """Chain maps from the null space of ``squares_system`` and homotopy
+    images from checked compositions, flattened and restricted to the
+    interior degrees: the construction ``_interior_h0`` replaced, kept as its
+    reference."""
+    p = x.alg.p
+    lo = max(x.lo, y.lo) + 1
+    hi = min(x.hi, y.hi) - 1
+
+    def restricted(comps):
+        parts = []
+        for n in range(lo, hi + 1):
+            f = comps.get(n)
+            parts.append(np.zeros(y.obj(n).dim * x.obj(n).dim, dtype=np.int64) if f is None else f.a.reshape(-1))
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+    v_cols = [
+        restricted({n: m for (_, n), m in sol.items()})
+        for sol in squares_system((x, y), []).nullspace()
+    ]
+    b_cols = []
+    for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 2):
+        if x.obj(n).dim == 0 or y.obj(n - 1).dim == 0:
+            continue
+        for h in hom_space(x.obj(n), y.obj(n - 1)):
+            comps = {}
+            lead = y.diff(n - 1) @ h
+            if not lead.is_zero():
+                comps[n] = lead.mat
+            trail = h @ x.diff(n - 1)
+            if not trail.is_zero():
+                comps[n - 1] = trail.mat
+            b_cols.append(restricted(comps))
+    v_rank = rank(Mat(p, np.stack(v_cols, axis=1))) if v_cols else 0
+    b_rank = rank(Mat(p, np.stack(b_cols, axis=1))) if b_cols else 0
+    return v_rank - b_rank
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_interior_h0_matches_the_chain_map_reference(p):
+    windows = ((-2, 2), (-3, 4), (-4, 2))
+    values = []
+    for n in (2, 3, 4, 5):
+        mods = stable_indecomposables(preset(f"truncpoly({n})", p))
+        for a in mods:
+            for b in mods:
+                for wa in windows:
+                    for wb in windows:
+                        x, y = complete_resolution(a, wa).cx, complete_resolution(b, wb).cx
+                        values.append(_interior_h0(x, y))
+                        assert values[-1] == _interior_h0_by_chain_maps(x, y), (n, a, b, wa, wb)
+    assert len(values) == 9 * (1 + 4 + 9 + 16) and set(values) >= {1, 2}
 
 
 def test_stable_indecomposables_counts():
