@@ -414,12 +414,7 @@ class DegreewiseSolver:
 
     def nullspace(self) -> list[dict]:
         """A basis of the homogeneous solution space (right-hand sides ignored)."""
-        if self.size == 0:
-            return []
-        if not self.rows:
-            basis_vecs = np.eye(self.size, dtype=np.int64)
-        else:
-            basis_vecs = kernel_basis(self._system()).a
+        basis_vecs = kernel_basis(self._system()).a
         return [self._decode(basis_vecs[:, t]) for t in range(basis_vecs.shape[1])]
 
 
@@ -687,6 +682,16 @@ def _hom_dmat(x: Cx, y: Cx, n: int, src_items: list, dst_items: list) -> Mat:
     return Mat(p, dmat)
 
 
+def _hom_window(x: Cx, y: Cx, lo: int, hi: int) -> tuple[dict[int, list], dict[int, Mat]]:
+    """Degrees lo..hi of Hom*(x, y): each degree's basis (``_hom_items``) and
+    the differentials D^lo, ..., D^(hi-1) between them (``_hom_dmat``)."""
+    if x.alg != y.alg:
+        raise ValidationError("Hom complex between complexes over different algebras")
+    items = {k: _hom_items(x, y, k) for k in range(lo, hi + 1)}
+    dmats = {k: _hom_dmat(x, y, k, items[k], items[k + 1]) for k in range(lo, hi)}
+    return items, dmats
+
+
 def hom_complex(x: Cx, y: Cx) -> HomComplex:
     """Hom*(x, y) as a complex of ground-field modules, with its basis.
 
@@ -694,14 +699,11 @@ def hom_complex(x: Cx, y: Cx) -> HomComplex:
     dg-algebra structure on Hom*(P, P); a dimension of Hom in K reads only
     three degrees, through ``hom_k_dim``.
     """
-    if x.alg != y.alg:
-        raise ValidationError("hom_complex between complexes over different algebras")
-    p = x.alg.p
-    ground = preset("ground_field", p)
     degs = range(y.lo - x.hi, y.hi - x.lo + 1)  # empty or all zero when x or y is zero
-    items = {n: _hom_items(x, y, n) for n in degs}
-    mods = {n: make_module(ground, [Mat.identity(p, len(items[n]))]) for n in degs}
-    dmaps = [MMap(mods[n], mods[n + 1], _hom_dmat(x, y, n, items[n], items[n + 1])) for n in degs[:-1]]
+    items, dmats = _hom_window(x, y, degs.start, degs.stop - 1)
+    ground = preset("ground_field", x.alg.p)
+    mods = {n: make_module(ground, [Mat.identity(x.alg.p, len(items[n]))]) for n in degs}
+    dmaps = [MMap(mods[n], mods[n + 1], dmats[n]) for n in degs[:-1]]
     cx = make_complex(ground, degs.start, [mods[n] for n in degs], dmaps)
     return HomComplex(cx, x, y, {n: b for n, b in items.items() if b})
 
@@ -720,17 +722,22 @@ def chain_map_basis(x: Cx, y: Cx) -> list[CMap]:
     ]
 
 
+def _hom_k_dims(x: Cx, y: Cx, degs: range) -> dict[int, int]:
+    """dim H^n of the Hom complex for each n in ``degs``, from one pass over
+    its degrees degs.start - 1, ..., degs.stop: dim Hom^n - rank D^n - rank D^(n-1),
+    once each D^n o D^(n-1) = 0 is checked."""
+    items, dmats = _hom_window(x, y, degs.start - 1, degs.stop)
+    for n in degs:
+        if not (dmats[n] @ dmats[n - 1]).is_zero():
+            raise ValidationError(f"D o D != 0 at degree {n - 1} of the Hom complex", witness=n - 1)
+    ranks = {k: rank(d) for k, d in dmats.items()}
+    return {n: len(items[n]) - ranks[n] - ranks[n - 1] for n in degs}
+
+
 def hom_k_dim(x: Cx, y: Cx, n: int = 0) -> int:
-    """dim Hom_K(x, Sigma^n y) = dim H^n of the Hom complex, read from its
-    degrees n - 1, n and n + 1 only: dim Hom^n - rank D^n - rank D^(n-1),
-    once D^n o D^(n-1) = 0 is checked."""
-    if x.alg != y.alg:
-        raise ValidationError("hom_k_dim between complexes over different algebras")
-    below, here, above = (_hom_items(x, y, k) for k in (n - 1, n, n + 1))
-    d_in, d_out = _hom_dmat(x, y, n - 1, below, here), _hom_dmat(x, y, n, here, above)
-    if not (d_out @ d_in).is_zero():
-        raise ValidationError(f"D o D != 0 at degree {n - 1} of the Hom complex", witness=n - 1)
-    return len(here) - rank(d_out) - rank(d_in)
+    """dim Hom_K(x, Sigma^n y) = dim H^n of the Hom complex, read by
+    ``_hom_k_dims`` from its degrees n - 1, n and n + 1 only."""
+    return _hom_k_dims(x, y, range(n, n + 1))[n]
 
 
 # -- truncation and sums --------------------------------------------------------------

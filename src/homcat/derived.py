@@ -466,12 +466,9 @@ def idempotent_slice_algebra(alg: Alg, indices) -> tuple[Alg, Mat, np.ndarray]:
 
 
 def _slice_module(gamma: Alg, basis: Mat, e: np.ndarray, m: Mod) -> tuple[Mod, Mat]:
-    """The right Gamma-module M e, with its embedding basis inside M.
-
-    The Gamma basis elements act on M as the combinations of the A-action
-    given by the columns of ``basis`` (alg.dim terms below p^2 each: no int64
-    overflow); their restriction to M e is one stacked ``solve``.
-    """
+    """The right Gamma-module M e, with its embedding basis inside M: the
+    Gamma basis acts as the A-action combinations in the columns of ``basis``
+    (alg.dim terms below p^2: no int64 overflow), restricted by one ``solve``."""
     mbasis = column_space(m.rho(e))
     if mbasis.cols == 0:
         return zero_module(gamma), mbasis

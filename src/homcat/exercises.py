@@ -15,6 +15,7 @@ import numpy as np
 from homcat.algebras import preset
 from homcat.complexes import (
     CMap,
+    _hom_k_dims,
     cohomology_dims,
     cohomology_map,
     cone_complex,
@@ -277,12 +278,15 @@ def _ex_1_6_3_counts(options: Options) -> tuple[str, int, list[Check]]:
 
 
 def _ext_table_rows(mods, max_degree: int, cap: int):
-    return [
-        (i, j, d, ext(m, n, d, cap))
-        for i, m in enumerate(mods)
-        for j, n in enumerate(mods)
-        for d in range(max_degree + 1)
-    ]
+    # Ext^d(mods[i], mods[j]) for d <= max_degree as ``ext`` computes it, one Hom-complex pass a pair
+    degs = range(max_degree + 1)
+    rows = []
+    for i, m in enumerate(mods):
+        res = proj_resolution(m, cap).res
+        for j, n in enumerate(mods):
+            dims = _hom_k_dims(res, stalk(n, 0), degs)
+            rows += [(i, j, d, dims[d]) for d in degs]
+    return rows
 
 
 def _ex_1_6_3_ext(options: Options) -> tuple[str, int, list[Check]]:

@@ -14,8 +14,8 @@ those of a wide one: widening a window takes only the new covers, and
 ``syzygy``, ``cosyzygy`` and the resolutions read the same ones.  Stable Homs
 (maps modulo those factoring through a projective) can be computed either
 directly or as H^0 of the Hom complex between complete resolutions, read on
-the window interior from its degrees -1, 0 and 1 (``complexes._hom_items``
-and ``_hom_dmat``, as ``hom_k_dim`` reads them); both routes are implemented
+the window interior from its degrees -1, 0 and 1 (``complexes._hom_window``,
+as ``hom_k_dim`` reads them); both routes are implemented
 and cross-checked, and the stable AR quiver is the AR quiver without its
 projective vertices.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from homcat.algebras import Alg
-from homcat.complexes import Cx, _hom_dmat, _hom_items, make_complex, zero_complex
+from homcat.complexes import Cx, _hom_window, make_complex, zero_complex
 from homcat.derived import _cover_chain, _dual_side, _projective_side
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, kernel_basis, rank
@@ -224,11 +224,10 @@ def _interior_h0(x: Cx, y: Cx) -> int:
     hi = min(x.hi, y.hi) - 1
     if lo > hi:
         raise ValidationError("window too small: empty interior")
-    below, here, above = (_hom_items(x, y, k) for k in (-1, 0, 1))
-    interior = [t for t, (i, _) in enumerate(here) if lo <= i <= hi]
-    cocycles = kernel_basis(_hom_dmat(x, y, 0, here, above))
-    boundaries = _hom_dmat(x, y, -1, below, here)
-    return rank(Mat(x.alg.p, cocycles.a[interior])) - rank(Mat(x.alg.p, boundaries.a[interior]))
+    items, dmats = _hom_window(x, y, -1, 1)
+    interior = [t for t, (i, _) in enumerate(items[0]) if lo <= i <= hi]
+    cocycles = kernel_basis(dmats[0])
+    return rank(Mat(x.alg.p, cocycles.a[interior])) - rank(Mat(x.alg.p, dmats[-1].a[interior]))
 
 
 def stable_hom_via_cr(m: Mod, n: Mod, window: tuple[int, int] = (-4, 4)) -> int:

@@ -14,6 +14,7 @@ from homcat.complexes import (
     ConeParts,
     DegreewiseSolver,
     Htp,
+    _hom_k_dims,
     chain_map_basis,
     cohomology_data,
     cohomology_dim,
@@ -340,6 +341,8 @@ def test_hom_k_dim_reads_the_hom_complex_cohomology(p):
                 for n in window:
                     assert hom_k_dim(src, dst, n) == cohomology_dim(hc, n), (src, dst, n)
                     checked += cohomology_dim(hc, n) > 0
+                # the whole window in one pass, as the Ext table reads it
+                assert _hom_k_dims(src, dst, window) == {n: cohomology_dim(hc, n) for n in window}
     assert checked >= 10  # enough nonzero degrees to compare
 
 
