@@ -39,6 +39,7 @@ from homcat.modules import (
     _block_inclusion,
     _block_projection,
     _block_sum,
+    _hom_basis,
     _restricted_action,
     hom_coords,
     hom_space,
@@ -324,17 +325,17 @@ class Htp:
 class DegreewiseSolver:
     """Joint linear solver for chain-map/homotopy systems.
 
-    Variables are *module maps*: each is parameterized by a basis of its Hom
-    space, so every solution component automatically intertwines the algebra
-    action.  Equations are sums of terms L @ Var @ R equal to a right-hand
-    side, flattened row-major into one F_p system over the coefficients.
-    Equations may be added before later variables.
+    Variables are *module maps*: each ranges over the cached Hom basis stack
+    of its Hom space (``modules._hom_basis``), so every solution component
+    automatically intertwines the algebra action.  Equations are sums of
+    terms L @ Var @ R equal to a right-hand side, flattened row-major into one
+    F_p system over the coefficients.  Every variable is declared before the
+    first equation, so each equation is one full-width block of rows.
     """
 
     def __init__(self, p: int):
         self.p = p
-        self.bases: dict = {}  # key -> list of basis matrices (ndarray)
-        self.shapes: dict = {}  # key -> (rows, cols)
+        self.bases: dict = {}  # key -> the (k, rows, cols) Hom basis stack
         self.offsets: dict = {}
         self.size = 0
         self.rows: list[np.ndarray] = []
@@ -344,23 +345,25 @@ class DegreewiseSolver:
         """A variable ranging over Hom(src, dst)."""
         if key in self.bases:
             raise ValueError(f"duplicate variable {key}")
-        basis = [f.mat.a for f in hom_space(src, dst)] if src.dim and dst.dim else []
+        if self.rows:
+            raise ValueError(f"variable {key} declared after the first equation")
+        basis = _hom_basis(src, dst)[1]
         self.bases[key] = basis
-        self.shapes[key] = (dst.dim, src.dim)
         self.offsets[key] = self.size
         self.size += len(basis)
 
     def add_eq(self, terms, rhs: Mat) -> None:
-        """terms: iterable of (key, L: Mat|None, R: Mat|None, sign)."""
+        """terms: iterable of (key, L: Mat|None, R: Mat|None, sign); a key
+        never declared stands for a zero variable."""
         out_rows, out_cols = rhs.shape
         if out_rows * out_cols == 0:
             return
         row_block = np.zeros((out_rows * out_cols, self.size), dtype=np.int64)
         for key, left, right, sign in terms:
             basis = self.bases.get(key)
-            if not basis:
+            if basis is None:
                 continue
-            vr, vc = self.shapes[key]
+            k, vr, vc = basis.shape
             la = left.a if left is not None else np.eye(vr, dtype=np.int64)
             ra = right.a if right is not None else np.eye(vc, dtype=np.int64)
             if la.shape[1] != vr or ra.shape[0] != vc or la.shape[0] != out_rows or ra.shape[1] != out_cols:
@@ -368,49 +371,28 @@ class DegreewiseSolver:
                     f"term shape mismatch for {key}: L{la.shape} V({vr},{vc}) R{ra.shape} "
                     f"-> want {(out_rows, out_cols)}"
                 )
+            images = (la @ basis % self.p) @ ra % self.p  # reduced between products: no int64 overflow
             off = self.offsets[key]
-            for t, b in enumerate(basis):
-                col = (la @ b % self.p) @ ra % self.p  # reduced between products: no int64 overflow
-                row_block[:, off + t] += int(sign) * col.reshape(-1)
+            row_block[:, off : off + k] += int(sign) * images.reshape(k, out_rows * out_cols).T
         self.rows.append(row_block % self.p)
         self.rhs.append(rhs.a.reshape(-1))
 
     def _decode(self, coeffs: np.ndarray) -> dict:
-        out = {}
-        for key, basis in self.bases.items():
-            r, c = self.shapes[key]
-            acc = np.zeros((r, c), dtype=np.int64)
-            off = self.offsets[key]
-            for t, b in enumerate(basis):
-                coeff = int(coeffs[off + t])
-                if coeff:
-                    acc = acc + coeff * b
-            out[key] = Mat(self.p, acc)
-        return out
+        """Each variable's matrix: its coefficients times its basis stack."""
+        return {
+            key: Mat(self.p, np.tensordot(coeffs[self.offsets[key] : self.offsets[key] + len(basis)], basis, axes=1))
+            for key, basis in self.bases.items()
+        }
 
     def _system(self) -> Mat:
-        """All equations stacked; rows added before later variables are
-        zero-padded, since those variables do not occur in them."""
-        out = np.zeros((sum(r.shape[0] for r in self.rows), self.size), dtype=np.int64)
-        top = 0
-        for r in self.rows:
-            out[top : top + r.shape[0], : r.shape[1]] = r
-            top += r.shape[0]
-        return Mat(self.p, out)
+        """All equations stacked, one reduced row block each."""
+        return Mat._reduced(self.p, np.vstack([np.zeros((0, self.size), dtype=np.int64), *self.rows]))
 
     def solve(self) -> dict | None:
         """Combined matrices per key, or None when inconsistent."""
-        if self.size == 0:
-            if any(r.any() for r in self.rhs):
-                return None
-            return {key: Mat.zeros(self.p, r, c) for key, (r, c) in self.shapes.items()}
-        if not self.rows:
-            return self._decode(np.zeros(self.size, dtype=np.int64))
-        target = Mat(self.p, np.concatenate(self.rhs).reshape(-1, 1))
-        sol = solve(self._system(), target)
-        if sol is None:
-            return None
-        return self._decode(sol.a[:, 0])
+        target = np.concatenate([np.zeros(0, dtype=np.int64), *self.rhs])  # reduced: read off Mats
+        sol = solve(self._system(), Mat._reduced(self.p, target.reshape(-1, 1)))
+        return None if sol is None else self._decode(sol.a[:, 0])
 
     def nullspace(self) -> list[dict]:
         """A basis of the homogeneous solution space (right-hand sides ignored)."""
@@ -425,16 +407,22 @@ def squares_system(ends: tuple[Cx, Cx] | None, squares) -> DegreewiseSolver:
     ``ends`` is given, constrained by the chain condition; then, square by
     square, the homotopy components s^n: X^n -> Y^(n-1) of square k (keys
     ``(k, n)``), where X -> Y are the endpoints of that square's target.
+    All are declared before the first equation.
     """
     p = (ends[0] if ends is not None else squares[0][2].src).alg.p
     solver = DegreewiseSolver(p)
     if ends is not None:
         src, dst = ends
-        degs = _combined_degrees(src, dst)
-        for n in degs:
+        for n in _combined_degrees(src, dst):
             if src.obj(n).dim and dst.obj(n).dim:
                 solver.add_var(("w", n), src.obj(n), dst.obj(n))
-        for n in degs:
+    for k, (_, _, target) in enumerate(squares):
+        x, y = target.src, target.dst
+        for n in _combined_degrees(x, y):
+            if x.obj(n).dim and y.obj(n - 1).dim:
+                solver.add_var((k, n), x.obj(n), y.obj(n - 1))
+    if ends is not None:
+        for n in _combined_degrees(src, dst):
             rows, cols = dst.obj(n + 1).dim, src.obj(n).dim
             if rows and cols:
                 solver.add_eq(
@@ -446,11 +434,7 @@ def squares_system(ends: tuple[Cx, Cx] | None, squares) -> DegreewiseSolver:
                 )
     for k, (left, right, target) in enumerate(squares):
         x, y = target.src, target.dst
-        degs = _combined_degrees(x, y)
-        for n in degs:
-            if x.obj(n).dim and y.obj(n - 1).dim:
-                solver.add_var((k, n), x.obj(n), y.obj(n - 1))
-        for n in degs:
+        for n in _combined_degrees(x, y):
             rows, cols = y.obj(n).dim, x.obj(n).dim
             if rows == 0 or cols == 0:
                 continue
@@ -667,14 +651,14 @@ def _hom_items(x: Cx, y: Cx, n: int) -> list:
 
 def _hom_dmat(x: Cx, y: Cx, n: int, src_items: list, dst_items: list) -> Mat:
     """The matrix of D^n: Hom^n -> Hom^(n+1) in the bases ``src_items`` and
-    ``dst_items`` of ``_hom_items``: one stacked product per source block,
-    read off by ``hom_coords``."""
+    ``dst_items`` of ``_hom_items``: one product per source block on its
+    cached Hom basis stack, read off by ``hom_coords``."""
     p = x.alg.p
     dst_blocks = _blocks(dst_items)
     dmat = np.zeros((len(dst_items), len(src_items)), dtype=np.int64)
     sign = 1 if n % 2 == 0 else -1
     for i, cols in _blocks(src_items).items():
-        fs = np.stack([f.mat.a for _, f in src_items[cols]])
+        fs = _hom_basis(x.obj(i), y.obj(i + n))[1]
         # D f = d_y f at source degree i, -(-1)^n f d_x at source degree i - 1
         for j, image, s in ((i, y._dmat(i + n).a @ fs, 1), (i - 1, fs @ x._dmat(i - 1).a, -sign)):
             coords = hom_coords(x.obj(j), y.obj(j + n + 1), image % p)

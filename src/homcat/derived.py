@@ -41,13 +41,14 @@ from homcat.modules import (
     MMap,
     Mod,
     _cover_step,
+    _first_iso,
+    _hom_basis,
     _restricted_action,
     classify_indecomposables,
     decompose,
     decompose_with_maps,
     dual_module,
     hom_coords,
-    hom_space,
     is_injective,
     is_isomorphic,
     is_projective,
@@ -353,8 +354,8 @@ def dg_end(p_cx: Cx) -> DGAlg:
                 cols_a = blocks_m.get(ib + n)
                 if cols_a is None:
                     continue
-                fa = np.stack([f.mat.a for _, f in hc.basis[m][cols_a]])
-                fb = np.stack([f.mat.a for _, f in hc.basis[n][cols_b]])
+                fa = _hom_basis(p_cx.obj(ib + n), p_cx.obj(ib + n + m))[1]
+                fb = _hom_basis(p_cx.obj(ib), p_cx.obj(ib + n))[1]
                 comp = fa[:, None] @ fb[None, :] % p
                 coords = hom_coords(p_cx.obj(ib), p_cx.obj(ib + m + n), comp.reshape(-1, *comp.shape[2:]))
                 rows = blocks_mn.get(ib, slice(0))
@@ -525,30 +526,28 @@ def end_algebra(t: Mod) -> tuple[Alg, list[MMap]]:
     radical is assembled from maps between non-isomorphic summands plus the
     local radicals of the summand endomorphism rings, then fully validated.
     """
-    basis = hom_space(t, t)
-    d = len(basis)
+    basis, mats, _ = _hom_basis(t, t)
+    d = len(mats)
     p = t.alg.p
-    mats = np.stack([f.mat.a for f in basis])
     c = hom_coords(t, t, (mats[:, None] @ mats[None, :] % p).reshape(d * d, t.dim, t.dim)).reshape(d, d, d)
     unit = hom_coords(t, t, np.eye(t.dim, dtype=np.int64)[None])[0]
     summands = decompose_with_maps(t)
     idems = list(hom_coords(t, t, np.stack([(inc.mat @ proj.mat).a for _, inc, proj in summands])))
-    rad_comps = []
-    for s, (ms, inc_s, proj_s) in enumerate(summands):
-        for tt, (mt, inc_t, proj_t) in enumerate(summands):
+    rad_comps = [np.zeros((0, t.dim, t.dim), dtype=np.int64)]
+    for s, (ms, _, proj_s) in enumerate(summands):
+        for tt, (mt, inc_t, _) in enumerate(summands):
             if s == tt:
-                gens = local_end_radical(ms)
+                gens = [g.mat.a for g in local_end_radical(ms)]
+            elif (iso := is_isomorphic(ms, mt)) is None:
+                gens = _hom_basis(ms, mt)[1]
             else:
-                iso = is_isomorphic(ms, mt)
-                if iso is None:
-                    gens = hom_space(ms, mt)
-                else:
-                    gens = [iso @ r for r in local_end_radical(ms)]
-            rad_comps += [(inc_t.mat @ g.mat @ proj_s.mat).a for g in gens]
-    rad = column_space(Mat(p, hom_coords(t, t, np.reshape(rad_comps, (-1, t.dim, t.dim))).T))
+                gens = [(iso @ r).mat.a for r in local_end_radical(ms)]
+            gens = np.array(gens, dtype=np.int64).reshape(-1, mt.dim, ms.dim)
+            rad_comps.append((inc_t.mat.a @ gens % p) @ proj_s.mat.a % p)
+    rad = column_space(Mat(p, hom_coords(t, t, np.concatenate(rad_comps)).T))
     labels = tuple(f"f{i}" for i in range(d))
     alg = make_algebra(d, c, unit, idems, rad, p, labels=labels, name=f"End({t.dim}d)")
-    return alg, basis
+    return alg, list(basis)
 
 
 def _lift_endomorphism(res: Resolution, gamma: MMap) -> CMap:
@@ -559,20 +558,6 @@ def _lift_endomorphism(res: Resolution, gamma: MMap) -> CMap:
     if out is None:
         raise ValidationError("endomorphism lift failed")
     return out[0]
-
-
-class _IsoRegistry:
-    """Deduplicates modules up to isomorphism, assigning stable ids."""
-
-    def __init__(self):
-        self.reps: list[Mod] = []
-
-    def id_of(self, m: Mod) -> int:
-        for i, rep in enumerate(self.reps):
-            if is_isomorphic(rep, m) is not None:
-                return i
-        self.reps.append(m)
-        return len(self.reps) - 1
 
 
 def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), cap: int = 12) -> dict:
@@ -596,7 +581,7 @@ def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), 
     res = proj_resolution(t, cap)
     lifts = [_lift_endomorphism(res, g) for g in basis]
     indecomposables = classify_indecomposables(t.alg)
-    registry = _IsoRegistry()
+    classes: list[Mod] = []  # one representative per isomorphism class met, in order
     table = []
     signatures = {}
     for idx, m in enumerate(indecomposables):
@@ -610,7 +595,7 @@ def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), 
                     continue
                 cols = np.zeros((dim_n, dim_n), dtype=np.int64)
                 for i, block in hc.blocks(n).items():
-                    fs = np.stack([f.mat.a for _, f in hc.basis[n][block]])
+                    fs = _hom_basis(hc.source.obj(i), hc.target.obj(i + n))[1]
                     composed = fs @ lift.component(i).mat.a % gamma.p
                     cols[block, block] = hom_coords(hc.source.obj(i), hc.target.obj(i + n), composed).T
                 comps[n] = MMap(hc.cx.obj(n), hc.cx.obj(n), Mat(gamma.p, cols))
@@ -622,8 +607,14 @@ def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), 
                 continue
             action = [cohomology_map(pre_maps[k], n).mat for k in range(len(basis))]
             hmod = make_module(gamma, action)
-            parts = decompose(hmod)
-            profile[n] = tuple(sorted((registry.id_of(piece), mult) for piece, mult in parts))
+            ids = []
+            for piece, mult in decompose(hmod):
+                k = _first_iso(piece, classes)
+                if k is None:
+                    k = len(classes)
+                    classes.append(piece)
+                ids.append((k, mult))
+            profile[n] = tuple(sorted(ids))
             table.append(
                 {
                     "module_index": idx,

@@ -4,10 +4,11 @@ sequences, and the certified knitting closure: the vertices behind
 
 Loaded on the first classification rather than with ``homcat.modules``, so
 work that never classifies does not load it.  The functions that
-``benchmarks/tracer.py`` wraps (``hom_space``, ``decompose_with_maps``,
-``is_isomorphic``, ``kernel_basis``, ``solve``) are called through their
-modules: a tracer installed before this module loads wraps the module
-attributes, not names bound here.
+``benchmarks/tracer.py`` wraps (``decompose_with_maps``, ``kernel_basis``,
+``solve``) are called through their modules: a tracer installed before this
+module loads wraps the module attributes, not names bound here.  Hom bases
+are read as the cached stack of ``modules._hom_basis`` and isomorphism
+classes through ``modules._first_iso``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from homcat.modules import (
     MMap,
     Mod,
     _cover_step,
+    _first_iso,
     _hom_basis,
     _require_split_basic,
     direct_sum,
@@ -54,7 +56,7 @@ _KNIT_DIM_FACTOR = 2  # an indecomposable may have at most this times dim A
 @functools.lru_cache(maxsize=256)
 def _dual_projective(pmod: Mod) -> tuple[Mod, np.ndarray]:
     """P* = Hom_A(P, A) as a right module over opposite(A), and its basis maps P -> A
-    (a read-only view of the cached Hom basis).
+    (the cached Hom basis stack).
 
     b acts on phi by left multiplication, phi |-> b * phi, read back in the
     ``hom_space(P, regular_module(A))`` basis by ``hom_coords``.  Cached per
@@ -62,8 +64,7 @@ def _dual_projective(pmod: Mod) -> tuple[Mod, np.ndarray]:
     """
     alg, p = pmod.alg, pmod.alg.p
     reg = regular_module(alg)
-    _, vecs, _ = _hom_basis(pmod, reg)
-    phis = vecs.reshape(-1, alg.dim, pmod.dim)
+    phis = _hom_basis(pmod, reg)[1]
     left = alg.structconst.transpose(0, 2, 1)  # left[i] is the matrix of a |-> b_i * a
     prods = np.einsum("iab,tbc->itac", left, phis) % p
     coords = hom_coords(pmod, reg, prods.reshape(-1, alg.dim, pmod.dim)).reshape(alg.dim, len(phis), len(phis))
@@ -120,17 +121,13 @@ def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
         return None
     epi, inc = _cover_step(z)
     p0, omega = epi.src, inc.src
-    _, vecs, _ = _hom_basis(omega, x)
-    d = len(vecs)
-
-    def coords(mats) -> np.ndarray:
-        return hom_coords(omega, x, np.asarray(mats, dtype=np.int64).reshape(-1, x.dim, omega.dim) % p)
-
-    maps = vecs.reshape(d, x.dim, omega.dim)
-    cobound = Mat(p, coords([h.mat.a @ inc.mat.a for h in modules.hom_space(p0, x)]).T)
+    maps = _hom_basis(omega, x)[1]
+    d = len(maps)
+    # the composites read by hom_coords below are module maps by construction
+    cobound = Mat(p, hom_coords(omega, x, _hom_basis(p0, x)[1] @ inc.mat.a % p).T)
     # v lies in the coboundaries iff annihilator @ v = 0
     annihilator = linalg.kernel_basis(cobound.transpose()).transpose()
-    rad = [coords(s.mat.a @ maps) for s in local_end_radical(x)]
+    rad = [hom_coords(omega, x, s.mat.a @ maps % p) for s in local_end_radical(x)]
     conditions = Mat(p, np.vstack([(annihilator.a @ r.T) % p for r in rad] + [np.zeros((0, d), dtype=np.int64)]))
     socle_span = linalg.kernel_basis(conditions)
     socle_dim = socle_span.cols - rank(cobound)
@@ -142,7 +139,7 @@ def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
     eta = next(socle_span.a[:, t] for t in range(socle_span.cols) if (annihilator.a @ socle_span.a[:, t] % p).any())
     if (conditions.a @ eta % p).any():  # certificate: eta lies in the socle
         raise ValidationError("internal inconsistency: eta is not in the socle")
-    eta_map = Mat._reduced(p, (eta @ vecs % p).reshape(x.dim, omega.dim))
+    eta_map = Mat._reduced(p, np.tensordot(eta, maps, axes=1) % p)
     xp, (incl_x, incl_p), (_, proj_p) = direct_sum([x, p0])
     pushed = MMap(omega, xp, incl_x.mat @ eta_map - incl_p.mat @ inc.mat)
     e, quot = quotient_module(xp, pushed.mat)
@@ -187,18 +184,18 @@ def knit(alg: Alg) -> tuple[list[Mod], tuple[tuple[int, int, int], ...]]:
         hits = []
         for piece, _, _ in modules.decompose_with_maps(m):
             bucket = buckets.setdefault((piece.dim, piece.dim_vector()), [])
-            k = next((k for k in bucket if modules.is_isomorphic(found[k], piece) is not None), None)
-            if k is None:
+            j = _first_iso(piece, [found[k] for k in bucket])
+            if j is None:
                 if piece.dim > max_dim or len(found) == _KNIT_MAX_VERTICES:
                     raise CapExhausted(
                         f"knitting cap reached ({len(found)} vertices, a summand of dimension {piece.dim}, "
                         f"caps {_KNIT_MAX_VERTICES} and {max_dim}): the algebra may be representation infinite",
                         leftover=piece,
                     )
-                k = len(found)
-                bucket.append(k)
+                j = len(bucket)
+                bucket.append(len(found))
                 found.append(piece)
-            hits.append(k)
+            hits.append(bucket[j])
         return hits
 
     for pm in projs:

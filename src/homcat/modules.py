@@ -319,15 +319,17 @@ def simple_module(alg: Alg, j: int) -> Mod:
 
 @functools.lru_cache(maxsize=4096)
 def _hom_basis(m: Mod, n: Mod) -> tuple[tuple[MMap, ...], np.ndarray, np.ndarray]:
-    """Cached Hom(m, n) basis: the maps, their row-major flattenings as rows, their free positions.
+    """Cached Hom(m, n) basis: the maps, one read-only (k, n.dim, m.dim) stack of
+    their matrices, and the free position of each in the row-major flattening.
 
-    The flattenings are the ``kernel_basis`` columns of the intertwining
-    system, so the free position of each is its last nonzero entry.
+    Every reader multiplies or combines the stack; the maps are ``MMap`` views
+    of its rows.  The flattenings are the ``kernel_basis`` columns of the
+    intertwining system, so the free position of each is its last nonzero entry.
     """
     if m.alg != n.alg:
         raise ValidationError("hom_space between modules over different algebras")
     if m.dim == 0 or n.dim == 0:
-        return (), np.zeros((0, m.dim * n.dim), dtype=np.int64), np.zeros(0, dtype=np.intp)
+        return (), np.zeros((0, n.dim, m.dim), dtype=np.int64), np.zeros(0, dtype=np.intp)
     p = m.alg.p
     gens = algebra_generators(m.alg)
     # F rho_m(g) - rho_n(g) F = 0 on the row-major entries of F: generator g
@@ -340,11 +342,11 @@ def _hom_basis(m: Mod, n: Mod) -> tuple[tuple[MMap, ...], np.ndarray, np.ndarray
     np.mod(system, p, out=system)
     rows = system.reshape(-1, n.dim * m.dim)
     vecs = np.ascontiguousarray(kernel_basis(Mat._reduced(p, rows)).a.T)
-    vecs.flags.writeable = False
     free = vecs.shape[1] - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
-    # the maps are read-only views of the rows: the cache holds each basis once
-    maps = tuple(MMap(m, n, Mat._reduced(p, v.reshape(n.dim, m.dim))) for v in vecs)
-    return maps, vecs, free
+    stack = vecs.reshape(len(vecs), n.dim, m.dim)
+    stack.flags.writeable = False
+    # the maps are read-only views of the stack: the cache holds each basis once
+    return tuple(MMap(m, n, Mat._reduced(p, b)) for b in stack), stack, free
 
 
 def hom_space(m: Mod, n: Mod) -> list[MMap]:
@@ -362,28 +364,22 @@ def hom_coords(m: Mod, n: Mod, mats) -> np.ndarray:
 
     Each basis map is 1 at its free position and every other basis map is 0
     there, so a map's coordinates are its entries at the free positions.  One
-    reconstruction, coords @ basis == maps (mod p), certifies the read: a matrix
-    outside Hom(m, n) raises ``ValidationError`` with its stack index as witness.
+    reconstruction, coords @ basis == maps (mod p), on the cached basis stack
+    flattened, certifies the read: a matrix outside Hom(m, n) raises
+    ``ValidationError`` with its stack index as witness.
     Sums have at most m.dim * n.dim terms below p^2 <= 2^42: no int64 overflow.
     """
-    _, vecs, free = _hom_basis(m, n)
+    _, stack, free = _hom_basis(m, n)
     a = np.asarray(mats, dtype=np.int64)
     if a.ndim != 3 or a.shape[1:] != (n.dim, m.dim):
         raise ValidationError(f"expected a stack of {n.dim}x{m.dim} matrices, got shape {a.shape}")
     p = m.alg.p
     flat = a.reshape(len(a), n.dim * m.dim) % p
     coords = flat[:, free]
-    bad = np.flatnonzero(((coords @ vecs - flat) % p).any(axis=1))
+    bad = np.flatnonzero(((coords @ stack.reshape(len(stack), n.dim * m.dim) - flat) % p).any(axis=1))
     if bad.size:
         raise ValidationError("matrix is not in the span of the Hom basis", witness=int(bad[0]))
     return coords
-
-
-def _vec(mats: list[Mat], p: int, nrows: int, ncols: int) -> Mat:
-    """Row-major flattenings as columns (empty-safe)."""
-    if not mats:
-        return Mat.zeros(p, nrows * ncols, 0)
-    return Mat(p, np.stack([m.a.reshape(-1) for m in mats], axis=1))
 
 
 # -- kernels, cokernels, images -------------------------------------------------
@@ -637,8 +633,9 @@ def _singular_shift(g: Mat) -> Mat | None:
     return Mat(p, g.a - lam * eye)
 
 
-def _split_or_certify(m: Mod, basis: list[MMap]) -> Mat | None:
-    """A singular, non-nilpotent endomorphism of m, or None when End(m) is local.
+def _split_or_certify(m: Mod, mats: np.ndarray) -> Mat | None:
+    """A singular, non-nilpotent endomorphism of m, or None when End(m) is local;
+    ``mats`` is the Hom basis stack of End(m).
 
     A basis endomorphism whose eigenvalue shift is not nilpotent is returned.
     Otherwise the span R of the shifts is closed under products: a product
@@ -651,17 +648,16 @@ def _split_or_certify(m: Mod, basis: list[MMap]) -> Mat | None:
     is tested instead (GuardError above 3^9 of them): End(m) is local exactly
     when each one is nilpotent or invertible.
     """
-    p, n, d = m.alg.p, m.dim, len(basis)
+    p, n, d = m.alg.p, m.dim, len(mats)
     shifts = []
-    for g in basis:
-        s = _singular_shift(g.mat)
+    for g in mats:
+        s = _singular_shift(Mat._reduced(p, g))
         if s is not None and not is_nilpotent(s):
             return s
         shifts.append(s)
     if None in shifts:
         if p**d > 3**9:
             raise GuardError(f"an endomorphism has no eigenvalue in F_{p}, and {p}^{d} elements exceed the 3^9 sweep")
-        mats = np.stack([g.mat.a for g in basis])
         for coeffs in itertools.product(range(p), repeat=d):
             f = Mat(p, np.tensordot(coeffs, mats, axes=1))
             if not is_invertible(f) and not is_nilpotent(f):
@@ -746,7 +742,7 @@ def decompose_with_maps(m: Mod) -> list[tuple[Mod, MMap, MMap]]:
     """
     if m.dim == 0:
         return []
-    f = _split_or_certify(m, hom_space(m, m))
+    f = _split_or_certify(m, _hom_basis(m, m)[1])
     if f is None:
         return [(m, MMap.identity(m), MMap.identity(m))]
     power = f.power(1 << (m.dim.bit_length()))
@@ -771,20 +767,21 @@ def decompose(m: Mod) -> list[tuple[Mod, int]]:
     """Indecomposable summands grouped by isomorphism, with multiplicities."""
     parts = [piece for piece, _, _ in decompose_with_maps(m)]
     parts.sort(key=lambda x: (x.dim, x.dim_vector(), x.key()))
-    grouped: list[tuple[Mod, int]] = []
+    reps, mults = [], []
     for piece in parts:
-        for i, (rep, mult) in enumerate(grouped):
-            if is_isomorphic(rep, piece) is not None:
-                grouped[i] = (rep, mult + 1)
-                break
+        k = _first_iso(piece, reps)
+        if k is None:
+            reps.append(piece)
+            mults.append(1)
         else:
-            grouped.append((piece, 1))
-    return grouped
+            mults[k] += 1
+    return list(zip(reps, mults))
 
 
-def _first_iso(piece: Mod, candidates) -> Mod | None:
-    """The first candidate isomorphic to the indecomposable ``piece``, or None."""
-    return next((c for c in candidates if is_isomorphic(piece, c) is not None), None)
+def _first_iso(piece: Mod, candidates) -> int | None:
+    """The index of the first candidate isomorphic to ``piece``, or None; the
+    one isomorphism-class lookup, comparing candidates in list order."""
+    return next((k for k, c in enumerate(candidates) if is_isomorphic(c, piece) is not None), None)
 
 
 @functools.lru_cache(maxsize=256)
@@ -850,14 +847,13 @@ def local_end_radical(m: Mod) -> list[MMap]:
     larger than F_p, or a ring that is not local).
     """
     p = m.alg.p
-    gens: list[Mat] = []
-    for g in hom_space(m, m):
-        shift = _singular_shift(g.mat)
+    shifts = []
+    for g in _hom_basis(m, m)[1]:
+        shift = _singular_shift(Mat._reduced(p, g))
         if shift is None or not is_nilpotent(shift):
             raise GuardError("endomorphism algebra is not split local")
-        gens.append(shift)
-    cols = _vec(gens, p, m.dim, m.dim)
-    reduced = column_space(cols)
+        shifts.append(shift.a.ravel())
+    reduced = column_space(Mat(p, np.reshape(shifts, (len(shifts), m.dim * m.dim)).T))
     return [MMap(m, m, Mat(p, reduced.a[:, t].reshape(m.dim, m.dim))) for t in range(reduced.cols)]
 
 

@@ -14,9 +14,9 @@ from homcat.linalg import Mat, column_space, kernel_basis
 from homcat.modules import (
     MMap,
     Mod,
+    _hom_basis,
     _indecomposable_injectives,
     direct_sum,
-    hom_space,
     projective_module,
     quotient_module,
     submodule,
@@ -63,23 +63,19 @@ def _constrained_random_map(
     src: Mod, dst: Mod, rng: np.random.Generator, after: MMap | None
 ) -> MMap:
     """A random hom src -> dst, composing to zero with ``after`` if given."""
-    basis = hom_space(src, dst)
-    if not basis:
+    basis = _hom_basis(src, dst)[1]
+    if not len(basis):
         return MMap.zero(src, dst)
     p = src.alg.p
     if after is not None and not after.mat.is_zero():
-        rows = np.stack([(f.mat @ after.mat).a.reshape(-1) for f in basis], axis=1)
-        allowed = kernel_basis(Mat(p, rows))
+        composites = basis @ after.mat.a % p
+        allowed = kernel_basis(Mat(p, composites.reshape(len(basis), -1).T))
     else:
         allowed = Mat.identity(p, len(basis))
     if allowed.cols == 0:
         return MMap.zero(src, dst)
     coeffs = (allowed.a @ rng.integers(0, p, size=allowed.cols)) % p
-    acc = np.zeros((dst.dim, src.dim), dtype=np.int64)
-    for c, f in zip(coeffs, basis):
-        if c:
-            acc = acc + int(c) * f.mat.a
-    return MMap(src, dst, Mat(p, acc))
+    return MMap(src, dst, Mat(p, np.tensordot(coeffs, basis, axes=1)))
 
 
 def random_complex(
@@ -130,15 +126,11 @@ def random_homotopic_pair(x: Cx, y: Cx, rng: np.random.Generator) -> tuple[CMap,
     comps = {}
     for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 2):
         if x.obj(n).dim and y.obj(n - 1).dim:
-            hs = hom_space(x.obj(n), y.obj(n - 1))
-            if not hs:
+            hs = _hom_basis(x.obj(n), y.obj(n - 1))[1]
+            if not len(hs):
                 continue
-            acc = np.zeros((y.obj(n - 1).dim, x.obj(n).dim), dtype=np.int64)
-            for f in hs:
-                c = int(rng.integers(0, x.alg.p))
-                if c:
-                    acc = acc + c * f.mat.a
-            comps[n] = MMap(x.obj(n), y.obj(n - 1), Mat(x.alg.p, acc))
+            coeffs = [int(rng.integers(0, x.alg.p)) for _ in hs]  # one draw per basis element, in order
+            comps[n] = MMap(x.obj(n), y.obj(n - 1), Mat(x.alg.p, np.tensordot(coeffs, hs, axes=1)))
     perturbation_comps = {}
     for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
         h_n = comps.get(n)

@@ -38,12 +38,10 @@ from homcat.modules import (
     _cover_step,
     _first_iso,
     _hom_basis,
-    _vec,
     ar_quiver,
     classify_indecomposables,
     decompose_with_maps,
     dual_module,
-    hom_space,
     is_isomorphic,
     is_projective,
     make_module,
@@ -79,13 +77,13 @@ def assert_self_injective(alg: Alg) -> list[tuple[Mod, Mod]]:
     projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
     matching = []
     for piece, _, _ in decompose_with_maps(cogenerator):
-        match = _first_iso(piece, projs)
-        if match is None:
+        k = _first_iso(piece, projs)
+        if k is None:
             raise ValidationError(
                 "algebra is not self-injective: an injective summand is not projective",
                 witness=piece,
             )
-        matching.append((piece, match))
+        matching.append((piece, projs[k]))
     return matching
 
 
@@ -105,8 +103,8 @@ def _projective_factoring_subspace(m: Mod, n: Mod) -> Mat:
     """
     p = m.alg.p
     epi, _ = _cover_step(n)
-    through = [epi @ h for h in hom_space(m, epi.src)]
-    return _vec([f.mat for f in through], p, n.dim, m.dim)
+    through = epi.mat.a @ _hom_basis(m, epi.src)[1] % p  # module maps by construction
+    return Mat(p, through.reshape(len(through), n.dim * m.dim).T)
 
 
 def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
@@ -115,15 +113,15 @@ def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
     p = m.alg.p
     if m.dim == 0 or n.dim == 0:
         return 0, []
-    vecs = _hom_basis(m, n)[1]
-    if not len(vecs):
+    basis = _hom_basis(m, n)[1]
+    if not len(basis):
         return 0, []
     through = _projective_factoring_subspace(m, n)
     # representatives: extend a basis of the factoring subspace by columns of
     # the full Hom space; the added columns represent a stable basis
     through_basis = column_space(through)
     dim_through = through_basis.cols
-    combined = column_space(Mat(p, np.hstack([through_basis.a, vecs.T])))
+    combined = column_space(Mat(p, np.hstack([through_basis.a, basis.reshape(len(basis), -1).T])))
     reps = []
     for t in range(dim_through, combined.cols):
         reps.append(MMap(m, n, Mat(p, combined.a[:, t].reshape(n.dim, m.dim))))

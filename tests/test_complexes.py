@@ -189,16 +189,15 @@ def test_null_homotopy_cases():
     assert cert is not None
 
 
-def test_degreewise_solver_equation_before_later_variable():
+def test_degreewise_solver_rejects_a_variable_after_an_equation():
     s = simple_module(L1, 0)
     solver = DegreewiseSolver(101)
     solver.add_var("a", s, s)
     solver.add_eq([("a", None, None, +1)], Mat.identity(101, 1).scale(2))
-    solver.add_var("b", s, s)
-    solver.add_eq([("a", None, None, +1), ("b", None, None, +1)], Mat.identity(101, 1).scale(5))
-    sol = solver.solve()
-    assert sol["a"] == Mat.identity(101, 1).scale(2)
-    assert sol["b"] == Mat.identity(101, 1).scale(3)
+    with pytest.raises(ValueError, match="after the first equation"):
+        solver.add_var("b", s, s)
+    assert solver.size == 1 and "b" not in solver.bases
+    assert solver.solve()["a"] == Mat.identity(101, 1).scale(2)
 
 
 def test_degreewise_solver_terms_do_not_overflow_at_the_largest_prime():
@@ -220,6 +219,45 @@ def test_degreewise_solver_terms_do_not_overflow_at_the_largest_prime():
     sol = solver.solve()
     assert sol is not None
     assert left @ sol["v"] @ right == left @ b0 @ right
+
+
+def _exact_mod(a, p):
+    """An integer array reduced mod p with Python-int arithmetic: no int64 in between."""
+    return np.asarray(a, dtype=object) % p
+
+
+def test_hom_stack_combinations_are_exact_at_the_largest_prime():
+    # coefficients near p against dense Hom basis entries near p: the solver's
+    # decode and the random generators combine the basis stack with one tensordot
+    p = 2097143
+    alg = preset("lambda1", p)
+    reg = regular_module(alg)
+    rng = np.random.default_rng(1)
+    g_inv = None
+    while g_inv is None:
+        g = Mat(p, rng.integers(0, p, size=(reg.dim, reg.dim)))
+        g_inv = inverse(g)
+    m = make_module(alg, [g_inv @ a @ g for a in reg.action])
+    solver = DegreewiseSolver(p)
+    solver.add_var("v", m, m)
+    basis = [f.mat.a for f in hom_space(m, m)]
+    coeffs = p - 1 - np.arange(solver.size)
+    want = sum(int(c) * _exact_mod(b, p) for c, b in zip(coeffs, basis)) % p
+    assert np.array_equal(_exact_mod(solver._decode(coeffs)["v"].a, p), want)
+    homotopies = 0
+    for _ in range(6):
+        x, y = (random_complex(alg, rng, max_support=3, dim_cap=5) for _ in range(2))
+        for n in range(x.lo, x.hi):
+            assert not (_exact_mod(x._dmat(n + 1).a, p) @ _exact_mod(x._dmat(n).a, p) % p).any()
+        phi, psi, cert = random_homotopic_pair(x, y, rng)
+        for n, h in cert.comps.items():
+            f, src_acts, dst_acts = (_exact_mod(a, p) for a in (h.mat.a, x.obj(n).acts, y.obj(n - 1).acts))
+            assert not ((f @ src_acts - dst_acts @ f) % p).any()
+        for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
+            dy, h, h_next, dx = (_exact_mod(a.a, p) for a in (y._dmat(n - 1), cert._mat(n), cert._mat(n + 1), x._dmat(n)))
+            assert not ((_exact_mod(psi._mat(n).a, p) - phi._mat(n).a - dy @ h - h_next @ dx) % p).any()
+        homotopies += len(cert.comps)
+    assert homotopies > 0
 
 
 def test_lift_map_solves_one_equation_or_reports_none():

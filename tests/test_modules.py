@@ -48,7 +48,6 @@ from homcat.modules import (
     _hom_basis,
     _projective_with_inclusion,
     _singular_shift,
-    _vec,
 )
 from preset_lists import known_indecomposables
 from test_stable import _self_injective_nakayama
@@ -654,6 +653,11 @@ def test_the_knitting_layer_loads_only_on_classification():
     assert out.stdout.split() == ["False", "True"]
 
 
+def _flat_columns(mats, p, rows, cols):
+    """The row-major flattenings of rows x cols matrices (``Mat``s) as the columns of one ``Mat``."""
+    return Mat(p, np.reshape([m.a for m in mats], (len(mats), rows * cols)).T)
+
+
 def _radical_quiver_arrows(alg):
     """Arrow multiplicities dim rad(X,Y) / rad^2(X,Y) over the classified
     indecomposables, with rad^2 spanned by two-step composites; rad(X, Y) is
@@ -677,8 +681,8 @@ def _radical_quiver_arrows(alg):
                 for g in rad[(i, z)]:
                     for h in rad[(z, j)]:
                         composites.append((h @ g).mat)
-            rad_vec = _vec([f.mat for f in rad[(i, j)]], p, target.dim, ind[i].dim)
-            rad2_vec = _vec(composites, p, target.dim, ind[i].dim)
+            rad_vec = _flat_columns([f.mat for f in rad[(i, j)]], p, target.dim, ind[i].dim)
+            rad2_vec = _flat_columns(composites, p, target.dim, ind[i].dim)
             # two-step composites always land inside rad, so the arrow count
             # is a plain rank difference
             mult = rank(rad_vec) - rank(rad2_vec)
@@ -731,7 +735,8 @@ def test_hom_basis_equals_the_kronecker_system(build):
     mods.append(direct_sum(mods[-4:-1])[0])
     for x in mods:
         for y in mods:
-            assert np.array_equal(_hom_basis(x, y)[1], _kronecker_hom_rows(x, y))
+            stack = _hom_basis(x, y)[1]
+            assert np.array_equal(stack.reshape(len(stack), x.dim * y.dim), _kronecker_hom_rows(x, y))
 
 
 @pytest.mark.parametrize("build", AR_REFERENCE_ALGEBRAS)
@@ -872,8 +877,8 @@ def test_hom_left_exactness_on_short_exact_sequence():
         # that die in C are exactly those through A
         into_b_killed = [f for f in hom_b if (epi @ f).is_zero()]
         from_a = [inc @ g for g in hom_a]
-        va = _vec([f.mat for f in from_a], 101, p1.dim, t.dim)
-        vb = _vec([f.mat for f in into_b_killed], 101, p1.dim, t.dim)
+        va = _flat_columns([f.mat for f in from_a], 101, p1.dim, t.dim)
+        vb = _flat_columns([f.mat for f in into_b_killed], 101, p1.dim, t.dim)
         assert rank(va) == rank(vb)
 
 

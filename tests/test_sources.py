@@ -1,4 +1,5 @@
-"""Source hygiene: every top-level import of the library, the tests and the demos is used."""
+"""Source hygiene: every top-level import of the library, the tests and the demos is used,
+and every module-level function and class of the library is named somewhere."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,43 @@ def test_no_unused_top_level_imports():
     paths = [p for p in Path(homcat.__file__).parent.glob("*.py") if p.name != "__init__.py"]
     paths += list(tests.glob("*.py")) + list((tests.parent / "demos").glob("*.py"))
     assert [unused for p in sorted(paths) for unused in _unused_imports(p)] == []
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name the module reads: bare names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return out
+
+
+def _unnamed_definitions(library: list[Path], readers: list[Path]) -> list[str]:
+    """Module-level functions and classes of ``library`` that no file of ``readers`` names."""
+    named = set().union(*(_names_read(p) for p in readers))
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in library
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+
+
+def test_definition_scan_finds_an_unnamed_helper(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    return 1\n\n\ndef _left_over():\n    return used()\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import used\n")
+    assert _unnamed_definitions([lib], [lib, user]) == ["lib.py:5 _left_over"]
+
+
+def test_every_library_definition_is_named():
+    # a helper a refactor leaves behind has no caller, import or test
+    repo = Path(__file__).resolve().parent.parent
+    library = sorted(Path(homcat.__file__).parent.glob("*.py"))
+    readers = library + [p for d in ("tests", "demos", "benchmarks") for p in sorted((repo / d).glob("*.py"))]
+    assert _unnamed_definitions(library, readers) == []
