@@ -42,7 +42,6 @@ from homcat.modules import (
     _hom_basis,
     _restricted_action,
     hom_coords,
-    hom_space,
     make_module,
     submodule,
     zero_module,
@@ -347,7 +346,7 @@ class DegreewiseSolver:
             raise ValueError(f"duplicate variable {key}")
         if self.rows:
             raise ValueError(f"variable {key} declared after the first equation")
-        basis = _hom_basis(src, dst)[1]
+        basis = _hom_basis(src, dst)[0]
         self.bases[key] = basis
         self.offsets[key] = self.size
         self.size += len(basis)
@@ -600,21 +599,21 @@ def cone_complex(f: CMap) -> tuple[Cx, ConeParts]:
 class HomComplex:
     """The total Hom complex of two bounded complexes, over the ground field.
 
-    Degree n gathers all module maps x^i -> y^(i+n); the stored basis
-    bookkeeping gives graded map components their coordinate vectors.
+    Degree n gathers all module maps x^i -> y^(i+n); its basis is the
+    concatenation of the nonempty Hom basis stacks in ``stacks[n]``.
     """
 
     cx: Cx
     source: Cx
     target: Cx
-    basis: dict  # degree n -> list of (source degree i, MMap x^i -> y^(i+n))
+    stacks: dict  # degree n -> {source degree i: Hom basis stack of x^i -> y^(i+n)}
 
     def degree_dim(self, n: int) -> int:
-        return len(self.basis.get(n, []))
+        return _size(self.stacks.get(n, {}))
 
     def blocks(self, n: int) -> dict[int, slice]:
         """Source degree i -> the slice of the degree-n basis holding maps x^i -> y^(i+n)."""
-        return _blocks(self.basis.get(n, []))
+        return _blocks(self.stacks.get(n, {}))
 
     def coords_of(self, n: int, comps: dict[int, MMap]) -> Mat:
         """Coordinates of a graded map (component dict) in the degree-n basis."""
@@ -630,35 +629,27 @@ class HomComplex:
         return Mat._reduced(self.source.alg.p, coords.reshape(-1, 1))
 
 
-def _blocks(items: list) -> dict[int, slice]:
-    """Source degree -> slice of its maps in one degree's basis (grouped by source degree)."""
-    out: dict[int, slice] = {}
-    for t, (i, _) in enumerate(items):
-        out[i] = slice(out[i].start if i in out else t, t + 1)
+def _size(stacks: dict) -> int:
+    """The dimension of a Hom-complex degree."""
+    return sum(map(len, stacks.values()))
+
+
+def _blocks(stacks: dict) -> dict[int, slice]:
+    """Source degree -> slice of its stack in one degree's basis."""
+    out, t = {}, 0
+    for i, stack in stacks.items():
+        out[i], t = slice(t, t + len(stack)), t + len(stack)
     return out
 
 
-def _hom_items(x: Cx, y: Cx, n: int) -> list:
-    """The degree-n basis of Hom*(x, y): (source degree i, map x^i -> y^(i+n)),
-    grouped by source degree, each group the ``hom_space`` basis."""
-    return [
-        (i, f)
-        for i in x.degrees()
-        if x.obj(i).dim and y.obj(i + n).dim
-        for f in hom_space(x.obj(i), y.obj(i + n))
-    ]
-
-
-def _hom_dmat(x: Cx, y: Cx, n: int, src_items: list, dst_items: list) -> Mat:
-    """The matrix of D^n: Hom^n -> Hom^(n+1) in the bases ``src_items`` and
-    ``dst_items`` of ``_hom_items``: one product per source block on its
-    cached Hom basis stack, read off by ``hom_coords``."""
+def _hom_dmat(x: Cx, y: Cx, n: int, src: dict, dst: dict) -> Mat:
+    """The matrix of D^n: Hom^n -> Hom^(n+1) between the degree stacks ``src``
+    and ``dst``: one product per source stack, read off by ``hom_coords``."""
     p = x.alg.p
-    dst_blocks = _blocks(dst_items)
-    dmat = np.zeros((len(dst_items), len(src_items)), dtype=np.int64)
+    dst_blocks = _blocks(dst)
+    dmat = np.zeros((_size(dst), _size(src)), dtype=np.int64)
     sign = 1 if n % 2 == 0 else -1
-    for i, cols in _blocks(src_items).items():
-        fs = _hom_basis(x.obj(i), y.obj(i + n))[1]
+    for (i, fs), cols in zip(src.items(), _blocks(src).values()):
         # D f = d_y f at source degree i, -(-1)^n f d_x at source degree i - 1
         for j, image, s in ((i, y._dmat(i + n).a @ fs, 1), (i - 1, fs @ x._dmat(i - 1).a, -sign)):
             coords = hom_coords(x.obj(j), y.obj(j + n + 1), image % p)
@@ -666,30 +657,33 @@ def _hom_dmat(x: Cx, y: Cx, n: int, src_items: list, dst_items: list) -> Mat:
     return Mat(p, dmat)
 
 
-def _hom_window(x: Cx, y: Cx, lo: int, hi: int) -> tuple[dict[int, list], dict[int, Mat]]:
-    """Degrees lo..hi of Hom*(x, y): each degree's basis (``_hom_items``) and
-    the differentials D^lo, ..., D^(hi-1) between them (``_hom_dmat``)."""
+def _hom_window(x: Cx, y: Cx, lo: int, hi: int) -> tuple[dict[int, dict], dict[int, Mat]]:
+    """Degrees lo..hi of Hom*(x, y): source degree -> nonempty Hom basis stack,
+    per degree, and the differentials D^lo, ..., D^(hi-1) (``_hom_dmat``)."""
     if x.alg != y.alg:
         raise ValidationError("Hom complex between complexes over different algebras")
-    items = {k: _hom_items(x, y, k) for k in range(lo, hi + 1)}
-    dmats = {k: _hom_dmat(x, y, k, items[k], items[k + 1]) for k in range(lo, hi)}
-    return items, dmats
+    stacks: dict = {k: {} for k in range(lo, hi + 1)}
+    for k in stacks:
+        for i in x.degrees():
+            if x.obj(i).dim and y.obj(i + k).dim and len(s := _hom_basis(x.obj(i), y.obj(i + k))[0]):
+                stacks[k][i] = s
+    dmats = {k: _hom_dmat(x, y, k, stacks[k], stacks[k + 1]) for k in range(lo, hi)}
+    return stacks, dmats
 
 
 def hom_complex(x: Cx, y: Cx) -> HomComplex:
-    """Hom*(x, y) as a complex of ground-field modules, with its basis.
+    """Hom*(x, y) as a complex of ground-field modules, with its basis stacks.
 
-    The basis bookkeeping gives graded maps their coordinates and supports
-    dg-algebra structure on Hom*(P, P); a dimension of Hom in K reads only
-    three degrees, through ``hom_k_dim``.
+    The stacks give graded maps coordinates and dg structure on Hom*(P, P);
+    a dimension of Hom in K reads three degrees only (``hom_k_dim``).
     """
     degs = range(y.lo - x.hi, y.hi - x.lo + 1)  # empty or all zero when x or y is zero
-    items, dmats = _hom_window(x, y, degs.start, degs.stop - 1)
+    stacks, dmats = _hom_window(x, y, degs.start, degs.stop - 1)
     ground = preset("ground_field", x.alg.p)
-    mods = {n: make_module(ground, [Mat.identity(x.alg.p, len(items[n]))]) for n in degs}
+    mods = {n: make_module(ground, [Mat.identity(x.alg.p, _size(stacks[n]))]) for n in degs}
     dmaps = [MMap(mods[n], mods[n + 1], dmats[n]) for n in degs[:-1]]
     cx = make_complex(ground, degs.start, [mods[n] for n in degs], dmaps)
-    return HomComplex(cx, x, y, {n: b for n, b in items.items() if b})
+    return HomComplex(cx, x, y, {n: s for n, s in stacks.items() if s})
 
 
 def chain_map_basis(x: Cx, y: Cx) -> list[CMap]:
@@ -710,12 +704,12 @@ def _hom_k_dims(x: Cx, y: Cx, degs: range) -> dict[int, int]:
     """dim H^n of the Hom complex for each n in ``degs``, from one pass over
     its degrees degs.start - 1, ..., degs.stop: dim Hom^n - rank D^n - rank D^(n-1),
     once each D^n o D^(n-1) = 0 is checked."""
-    items, dmats = _hom_window(x, y, degs.start - 1, degs.stop)
+    stacks, dmats = _hom_window(x, y, degs.start - 1, degs.stop)
     for n in degs:
         if not (dmats[n] @ dmats[n - 1]).is_zero():
             raise ValidationError(f"D o D != 0 at degree {n - 1} of the Hom complex", witness=n - 1)
     ranks = {k: rank(d) for k, d in dmats.items()}
-    return {n: len(items[n]) - ranks[n] - ranks[n - 1] for n in degs}
+    return {n: _size(stacks[n]) - ranks[n] - ranks[n - 1] for n in degs}
 
 
 def hom_k_dim(x: Cx, y: Cx, n: int = 0) -> int:

@@ -49,6 +49,7 @@ from homcat.modules import (
     decompose_with_maps,
     dual_module,
     hom_coords,
+    hom_space,
     is_injective,
     is_isomorphic,
     is_projective,
@@ -354,8 +355,7 @@ def dg_end(p_cx: Cx) -> DGAlg:
                 cols_a = blocks_m.get(ib + n)
                 if cols_a is None:
                     continue
-                fa = _hom_basis(p_cx.obj(ib + n), p_cx.obj(ib + n + m))[1]
-                fb = _hom_basis(p_cx.obj(ib), p_cx.obj(ib + n))[1]
+                fa, fb = hc.stacks[m][ib + n], hc.stacks[n][ib]
                 comp = fa[:, None] @ fb[None, :] % p
                 coords = hom_coords(p_cx.obj(ib), p_cx.obj(ib + m + n), comp.reshape(-1, *comp.shape[2:]))
                 rows = blocks_mn.get(ib, slice(0))
@@ -526,7 +526,7 @@ def end_algebra(t: Mod) -> tuple[Alg, list[MMap]]:
     radical is assembled from maps between non-isomorphic summands plus the
     local radicals of the summand endomorphism rings, then fully validated.
     """
-    basis, mats, _ = _hom_basis(t, t)
+    mats = _hom_basis(t, t)[0]
     d = len(mats)
     p = t.alg.p
     c = hom_coords(t, t, (mats[:, None] @ mats[None, :] % p).reshape(d * d, t.dim, t.dim)).reshape(d, d, d)
@@ -537,17 +537,16 @@ def end_algebra(t: Mod) -> tuple[Alg, list[MMap]]:
     for s, (ms, _, proj_s) in enumerate(summands):
         for tt, (mt, inc_t, _) in enumerate(summands):
             if s == tt:
-                gens = [g.mat.a for g in local_end_radical(ms)]
+                gens = local_end_radical(ms)
             elif (iso := is_isomorphic(ms, mt)) is None:
-                gens = _hom_basis(ms, mt)[1]
+                gens = _hom_basis(ms, mt)[0]
             else:
-                gens = [(iso @ r).mat.a for r in local_end_radical(ms)]
-            gens = np.array(gens, dtype=np.int64).reshape(-1, mt.dim, ms.dim)
+                gens = iso.mat.a @ local_end_radical(ms) % p
             rad_comps.append((inc_t.mat.a @ gens % p) @ proj_s.mat.a % p)
     rad = column_space(Mat(p, hom_coords(t, t, np.concatenate(rad_comps)).T))
     labels = tuple(f"f{i}" for i in range(d))
     alg = make_algebra(d, c, unit, idems, rad, p, labels=labels, name=f"End({t.dim}d)")
-    return alg, list(basis)
+    return alg, hom_space(t, t)
 
 
 def _lift_endomorphism(res: Resolution, gamma: MMap) -> CMap:
@@ -595,7 +594,7 @@ def tilting_check(t: Mod, target: Alg, shift_window: tuple[int, int] = (-2, 2), 
                     continue
                 cols = np.zeros((dim_n, dim_n), dtype=np.int64)
                 for i, block in hc.blocks(n).items():
-                    fs = _hom_basis(hc.source.obj(i), hc.target.obj(i + n))[1]
+                    fs = hc.stacks[n][i]
                     composed = fs @ lift.component(i).mat.a % gamma.p
                     cols[block, block] = hom_coords(hc.source.obj(i), hc.target.obj(i + n), composed).T
                 comps[n] = MMap(hc.cx.obj(n), hc.cx.obj(n), Mat(gamma.p, cols))

@@ -7,8 +7,8 @@ work that never classifies does not load it.  The functions that
 ``benchmarks/tracer.py`` wraps (``decompose_with_maps``, ``kernel_basis``,
 ``solve``) are called through their modules: a tracer installed before this
 module loads wraps the module attributes, not names bound here.  Hom bases
-are read as the cached stack of ``modules._hom_basis`` and isomorphism
-classes through ``modules._first_iso``.
+and End radicals are read as stacks (``modules._hom_basis``,
+``local_end_radical``), isomorphism classes through ``modules._first_iso``.
 """
 
 from __future__ import annotations
@@ -55,16 +55,15 @@ _KNIT_DIM_FACTOR = 2  # an indecomposable may have at most this times dim A
 
 @functools.lru_cache(maxsize=256)
 def _dual_projective(pmod: Mod) -> tuple[Mod, np.ndarray]:
-    """P* = Hom_A(P, A) as a right module over opposite(A), and its basis maps P -> A
-    (the cached Hom basis stack).
+    """P* = Hom_A(P, A) as a right module over opposite(A), and its Hom basis stack.
 
-    b acts on phi by left multiplication, phi |-> b * phi, read back in the
-    ``hom_space(P, regular_module(A))`` basis by ``hom_coords``.  Cached per
+    b acts on phi by left multiplication, phi |-> b * phi, read back in that
+    basis by ``hom_coords``.  Cached per
     projective: the presentations of tau and tau^-1 meet few distinct ones.
     """
     alg, p = pmod.alg, pmod.alg.p
     reg = regular_module(alg)
-    phis = _hom_basis(pmod, reg)[1]
+    phis = _hom_basis(pmod, reg)[0]
     left = alg.structconst.transpose(0, 2, 1)  # left[i] is the matrix of a |-> b_i * a
     prods = np.einsum("iab,tbc->itac", left, phis) % p
     coords = hom_coords(pmod, reg, prods.reshape(-1, alg.dim, pmod.dim)).reshape(alg.dim, len(phis), len(phis))
@@ -121,13 +120,13 @@ def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
         return None
     epi, inc = _cover_step(z)
     p0, omega = epi.src, inc.src
-    maps = _hom_basis(omega, x)[1]
+    maps = _hom_basis(omega, x)[0]
     d = len(maps)
     # the composites read by hom_coords below are module maps by construction
-    cobound = Mat(p, hom_coords(omega, x, _hom_basis(p0, x)[1] @ inc.mat.a % p).T)
+    cobound = Mat(p, hom_coords(omega, x, _hom_basis(p0, x)[0] @ inc.mat.a % p).T)
     # v lies in the coboundaries iff annihilator @ v = 0
     annihilator = linalg.kernel_basis(cobound.transpose()).transpose()
-    rad = [hom_coords(omega, x, s.mat.a @ maps % p) for s in local_end_radical(x)]
+    rad = [hom_coords(omega, x, s @ maps % p) for s in local_end_radical(x)]
     conditions = Mat(p, np.vstack([(annihilator.a @ r.T) % p for r in rad] + [np.zeros((0, d), dtype=np.int64)]))
     socle_span = linalg.kernel_basis(conditions)
     socle_dim = socle_span.cols - rank(cobound)

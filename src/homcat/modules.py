@@ -145,16 +145,8 @@ class MMap:
         p = self.mat.p
         if p != self.src.alg.p or p != self.dst.alg.p:
             raise ValueError(f"mixed moduli {p} and {self.src.alg.p}, {self.dst.alg.p}")
-        f = self.mat.a
-        if not f.any():
-            return  # the zero map commutes with every action
-        bad = np.flatnonzero(np.any((f @ self.src.acts - self.dst.acts @ f) % p, axis=(1, 2)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"matrix does not commute with the action of basis element {i}",
-                witness=i,
-            )
+        if self.mat.a.any():  # the zero map commutes with every action
+            _check_commutes(self.src, self.dst, self.mat.a[None])
 
     def __matmul__(self, other: "MMap") -> "MMap":
         if other.dst != self.src:
@@ -194,6 +186,15 @@ class MMap:
     @staticmethod
     def zero(src: Mod, dst: Mod) -> "MMap":
         return MMap(src, dst, Mat.zeros(src.alg.p, dst.dim, src.dim))
+
+
+def _check_commutes(m: Mod, n: Mod, mats: np.ndarray) -> None:
+    """Certify a stack of maps m -> n against every basis element's action at
+    once; the witness is the first one the first bad matrix fails."""
+    bad = ((mats[:, None] @ m.acts - n.acts @ mats[:, None]) % m.alg.p).any(axis=(2, 3))
+    if bad.any():
+        i = int(np.argmax(bad[np.argmax(bad.any(axis=1))]))
+        raise ValidationError(f"matrix does not commute with the action of basis element {i}", witness=i)
 
 
 # -- constructors --------------------------------------------------------------
@@ -318,18 +319,14 @@ def simple_module(alg: Alg, j: int) -> Mod:
 
 
 @functools.lru_cache(maxsize=4096)
-def _hom_basis(m: Mod, n: Mod) -> tuple[tuple[MMap, ...], np.ndarray, np.ndarray]:
-    """Cached Hom(m, n) basis: the maps, one read-only (k, n.dim, m.dim) stack of
-    their matrices, and the free position of each in the row-major flattening.
-
-    Every reader multiplies or combines the stack; the maps are ``MMap`` views
-    of its rows.  The flattenings are the ``kernel_basis`` columns of the
-    intertwining system, so the free position of each is its last nonzero entry.
-    """
+def _hom_basis(m: Mod, n: Mod) -> tuple[np.ndarray, np.ndarray]:
+    """Cached Hom(m, n) basis: a certified read-only (k, n.dim, m.dim) stack and
+    the free position of each element (the ``kernel_basis`` columns of the
+    intertwining system, flattened row-major: its last nonzero entry)."""
     if m.alg != n.alg:
         raise ValidationError("hom_space between modules over different algebras")
     if m.dim == 0 or n.dim == 0:
-        return (), np.zeros((0, n.dim, m.dim), dtype=np.int64), np.zeros(0, dtype=np.intp)
+        return np.zeros((0, n.dim, m.dim), dtype=np.int64), np.zeros(0, dtype=np.intp)
     p = m.alg.p
     gens = algebra_generators(m.alg)
     # F rho_m(g) - rho_n(g) F = 0 on the row-major entries of F: generator g
@@ -344,9 +341,9 @@ def _hom_basis(m: Mod, n: Mod) -> tuple[tuple[MMap, ...], np.ndarray, np.ndarray
     vecs = np.ascontiguousarray(kernel_basis(Mat._reduced(p, rows)).a.T)
     free = vecs.shape[1] - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
     stack = vecs.reshape(len(vecs), n.dim, m.dim)
+    _check_commutes(m, n, stack)
     stack.flags.writeable = False
-    # the maps are read-only views of the stack: the cache holds each basis once
-    return tuple(MMap(m, n, Mat._reduced(p, b)) for b in stack), stack, free
+    return stack, free
 
 
 def hom_space(m: Mod, n: Mod) -> list[MMap]:
@@ -354,9 +351,9 @@ def hom_space(m: Mod, n: Mod) -> list[MMap]:
 
     It suffices to intertwine a verified generating set of the algebra; the
     commutant of the generators equals the commutant of the whole algebra.
-    Results are cached (modules are immutable).
+    The basis is cached (modules are immutable); the maps are built per call.
     """
-    return list(_hom_basis(m, n)[0])
+    return [MMap(m, n, Mat._reduced(m.alg.p, f)) for f in _hom_basis(m, n)[0]]
 
 
 def hom_coords(m: Mod, n: Mod, mats) -> np.ndarray:
@@ -369,7 +366,7 @@ def hom_coords(m: Mod, n: Mod, mats) -> np.ndarray:
     ``ValidationError`` with its stack index as witness.
     Sums have at most m.dim * n.dim terms below p^2 <= 2^42: no int64 overflow.
     """
-    _, stack, free = _hom_basis(m, n)
+    stack, free = _hom_basis(m, n)
     a = np.asarray(mats, dtype=np.int64)
     if a.ndim != 3 or a.shape[1:] != (n.dim, m.dim):
         raise ValidationError(f"expected a stack of {n.dim}x{m.dim} matrices, got shape {a.shape}")
@@ -689,11 +686,10 @@ def _indecomposable_iso(x: Mod, y: Mod) -> MMap | None:
     """
     if x.dim != y.dim or x.dim_vector() != y.dim_vector():
         return None
-    back = hom_space(y, x)
-    for f in hom_space(x, y):
-        if any(is_invertible(g.mat @ f.mat) for g in back):
-            return f
-    return None
+    p, fs = x.alg.p, _hom_basis(x, y)[0]
+    prods = _hom_basis(y, x)[0][None] @ fs[:, None] % p  # prods[t, s] = g_s o f_t
+    t = next((t for t, gf in enumerate(prods) if any(is_invertible(Mat._reduced(p, g)) for g in gf)), None)
+    return None if t is None else MMap(x, y, Mat._reduced(p, fs[t]))
 
 
 def is_isomorphic(m: Mod, n: Mod) -> MMap | None:
@@ -711,9 +707,9 @@ def is_isomorphic(m: Mod, n: Mod) -> MMap | None:
         return MMap.zero(m, n)
     if m.dim_vector() != n.dim_vector():
         return None
-    for f in hom_space(m, n):
-        if is_invertible(f.mat):
-            return f
+    for f in _hom_basis(m, n)[0]:
+        if is_invertible(g := Mat._reduced(m.alg.p, f)):
+            return MMap(m, n, g)
     targets = decompose_with_maps(n)
     total = Mat.zeros(m.alg.p, n.dim, m.dim)
     for x, _, onto_x in decompose_with_maps(m):
@@ -742,7 +738,7 @@ def decompose_with_maps(m: Mod) -> list[tuple[Mod, MMap, MMap]]:
     """
     if m.dim == 0:
         return []
-    f = _split_or_certify(m, _hom_basis(m, m)[1])
+    f = _split_or_certify(m, _hom_basis(m, m)[0])
     if f is None:
         return [(m, MMap.identity(m), MMap.identity(m))]
     power = f.power(1 << (m.dim.bit_length()))
@@ -838,8 +834,8 @@ def classify_indecomposables(alg: Alg) -> list[Mod]:
 # -- AR quiver --------------------------------------------------------------------
 
 
-def local_end_radical(m: Mod) -> list[MMap]:
-    """Basis of the maximal ideal of a local endomorphism algebra.
+def local_end_radical(m: Mod) -> np.ndarray:
+    """Basis stack (r, m.dim, m.dim) of the maximal ideal of a local End(m).
 
     For each basis endomorphism g there is exactly one scalar lambda with
     g - lambda * id nilpotent (split local case); those differences span the
@@ -848,13 +844,13 @@ def local_end_radical(m: Mod) -> list[MMap]:
     """
     p = m.alg.p
     shifts = []
-    for g in _hom_basis(m, m)[1]:
+    for g in _hom_basis(m, m)[0]:
         shift = _singular_shift(Mat._reduced(p, g))
         if shift is None or not is_nilpotent(shift):
             raise GuardError("endomorphism algebra is not split local")
         shifts.append(shift.a.ravel())
     reduced = column_space(Mat(p, np.reshape(shifts, (len(shifts), m.dim * m.dim)).T))
-    return [MMap(m, m, Mat(p, reduced.a[:, t].reshape(m.dim, m.dim))) for t in range(reduced.cols)]
+    return reduced.a.T.reshape(reduced.cols, m.dim, m.dim)
 
 
 def ar_quiver(alg: Alg) -> Quiver:

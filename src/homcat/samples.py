@@ -63,7 +63,7 @@ def _constrained_random_map(
     src: Mod, dst: Mod, rng: np.random.Generator, after: MMap | None
 ) -> MMap:
     """A random hom src -> dst, composing to zero with ``after`` if given."""
-    basis = _hom_basis(src, dst)[1]
+    basis = _hom_basis(src, dst)[0]
     if not len(basis):
         return MMap.zero(src, dst)
     p = src.alg.p
@@ -126,7 +126,7 @@ def random_homotopic_pair(x: Cx, y: Cx, rng: np.random.Generator) -> tuple[CMap,
     comps = {}
     for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 2):
         if x.obj(n).dim and y.obj(n - 1).dim:
-            hs = _hom_basis(x.obj(n), y.obj(n - 1))[1]
+            hs = _hom_basis(x.obj(n), y.obj(n - 1))[0]
             if not len(hs):
                 continue
             coeffs = [int(rng.integers(0, x.alg.p)) for _ in hs]  # one draw per basis element, in order

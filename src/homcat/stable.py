@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from homcat.algebras import Alg
-from homcat.complexes import Cx, _hom_window, make_complex, zero_complex
+from homcat.complexes import Cx, _blocks, _hom_window, make_complex, zero_complex
 from homcat.derived import _cover_chain, _dual_side, _projective_side
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import Mat, column_space, kernel_basis, rank
@@ -103,7 +103,7 @@ def _projective_factoring_subspace(m: Mod, n: Mod) -> Mat:
     """
     p = m.alg.p
     epi, _ = _cover_step(n)
-    through = epi.mat.a @ _hom_basis(m, epi.src)[1] % p  # module maps by construction
+    through = epi.mat.a @ _hom_basis(m, epi.src)[0] % p  # module maps by construction
     return Mat(p, through.reshape(len(through), n.dim * m.dim).T)
 
 
@@ -113,7 +113,7 @@ def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
     p = m.alg.p
     if m.dim == 0 or n.dim == 0:
         return 0, []
-    basis = _hom_basis(m, n)[1]
+    basis = _hom_basis(m, n)[0]
     if not len(basis):
         return 0, []
     through = _projective_factoring_subspace(m, n)
@@ -222,8 +222,8 @@ def _interior_h0(x: Cx, y: Cx) -> int:
     hi = min(x.hi, y.hi) - 1
     if lo > hi:
         raise ValidationError("window too small: empty interior")
-    items, dmats = _hom_window(x, y, -1, 1)
-    interior = [t for t, (i, _) in enumerate(items[0]) if lo <= i <= hi]
+    stacks, dmats = _hom_window(x, y, -1, 1)
+    interior = [t for i, b in _blocks(stacks[0]).items() if lo <= i <= hi for t in range(b.start, b.stop)]
     cocycles = kernel_basis(dmats[0])
     return rank(Mat(x.alg.p, cocycles.a[interior])) - rank(Mat(x.alg.p, dmats[-1].a[interior]))
 

@@ -39,7 +39,9 @@ from homcat.errors import ValidationError
 from homcat.linalg import Mat, inverse, kernel_basis
 from homcat.modules import (
     MMap,
+    classify_indecomposables,
     hom_space,
+    is_isomorphic,
     make_module,
     projective_cover,
     projective_module,
@@ -47,6 +49,7 @@ from homcat.modules import (
     simple_module,
 )
 from homcat.samples import random_complex, random_chain_map, random_homotopic_pair
+from homcat.stable import stable_hom_via_cr, stable_indecomposables
 
 L1 = preset("lambda1", 101)
 GF = preset("ground_field", 101)
@@ -406,10 +409,11 @@ def _chain_map_basis_from_hom_complex(x, y):
     if hc.degree_dim(0) == 0:
         return []
     z = kernel_basis(hc.cx.diff(0).mat)
+    items = [(i, f) for i in hc.blocks(0) for f in hom_space(x.obj(i), y.obj(i))]
     out = []
     for t in range(z.cols):
         comps = {}
-        for c, (i, f) in zip(z.a[:, t], hc.basis[0]):
+        for c, (i, f) in zip(z.a[:, t], items):
             if c:
                 comps[i] = comps[i] + f.scale(int(c)) if i in comps else f.scale(int(c))
         out.append(CMap.build(x, y, comps))
@@ -434,6 +438,59 @@ def test_chain_map_basis_equals_the_hom_complex_cocycles(p):
                     assert all(f.comps[n].mat == g.comps[n].mat for n in f.comps)
                 pairs += bool(basis)
     assert pairs >= 10  # of 48: enough pairs with nonzero chain maps to compare
+
+
+def _hom_blocks_reference(x, y, n):
+    """Source degree -> slice of the degree-n basis, counted as the lengths of
+    the per-source-degree ``hom_space`` bases."""
+    out, t = {}, 0
+    for i in x.degrees():
+        k = len(hom_space(x.obj(i), y.obj(i + n)))
+        if k:
+            out[i], t = slice(t, t + k), t + k
+    return out
+
+
+def test_hom_windows_build_no_maps(monkeypatch):
+    # Hom complexes, Hom-in-K dimensions, stable Homs via complete resolutions
+    # and isomorphism tests read the cached Hom basis stacks, never a list of maps
+    import sys
+
+    real, calls = hom_space, []
+
+    def counting(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "homcat" or name.startswith("homcat.")) and getattr(module, "hom_space", None) is real:
+            monkeypatch.setattr(module, "hom_space", counting)
+    rng = np.random.default_rng(11)
+    pairs = []
+    for name in ("lambda1", "truncpoly(3)"):
+        alg = preset(name, 3)
+        ind = classify_indecomposables(alg)
+        xs = [random_complex(alg, rng, max_support=3, dim_cap=3) for _ in range(3)] + [stalk(m, 0) for m in ind[:3]]
+        for x in xs:
+            for y in xs:
+                hom_k_dim(x, y)
+                _hom_k_dims(x, y, range(-2, 3))
+                pairs.append((x, y))
+        for m in ind:
+            for n in ind:
+                is_isomorphic(m, n)
+    stable = stable_indecomposables(preset("truncpoly(3)", 3))
+    for m in stable:
+        for n in stable:
+            stable_hom_via_cr(m, n)
+    assert calls == []
+    monkeypatch.undo()
+    for x, y in pairs:
+        hc = hom_complex(x, y)
+        for n in range(hc.cx.lo - 1, hc.cx.hi + 2):
+            want = _hom_blocks_reference(x, y, n)
+            assert hc.blocks(n) == want
+            assert hc.degree_dim(n) == sum(b.stop - b.start for b in want.values())
 
 
 def test_truncation_profile():

@@ -668,7 +668,8 @@ def _radical_quiver_arrows(alg):
     p = alg.p
     n = len(ind)
     rad = {
-        (i, j): local_end_radical(ind[i]) if i == j else hom_space(ind[i], ind[j])
+        (i, j): [MMap(ind[i], ind[i], Mat(p, r)) for r in local_end_radical(ind[i])] if i == j
+        else hom_space(ind[i], ind[j])
         for i in range(n)
         for j in range(n)
     }
@@ -735,7 +736,7 @@ def test_hom_basis_equals_the_kronecker_system(build):
     mods.append(direct_sum(mods[-4:-1])[0])
     for x in mods:
         for y in mods:
-            stack = _hom_basis(x, y)[1]
+            stack = _hom_basis(x, y)[0]
             assert np.array_equal(stack.reshape(len(stack), x.dim * y.dim), _kronecker_hom_rows(x, y))
 
 
@@ -909,6 +910,30 @@ def test_mmap_rejects_non_commuting_matrix_with_first_failing_basis_index():
         with pytest.raises(ValidationError, match="commute") as err:
             MMap(r, r, r.action[k])
         assert err.value.witness == first_bad
+
+
+def test_hom_basis_certifies_its_stack(monkeypatch):
+    # with the unit as the only generator every matrix solves the intertwining
+    # system, so only the certification of the stack rejects the non-module maps
+    import homcat.modules
+
+    alg = L1_3
+    m, n = projective_module(alg, 0), simple_module(alg, 1)
+    monkeypatch.setattr(homcat.modules, "algebra_generators", lambda a: [a.unit])
+    _hom_basis.cache_clear()
+    try:
+        with pytest.raises(ValidationError, match="does not commute with the action of basis element 0") as err:
+            _hom_basis(m, n)
+        assert err.value.witness == 0
+    finally:
+        monkeypatch.undo()
+        _hom_basis.cache_clear()
+    assert len(_hom_basis(m, n)[0]) == 0
+    # one map keeps the message and the witness of the per-map check
+    r = regular_module(L1)
+    with pytest.raises(ValidationError, match="does not commute with the action of basis element 1") as err:
+        MMap(r, r, r.action[0])
+    assert err.value.witness == 1
 
 
 def test_mmap_check_matches_the_per_basis_loop():
