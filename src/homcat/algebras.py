@@ -6,7 +6,12 @@ complete set of orthogonal idempotents, and a basis of its Jacobson radical.
 The radical is *supplied and validated*, not computed: general radical
 computation in characteristic p is subtle, while every algebra handled here
 has an evident radical basis.  Validation checks that the span is a nilpotent
-two-sided ideal and that the quotient has a nondegenerate trace form.
+two-sided ideal and that the quotient is semisimple by its trace form
+(x, y) -> tr(L_xy).  A nondegenerate form proves semisimplicity.  A form
+whose kernel is a nilpotent ideal proves the quotient is not semisimple.  In
+characteristic p the form also vanishes on a semisimple block M_n with p
+dividing n (M_2(F_2), say), and then validation raises GuardError instead of
+guessing.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from homcat.linalg import (
     column_space,
     in_column_span,
     inverse,
-    rank,
+    kernel_basis,
     rref,
     validate_prime,
 )
@@ -88,20 +93,9 @@ class Alg:
 
     def radical_powers(self) -> list[Mat]:
         """Column spans of rad, rad^2, ... down to zero (zero span included)."""
-        powers = [column_space(self.radical)]
-        while powers[-1].cols > 0:
-            prev = powers[-1]
-            prods = []
-            for s in range(prev.cols):
-                for t in range(self.radical.cols):
-                    prods.append(self.mul(prev.a[:, s], self.radical.a[:, t]))
-            if prods:
-                nxt = column_space(Mat(self.p, np.array(prods).T))
-            else:
-                nxt = Mat.zeros(self.p, self.dim, 0)
-            if nxt.cols >= prev.cols:
-                raise ValidationError("radical span is not nilpotent")
-            powers.append(nxt)
+        powers = _span_powers(self.p, self.structconst, self.radical)
+        if powers is None:
+            raise ValidationError("radical span is not nilpotent")
         return powers
 
     def __eq__(self, other) -> bool:
@@ -136,6 +130,23 @@ class AlgIso:
 
 
 # -- validation ---------------------------------------------------------------
+
+
+def _span_powers(p: int, c: np.ndarray, span: Mat) -> list[Mat] | None:
+    """Column spans of S, S^2, ... down to zero (zero span included), S the
+    column span of ``span`` in the algebra with structure constants c; None
+    when a power stops shrinking, so S is not nilpotent."""
+    powers = [column_space(span)]
+    while powers[-1].cols > 0:
+        prev = powers[-1]
+        # row s * span.cols + t of prods is prev_s * span_t, reduced between the two products
+        left = (prev.a.T @ c.reshape(len(c), -1) % p).reshape(prev.cols, len(c), len(c))
+        prods = (span.a.T @ left % p).reshape(prev.cols * span.cols, len(c))
+        nxt = column_space(Mat(p, prods.T))
+        if nxt.cols >= prev.cols:
+            return None
+        powers.append(nxt)
+    return powers
 
 
 def _check_associativity(p: int, c: np.ndarray) -> None:
@@ -206,7 +217,11 @@ def _quotient_algebra_data(alg: Alg) -> tuple[np.ndarray, Mat, Mat]:
 
 
 def _check_quotient_semisimple(alg: Alg) -> None:
-    c, _, _ = _quotient_algebra_data(alg)
+    """The trace form (x, y) -> tr(L_xy) of the quotient B = A/rad certifies B
+    semisimple when nondegenerate.  Its kernel K is a two-sided ideal of B: a
+    nilpotent K proves B not semisimple; any other K is a guard, since over
+    F_p the form also vanishes on semisimple blocks (M_2(F_2) has tr = 0)."""
+    c, _, sec = _quotient_algebra_data(alg)
     q = c.shape[0]
     if q == 0:
         raise ValidationError("radical spans the whole algebra; no unit survives")
@@ -216,8 +231,17 @@ def _check_quotient_semisimple(alg: Alg) -> None:
     for i in range(q):
         for j in range(q):
             gram[i, j] = int(np.trace((left[i] @ left[j]).a)) % alg.p
-    if rank(Mat(alg.p, gram)) != q:
-        raise ValidationError("radical quotient not semisimple (degenerate trace form)")
+    kernel = kernel_basis(Mat(alg.p, gram))
+    if kernel.cols == 0:
+        return
+    if _span_powers(alg.p, c, kernel) is not None:
+        # witness: an element of A outside the radical whose class lies in K
+        witness = tuple(int(v) for v in (sec.a @ kernel.a[:, 0]) % alg.p)
+        raise ValidationError("radical quotient not semisimple (degenerate trace form)", witness=witness)
+    raise GuardError(
+        f"the trace form of the radical quotient is degenerate on a non-nilpotent ideal at p = {alg.p}: "
+        "it cannot certify semisimplicity at this p"
+    )
 
 
 def make_algebra(
@@ -234,7 +258,9 @@ def make_algebra(
 
     Raises ValidationError with a witness for: non-associativity, a bad unit,
     non-orthogonal or non-idempotent designated idempotents, a radical that is
-    not a nilpotent two-sided ideal, or a degenerate quotient trace form.
+    not a nilpotent two-sided ideal, or a quotient trace form degenerate on a
+    nilpotent ideal.  Raises GuardError when the trace form is degenerate on
+    an ideal that is not nilpotent: it cannot decide semisimplicity at this p.
     """
     validate_prime(p)
     c = np.mod(np.asarray(structconst, dtype=np.int64), p)

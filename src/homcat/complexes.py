@@ -14,6 +14,7 @@ hold with no case analysis.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -108,6 +109,11 @@ class Cx:
         k = n - self.lo
         return self.diffs[k].mat if 0 <= k < len(self.diffs) else _zeros(self.obj(n), self.obj(n + 1))
 
+    def _darr(self, n: int) -> np.ndarray | None:
+        """The array of d^n, or None outside the window, where d^n is zero."""
+        k = n - self.lo
+        return self.diffs[k].mat.a if 0 <= k < len(self.diffs) else None
+
     def is_zero(self) -> bool:
         return not self.objects
 
@@ -196,8 +202,9 @@ class CMap:
         for n, f in self.comps.items():
             if f.src != x.obj(n) or f.dst != y.obj(n):
                 raise ValidationError(f"component {n} has mismatched endpoints")
-        for n in sorted(_reach(self.comps)):  # both sides vanish elsewhere
-            if self._mat(n + 1) @ x._dmat(n) != y._dmat(n) @ self._mat(n):
+        f = _arrays(self.comps)
+        for n in sorted(_reach(f)):  # both sides vanish elsewhere
+            if _nonzero(x.alg.p, [(+1, f.get(n + 1), x._darr(n)), (-1, y._darr(n), f.get(n))]):
                 raise ValidationError(f"chain condition fails at degree {n}", witness=n)
 
     def _mat(self, n: int) -> Mat:
@@ -233,7 +240,11 @@ class CMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CMap) or self.src != other.src or self.dst != other.dst:
             return False
-        return all(self._mat(n) == other._mat(n) for n in self.comps.keys() | other.comps.keys())
+        a, b = self.comps, other.comps
+        return all(
+            a[n].mat == b[n].mat if n in a and n in b else (a.get(n) or b[n]).is_zero()  # stored once: must be zero
+            for n in a.keys() | b.keys()
+        )
 
     def __hash__(self):
         # zero components are skipped: a map equals itself with explicit zeros added
@@ -259,6 +270,25 @@ def _zeros(src: Mod, dst: Mod) -> Mat:
 def _reach(comps: dict) -> set:
     """Degrees n with n or n + 1 in the support; elsewhere every term at degree n is zero."""
     return {m for k in comps for m in (k - 1, k)}
+
+
+def _arrays(comps: dict) -> dict:
+    """Degree -> the array of each stored component."""
+    return {n: f.mat.a for n, f in comps.items()}
+
+
+def _nonzero(p: int, terms) -> bool:
+    """Whether the signed sum of the products in ``terms`` is nonzero mod p.
+
+    Each term is (sign, *factors); a None factor is an absent, zero component,
+    so its product is never formed.
+    """
+    total = None
+    for sign, *factors in terms:
+        if all(a is not None for a in factors):
+            term = sign * (reduce(np.matmul, factors) % p)
+            total = term if total is None else total + term
+    return total is not None and bool((total % p).any())
 
 
 def _combined_degrees(x: Cx, y: Cx) -> range:
@@ -301,14 +331,11 @@ class Htp:
         for n, h in self.comps.items():
             if h.src != x.obj(n) or h.dst != y.obj(n - 1):
                 raise ValidationError(f"homotopy component {n} has wrong endpoints")
-        for n in sorted(self.phi.comps.keys() | self.psi.comps.keys() | _reach(self.comps)):
-            delta = self.phi._mat(n) - self.psi._mat(n)
-            if delta != y._dmat(n - 1) @ self._mat(n) + self._mat(n + 1) @ x._dmat(n):
+        phi, psi, h = _arrays(self.phi.comps), _arrays(self.psi.comps), _arrays(self.comps)
+        for n in sorted(phi.keys() | psi.keys() | _reach(h)):
+            dh, hd = (-1, y._darr(n - 1), h.get(n)), (-1, h.get(n + 1), x._darr(n))
+            if _nonzero(x.alg.p, [(+1, phi.get(n)), (-1, psi.get(n)), dh, hd]):
                 raise ValidationError(f"homotopy identity fails at degree {n}", witness=n)
-
-    def _mat(self, n: int) -> Mat:
-        h = self.comps.get(n)
-        return h.mat if h is not None else _zeros(self.phi.src.obj(n), self.phi.dst.obj(n - 1))
 
     def component(self, n: int) -> MMap:
         return self.comps.get(n) or MMap.zero(self.phi.src.obj(n), self.phi.dst.obj(n - 1))
@@ -516,7 +543,15 @@ class CohomologyData:
     section: Mat  # H coordinates -> cocycle coordinates
 
 
+@functools.lru_cache(maxsize=8)
 def cohomology_data(x: Cx, n: int) -> CohomologyData:
+    """H^n(x) as a module, with its cocycles and the maps between cocycle and
+    cohomology coordinates.
+
+    Cached (bounded): an induced map reads H^n of its source and target, and
+    a run of maps between a few complexes reads each H^n once; an equal
+    complex gets the value built for the first one seen.
+    """
     xn = x.obj(n)
     z = kernel_basis(x._dmat(n))
     boundaries = x._dmat(n - 1)
@@ -572,8 +607,15 @@ class ConeParts:
     pi: CMap  # C -> Sigma X: the X-rows of the identity
 
 
+@functools.lru_cache(maxsize=8)
 def cone_complex(f: CMap) -> tuple[Cx, ConeParts]:
-    """The mapping cone with its inclusion iota and projection pi."""
+    """The mapping cone with its inclusion iota and projection pi.
+
+    Cached (bounded): ``Tri`` re-checks a triangle against the cone of its
+    first map right after ``cone_triangle`` or ``certify_triangle`` built
+    it, so the check reads the same cone.  An equal map gets the cone built
+    for the first one seen, which equals its own.
+    """
     x, y, sx = f.src, f.dst, shift(f.src, 1)
     degs = _combined_degrees(sx, y)
     mods = {n: _block_sum(x.alg, [x.obj(n + 1), y.obj(n)])[0] for n in degs}

@@ -9,6 +9,7 @@ construction, so a Tri object is itself the proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -60,8 +61,8 @@ class Tri:
                 v its homotopy inverse, s1: w iota ~ g, s2: h w ~ pi,
                 s3: w v ~ id_Z, s4: v w ~ id_cone.  None for by-cone
                 triangles, whose g and h must *be* the cone structure maps.
-    All stored data is re-verified against a freshly built cone on
-    construction.
+    All stored data is re-verified on construction against the cone of f,
+    ``cone_complex(f)``: the cached cone, equal to a fresh build.
     """
 
     f: CMap
@@ -130,9 +131,15 @@ def _composite_certs(f: CMap, g: CMap, h: CMap) -> tuple[Htp, Htp, Htp]:
     return tuple(certs)
 
 
+@functools.lru_cache(maxsize=8)
 def cone_triangle(f: CMap) -> Tri:
     """TR1: the mapping cone triangle X -> Y -> C(f) -> Sigma X with explicit
-    null-homotopies of the composites."""
+    null-homotopies of the composites.
+
+    Cached (bounded): ``verify_cone_les``, the TR1 suite and ``octahedron``
+    each ask for the triangle of the same map; an equal map gets the
+    triangle built for the first one seen.
+    """
     x, y = f.src, f.dst
     c, parts = cone_complex(f)
     iota, pi = parts.iota, parts.pi

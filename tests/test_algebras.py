@@ -91,6 +91,32 @@ def test_make_algebra_rejects_bad_radical():
         )
 
 
+def _matrix_algebra_m2(p):
+    """M_2(F_p) on the matrix units E11, E12, E21, E22, with an empty radical."""
+    units = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    c = np.zeros((4, 4, 4), dtype=np.int64)
+    for i, (a, b) in enumerate(units):
+        for j, (b2, d) in enumerate(units):
+            if b == b2:
+                c[i, j, units.index((a, d))] = 1
+    e11, e22 = np.eye(4, dtype=np.int64)[[0, 3]]
+    return make_algebra(4, c, e11 + e22, [e11, e22], Mat.zeros(p, 4, 0), p, name="M2")
+
+
+def test_trace_form_refuses_a_semisimple_quotient_it_cannot_certify():
+    # tr(L_xy) = 2 tr(xy) on M_2: zero at p = 2 on a semisimple algebra
+    with pytest.raises(GuardError, match="cannot certify semisimplicity at this p"):
+        _matrix_algebra_m2(2)
+    assert _matrix_algebra_m2(3).dim == 4
+
+
+def test_degenerate_trace_form_on_a_nilpotent_ideal_names_it():
+    lam = preset("lambda1", 101)
+    with pytest.raises(ValidationError, match="not semisimple") as err:
+        make_algebra(6, lam.structconst, lam.unit, lam.idempotents, lam.radical.take_columns([0, 1]), 101)
+    assert err.value.witness == (0, 0, 0, 0, 1, 0)  # E23, left out of the supplied radical
+
+
 def test_make_algebra_rejects_non_associative():
     # basis {1, x, y} with x*y = x, y*x = y, x*x = y*y = 0:
     # then (x*y)*x = 0 while x*(y*x) = x

@@ -257,7 +257,7 @@ def test_hom_stack_combinations_are_exact_at_the_largest_prime():
             f, src_acts, dst_acts = (_exact_mod(a, p) for a in (h.mat.a, x.obj(n).acts, y.obj(n - 1).acts))
             assert not ((f @ src_acts - dst_acts @ f) % p).any()
         for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
-            dy, h, h_next, dx = (_exact_mod(a.a, p) for a in (y._dmat(n - 1), cert._mat(n), cert._mat(n + 1), x._dmat(n)))
+            dy, h, h_next, dx = (_exact_mod(a.a, p) for a in (y._dmat(n - 1), cert.component(n).mat, cert.component(n + 1).mat, x._dmat(n)))
             assert not ((_exact_mod(psi._mat(n).a, p) - phi._mat(n).a - dy @ h - h_next @ dx) % p).any()
         homotopies += len(cert.comps)
     assert homotopies > 0
@@ -558,9 +558,11 @@ def _three_term_complex():
 def test_chain_condition_failure_reports_its_degree():
     x, ident = _three_term_complex()
     CMap(x, x, {0: ident, 1: ident, 2: ident})
-    with pytest.raises(ValidationError, match="chain condition") as err:
-        CMap(x, x, {0: ident, 1: ident})
-    assert err.value.witness == 1
+    # at degree 1 one side is absent: d^1 f^1 with no f^2, then f^2 d^1 with no f^1
+    for support in ((0, 1), (2,)):
+        with pytest.raises(ValidationError, match="chain condition") as err:
+            CMap(x, x, {n: ident for n in support})
+        assert err.value.witness == 1
 
 
 def test_homotopy_identity_failure_reports_its_degree():
@@ -569,9 +571,10 @@ def test_homotopy_identity_failure_reports_its_degree():
     x = make_complex(L1, 0, [p, p], [ident])  # contractible: id ~ 0 via h^1 = id
     idx, zero = CMap.identity(x), CMap.zero(x, x)
     Htp(idx, zero, {1: ident})
-    with pytest.raises(ValidationError, match="homotopy identity") as err:
-        Htp(idx, zero, {1: ident.scale(2)})
-    assert err.value.witness == 0
+    for comps in ({1: ident.scale(2)}, {}):  # h^1 wrong, then absent
+        with pytest.raises(ValidationError, match="homotopy identity") as err:
+            Htp(idx, zero, comps)
+        assert err.value.witness == 0
 
 
 def _witness(build):
@@ -643,6 +646,21 @@ def test_checks_reach_one_degree_below_the_support():
     assert _witness(lambda: Htp(zero, zero, {2: ident})) == _dense_htp_witness(zero, zero, {2: ident}) == 1
     # a component of psi alone, with phi and h zero, is checked too
     assert _witness(lambda: Htp(zero, CMap.identity(x), {})) == _dense_htp_witness(zero, CMap.identity(x), {}) == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cached_cones_and_cohomology_equal_a_fresh_build(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        x, y = (random_complex(L1, rng, max_support=3, dim_cap=4) for _ in range(2))
+        f = random_chain_map(x, y, rng)
+        built = cone_complex(f)
+        assert cone_complex(f) is built
+        assert built == cone_complex.__wrapped__(f)
+        cone = built[0]
+        for n in range(cone.lo - 1, cone.hi + 2):
+            assert cohomology_data(cone, n) is cohomology_data(cone, n)
+            assert cohomology_data(cone, n) == cohomology_data.__wrapped__(cone, n)
 
 
 def test_graded_maps_build_no_zero_maps(monkeypatch):

@@ -22,6 +22,8 @@ from homcat.linalg import rank
 from homcat.modules import MMap, direct_sum, hom_space, projective_module, simple_module
 from homcat.samples import random_chain_map, random_complex
 from homcat.triangles import (
+    Tri,
+    _composite_certs,
     certify_triangle,
     cone_triangle,
     fill_in,
@@ -61,6 +63,34 @@ def test_cone_triangle_certificates_verify():
         f = _random_map(L1, rng, max_support=3, dim_cap=4)
         tri = cone_triangle(f)
         assert tri.kind == "cone"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cached_cone_triangles_equal_a_fresh_build(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        f = _random_map(L1, rng, max_support=3, dim_cap=4)
+        tri = cone_triangle(f)
+        assert cone_triangle(f) is tri
+        fresh = cone_triangle.__wrapped__(f)
+        assert (tri.f, tri.g, tri.h, tri.kind) == (fresh.f, fresh.g, fresh.h, fresh.kind)
+        for cert, fresh_cert in zip(tri.comp_certs, fresh.comp_certs):
+            assert cert.phi == fresh_cert.phi and cert.psi == fresh_cert.psi
+            assert {n: h.mat for n, h in cert.comps.items()} == {n: h.mat for n, h in fresh_cert.comps.items()}
+
+
+def test_a_wrong_map_on_a_cached_cone_is_still_rejected():
+    rng = np.random.default_rng(3)
+    f = _random_map(L1, rng, max_support=3, dim_cap=4)
+    while f.dst.is_zero():
+        f = _random_map(L1, rng, max_support=3, dim_cap=4)
+    tri = cone_triangle(f)
+    g = tri.g.scale(2)  # 2 iota: every composite is still null-homotopic
+    certs = _composite_certs(f, g, tri.h)
+    hits = cone_complex.cache_info().hits
+    with pytest.raises(ValidationError, match="does not match its cone"):
+        Tri(f=f, g=g, h=tri.h, kind="cone", comp_certs=certs)
+    assert cone_complex.cache_info().hits > hits
 
 
 def test_cone_les_exactness():
