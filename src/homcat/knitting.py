@@ -2,6 +2,11 @@
 sequences, and the certified knitting closure: the vertices behind
 ``modules.classify_indecomposables`` and the arrows behind ``modules.ar_quiver``.
 
+The knitting computes each tau-edge once: tau and tau^-1 are inverse
+bijections between the non-projective and the non-injective indecomposables
+(Auslander-Reiten-Smalo 1995, Ch. IV), so a vertex whose tau or tau^-1 was
+found from the other end reuses that vertex instead of a second transpose.
+
 Loaded on the first classification rather than with ``homcat.modules``, so
 work that never classifies does not load it.  The functions that
 ``benchmarks/tracer.py`` wraps (``decompose_with_maps``, ``kernel_basis``,
@@ -101,9 +106,16 @@ def ar_translate_inverse(m: Mod) -> Mod:
     return transpose_module(dual_module(m))
 
 
-def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
+def almost_split_sequence(x: Mod, *, z: Mod | None = None) -> tuple[MMap, MMap] | None:
     """The almost split sequence 0 -> x -> E -> z -> 0 starting at an
     indecomposable x, with z = tau^-1 x; None when x is injective (z = 0).
+
+    ``z`` may pass a module isomorphic to tau^-1 x, which the sequence then
+    ends at instead of a transpose computed here; None computes tau^-1 x.
+    The isomorphism is the caller's to know and is not checked here: the
+    knitting passes the vertex k whose tau it certified isomorphic to x,
+    and tau^-1 tau of a non-projective indecomposable is itself.  Every
+    certificate below is checked either way.
 
     E is the pushout of 0 -> Omega z -> P0(z) -> z -> 0 along a map
     eta: Omega z -> x spanning the socle of Ext^1(z, x) = Hom(Omega z, x) /
@@ -115,7 +127,8 @@ def almost_split_sequence(x: Mod) -> tuple[MMap, MMap] | None:
     the sequence exact with dim E = dim x + dim z.
     """
     p = x.alg.p
-    z = ar_translate_inverse(x)
+    if z is None:
+        z = ar_translate_inverse(x)
     if z.dim == 0:
         return None
     epi, inc = _cover_step(z)
@@ -169,7 +182,17 @@ def knit(alg: Alg) -> tuple[list[Mod], tuple[tuple[int, int, int], ...]]:
     """The certified knitting closure and its arrows (i, j, multiplicity) in
     the sorted vertex order, computed once per algebra: the vertices of
     ``modules.classify_indecomposables`` and the arrows of ``modules.ar_quiver``,
-    which document them."""
+    which document them.
+
+    Each vertex x adds tau x (or rad x for a projective), and tau^-1 x with the
+    middle term of the almost split sequence starting at x (or x / soc x for
+    an injective).  The tau-partners are recorded as they are found: tau x
+    landing on vertex k makes x the tau^-1 of vertex k, passed as ``z`` to
+    ``almost_split_sequence`` when k is walked, and tau^-1 x landing on vertex
+    k makes k's tau known, so k computes no tau.  A knit of N vertices, I of
+    them injective, makes N + I transposes rather than 2N, and the skipped
+    additions were hits on vertices already certified isomorphic.
+    """
     _require_split_basic(alg)
     projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
     if not _peirce_connected(projs):
@@ -200,15 +223,23 @@ def knit(alg: Alg) -> tuple[list[Mod], tuple[tuple[int, int, int], ...]]:
     for pm in projs:
         _add(pm)
     arrows: collections.Counter = collections.Counter()
+    # each tau-edge is computed from whichever end is walked first
+    inverse_of: dict[int, Mod] = {}  # vertex -> a vertex isomorphic to its tau^-1
+    tau_known: set[int] = set()  # vertices whose tau is a vertex already
     for i, x in enumerate(found):  # grows while it is walked: every vertex is processed once
-        tau = ar_translate(x)
-        _add(tau if tau.dim else submodule(x, radical_submodule(x))[0])
-        seq = almost_split_sequence(x)
+        if i not in tau_known:
+            tau = ar_translate(x)
+            if tau.dim:
+                inverse_of.update((k, x) for k in _add(tau))
+            else:
+                _add(submodule(x, radical_submodule(x))[0])
+        seq = almost_split_sequence(x, z=inverse_of.get(i))
         if seq is None:
             local_end_radical(x)  # End(x) split local, or GuardError
             targets = _add(quotient_module(x, socle(x)[1].mat)[0])
         else:
-            _add(seq[1].dst)  # tau^-1 x
+            if i not in inverse_of:
+                tau_known.update(_add(seq[1].dst))
             targets = _add(seq[0].dst)  # the middle term
         arrows.update((i, j) for j in targets)
     order = sorted(range(len(found)), key=lambda k: (found[k].dim, found[k].dim_vector(), found[k].key()))

@@ -101,8 +101,8 @@ class Mod:
         return Mat._reduced(p, (np.mod(x, p) @ self.acts.reshape(len(self.acts), n * n)).reshape(n, n) % p)
 
     def dim_vector(self) -> tuple[int, ...]:
-        """Dimensions of the slices M e_j over the designated idempotents."""
-        return tuple(rank(self.rho(e)) for e in self.alg.idempotents)
+        """Dimensions of the slices M e_j over the designated idempotents, computed once per module."""
+        return _dim_vector(self)
 
     def key(self) -> bytes:
         """The ``Mat.key`` bytes of the action matrices, concatenated in basis order."""
@@ -126,6 +126,12 @@ class Mod:
 
     def __repr__(self) -> str:
         return f"Mod(dim={self.dim} over {self.alg.name})"
+
+
+@functools.lru_cache(maxsize=256)
+def _dim_vector(m: Mod) -> tuple[int, ...]:
+    """``Mod.dim_vector``, computed once per module: one rank per idempotent."""
+    return tuple(rank(m.rho(e)) for e in m.alg.idempotents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,17 +463,29 @@ def socle(m: Mod) -> tuple[Mod, MMap]:
 
 
 def projective_cover(m: Mod) -> tuple[Mod, MMap]:
-    """Minimal projective surjection onto m.
+    """Minimal projective surjection onto m, from its cached cover step.
 
     Lifts a basis of top(m), one generator per idempotent slice, and maps the
     corresponding projectives e_j * A by right multiplication.  Surjectivity
     and minimality (kernel inside P * rad) are verified; over an algebra that
     is not split basic the cover is not minimal and GuardError is raised.
     """
+    epi, _ = _cover_step(m)
+    return epi.src, epi
+
+
+@functools.lru_cache(maxsize=512)
+def _cover_step(m: Mod) -> tuple[MMap, MMap]:
+    """(epi: P ->> m, inc: Omega m >-> P) for the projective cover P of m.
+
+    Built and certified once per module (see ``projective_cover``), so every
+    resolution, envelope and presentation through m shares it; the kernel
+    that certifies minimality is the one Omega m is spanned by.
+    """
     alg, p = m.alg, m.alg.p
     if m.dim == 0:
         z = zero_module(alg)
-        return z, MMap.zero(z, m)
+        return MMap.zero(z, m), MMap.identity(z)
     t, q = top(m)
     pieces: list[Mod] = []
     blocks: list[np.ndarray] = []
@@ -496,18 +514,7 @@ def projective_cover(m: Mod) -> tuple[Mod, MMap]:
     if ker.cols and not in_column_span(radical_submodule(total), ker):
         _require_split_basic(alg)  # one generator per top vector is minimal only then
         raise ValidationError("internal inconsistency: cover not minimal")
-    return total, epi
-
-
-@functools.lru_cache(maxsize=512)
-def _cover_step(m: Mod) -> tuple[MMap, MMap]:
-    """(epi: P ->> m, inc: Omega m >-> P) for the projective cover P of m.
-
-    Certified once, when ``projective_cover`` builds it; cached per module, so
-    every resolution, envelope and presentation through m shares it.
-    """
-    cover, epi = projective_cover(m)
-    return epi, submodule(cover, kernel_basis(epi.mat))[1]
+    return epi, submodule(total, ker)[1]
 
 
 def _require_split_basic(alg: Alg) -> None:
@@ -630,9 +637,11 @@ def _singular_shift(g: Mat) -> Mat | None:
     return Mat(p, g.a - lam * eye)
 
 
-def _split_or_certify(m: Mod, mats: np.ndarray) -> Mat | None:
+@functools.lru_cache(maxsize=256)
+def _split_or_certify(m: Mod) -> Mat | None:
     """A singular, non-nilpotent endomorphism of m, or None when End(m) is local;
-    ``mats`` is the Hom basis stack of End(m).
+    the verdict is computed once per module, and a GuardError is not cached,
+    so it raises again on the next call.
 
     A basis endomorphism whose eigenvalue shift is not nilpotent is returned.
     Otherwise the span R of the shifts is closed under products: a product
@@ -645,6 +654,7 @@ def _split_or_certify(m: Mod, mats: np.ndarray) -> Mat | None:
     is tested instead (GuardError above 3^9 of them): End(m) is local exactly
     when each one is nilpotent or invertible.
     """
+    mats = _hom_basis(m, m)[0]
     p, n, d = m.alg.p, m.dim, len(mats)
     shifts = []
     for g in mats:
@@ -738,7 +748,7 @@ def decompose_with_maps(m: Mod) -> list[tuple[Mod, MMap, MMap]]:
     """
     if m.dim == 0:
         return []
-    f = _split_or_certify(m, _hom_basis(m, m)[0])
+    f = _split_or_certify(m)
     if f is None:
         return [(m, MMap.identity(m), MMap.identity(m))]
     power = f.power(1 << (m.dim.bit_length()))
@@ -824,7 +834,10 @@ def classify_indecomposables(alg: Alg) -> list[Mod]:
     disconnected or non-split-basic algebra, a vertex whose endomorphism ring
     is not split local or an Ext socle above dimension one.  Sorted by
     (dim, dim vector, key); computed once per algebra, together with the
-    arrows of ``ar_quiver``, and shared by every caller.
+    arrows of ``ar_quiver``, and shared by every caller.  Each tau-edge is
+    computed once: a vertex whose tau or tau^-1 is already a vertex (tau and
+    tau^-1 are inverse bijections between the non-projective and the
+    non-injective indecomposables) reuses it (``homcat.knitting.knit``).
     """
     from homcat.knitting import knit  # the AR layer builds on this module; loaded on first use
 

@@ -132,6 +132,18 @@ def test_console_script_entry():
     assert "tilting" in result.stdout
 
 
+def test_the_package_runs_as_a_module(tmp_path):
+    # `python -m homcat` is the same front end, with no install needed
+    out = tmp_path / "r.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "homcat", "verify", "5.3.1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256["5.3.1"]
+
+
 def test_verify_refuses_a_prime_above_the_bound(capsys):
     assert main(["verify", "1.2.1", "--prime", str(2**31 - 1)]) == 2
     assert "MAX_PRIME" in capsys.readouterr().err
@@ -185,11 +197,15 @@ def test_emit_ar_quiver_at_a_large_prime_matches_p2(tmp_path):
     assert out["101"].read_bytes() == out["2"].read_bytes()
 
 
-# sha256 of `homcat verify <id> --out` for the suites that read Hom coordinates
+# sha256 of `homcat verify <id> --out` for suites whose reports a performance
+# change could silently alter: Hom coordinates (5.3.1, 6.1.1, 1.7.1), the
+# knitted classification counts (1.6.3-counts) and the stable AR quivers (3.3.2)
 REPORT_SHA256 = {
     "5.3.1": "837d3910104443b152a8a4791dad4bee579443f6637500c8f112f1097450a410",
     "6.1.1": "270e6c2c2aa4e2c0a598bebebd704fc2089924a10a65d35088fa93862265eb34",
     "1.7.1": "6ff9e74854e74926d42406a8e5939cdd7084d3eb645d9762d5c49d5cf9c2f0d4",
+    "1.6.3-counts": "c2a831fdd22f4389d16b5967e895f222583f1296b140596a8077671125934577",
+    "3.3.2": "3aef2d97319b342dcb4c1be96307b72594d16de61e79ec9f3f7c291838dc6e48",
 }
 
 

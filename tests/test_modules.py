@@ -45,6 +45,7 @@ from homcat.modules import (
     top,
     zero_module,
     MMap,
+    _first_iso,
     _hom_basis,
     _projective_with_inclusion,
     _singular_shift,
@@ -318,6 +319,20 @@ def test_projective_cover_matches_the_per_basis_element_loop(name, p):
             assert np.array_equal(epi.mat.a, _reference_cover_columns(m))
 
 
+def test_a_cover_reduces_its_map_once(monkeypatch):
+    # one kernel of the cover map certifies minimality and spans Omega m
+    import homcat.modules
+    from homcat.modules import _cover_step
+
+    calls = []
+    real = homcat.modules.kernel_basis
+    monkeypatch.setattr(homcat.modules, "kernel_basis", lambda a: calls.append(a) or real(a))
+    m = simple_module(L1, 0)
+    epi, inc = _cover_step.__wrapped__(m)
+    assert len(calls) == 1 and inc.src.dim == epi.src.dim - m.dim > 0
+    assert (epi @ inc).is_zero() and projective_cover(m) == (epi.src, epi)
+
+
 def test_injective_envelope_cases():
     a = preset("truncpoly(3)", 101)
     reg = regular_module(a)
@@ -448,6 +463,18 @@ def test_non_split_residue_field_is_decided_by_the_exhaustive_sweep(p):
 def test_non_split_residue_field_above_the_sweep_bound_is_refused():
     with pytest.raises(GuardError):
         decompose(regular_module(_gaussian_integers(10007)))
+
+
+def test_a_refused_end_certification_is_not_cached():
+    # End(m) certification is memoized per module; a GuardError must raise again, not read as local
+    from homcat.modules import _split_or_certify
+
+    reg = regular_module(_gaussian_integers(10007))
+    for _ in range(2):
+        misses = _split_or_certify.cache_info().misses
+        with pytest.raises(GuardError):
+            decompose(reg)
+        assert _split_or_certify.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("p", [100003, 2097143])
@@ -766,6 +793,39 @@ def test_almost_split_middle_terms_match_the_radical_quiver(name):
             j = next(k for k, y in enumerate(ind) if is_isomorphic(piece, y) is not None)
             middle[j] = mult
         assert middle == {t: m for (s, t), m in arrows.items() if s == i}
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", ["ground_field", "lambda1", "lambda2", "lambda3"] + [f"truncpoly({n})" for n in range(2, 6)])
+def test_the_knit_computes_each_tau_edge_once(monkeypatch, name, p):
+    # tau and tau^-1 are inverse bijections: one transpose per edge, plus the
+    # zero tau of each projective and the zero tau^-1 of each injective vertex
+    import homcat.knitting
+
+    alg = preset(name, p)
+    calls = []
+    real = homcat.knitting.transpose_module
+    monkeypatch.setattr(homcat.knitting, "transpose_module", lambda m: calls.append(m) or real(m))
+    ind, _ = homcat.knitting.knit.__wrapped__(alg)
+    assert len(calls) == len(ind) + sum(is_injective(x) for x in ind)
+
+
+@pytest.mark.parametrize("p", [3, 101])
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "lambda3", "truncpoly(4)"])
+def test_a_sequence_ending_at_the_knit_representative_has_the_same_middle_term(name, p):
+    ind = classify_indecomposables(preset(name, p))
+
+    def middle(seq):
+        return sorted((_first_iso(piece, ind), mult) for piece, mult in decompose(seq[0].dst))
+
+    for x in ind:
+        seq = almost_split_sequence(x)
+        if seq is None:
+            continue
+        rep = ind[_first_iso(seq[1].dst, ind)]
+        known = almost_split_sequence(x, z=rep)
+        assert known[1].dst is rep
+        assert middle(known) == middle(seq)
 
 
 @pytest.mark.parametrize("injective, p", [(True, 13), (False, 17)])
