@@ -26,7 +26,6 @@ from homcat.errors import ValidationError
 from homcat.linalg import (
     Mat,
     block_diag,
-    column_space,
     hstack,
     kernel_basis,
     quotient_structure,
@@ -41,7 +40,6 @@ from homcat.modules import (
     _block_projection,
     _block_sum,
     _hom_basis,
-    _restricted_action,
     hom_coords,
     make_module,
     submodule,
@@ -548,21 +546,28 @@ def cohomology_data(x: Cx, n: int) -> CohomologyData:
     """H^n(x) as a module, with its cocycles and the maps between cocycle and
     cohomology coordinates.
 
+    One ``solve`` against the cocycles Z gives the boundaries (which present
+    the quotient) and the moved cocycles acts[i] @ Z (the action on Z) in Z
+    coordinates; a failed solve is retried on the boundaries alone for its message.
+
     Cached (bounded): an induced map reads H^n of its source and target, and
     a run of maps between a few complexes reads each H^n once; an equal
     complex gets the value built for the first one seen.
     """
-    xn = x.obj(n)
+    p, acts = x.alg.p, x.obj(n).acts
     z = kernel_basis(x._dmat(n))
     boundaries = x._dmat(n - 1)
     if z.cols == 0:
-        return CohomologyData(zero_module(x.alg), z, Mat.zeros(x.alg.p, 0, 0), Mat.zeros(x.alg.p, 0, 0))
-    b_in_z = solve(z, column_space(boundaries)) if boundaries.cols else Mat.zeros(x.alg.p, z.cols, 0)
-    if b_in_z is None:
-        raise ValidationError("boundaries escape cocycles; complex invalid")
-    proj, sec = quotient_structure(z.cols, b_in_z)
-    z_action = _restricted_action(xn.acts, z)
-    module = make_module(x.alg, (proj.a @ z_action % x.alg.p) @ sec.a)
+        return CohomologyData(zero_module(x.alg), z, Mat.zeros(p, 0, 0), Mat.zeros(p, 0, 0))
+    k, b = z.cols, boundaries.cols
+    coords = solve(z, Mat._reduced(p, np.hstack([boundaries.a, *(acts @ z.a % p)])))
+    if coords is None:
+        if solve(z, boundaries) is None:
+            raise ValidationError("boundaries escape cocycles; complex invalid")
+        raise ValidationError("column span is not invariant under the action")
+    proj, sec = quotient_structure(k, Mat._reduced(p, coords.a[:, :b]))
+    z_action = coords.a[:, b:].reshape(k, len(acts), k).transpose(1, 0, 2)
+    module = make_module(x.alg, (proj.a @ z_action % p) @ sec.a)
     return CohomologyData(module, z, proj, sec)
 
 

@@ -56,7 +56,6 @@ from homcat.modules import (
     local_end_radical,
     make_module,
     submodule,
-    zero_module,
 )
 
 __all__ = [
@@ -469,13 +468,12 @@ def idempotent_slice_algebra(alg: Alg, indices) -> tuple[Alg, Mat, np.ndarray]:
 def _slice_module(gamma: Alg, basis: Mat, e: np.ndarray, m: Mod) -> tuple[Mod, Mat]:
     """The right Gamma-module M e, with its embedding basis inside M: the
     Gamma basis acts as the A-action combinations in the columns of ``basis``
-    (alg.dim terms below p^2: no int64 overflow), restricted by one ``solve``."""
-    mbasis = column_space(m.rho(e))
-    if mbasis.cols == 0:
-        return zero_module(gamma), mbasis
+    (alg.dim terms below p^2: no int64 overflow), restricted to the pivot
+    columns of rho(e) by one ``rref``."""
     n = m.dim
     acts = (basis.a.T @ m.acts.reshape(m.alg.dim, n * n)).reshape(gamma.dim, n, n) % m.alg.p
-    return make_module(gamma, _restricted_action(acts, mbasis)), mbasis
+    mbasis, action = _restricted_action(acts, m.rho(e))
+    return make_module(gamma, action), mbasis
 
 
 def idempotent_slice(alg: Alg, indices, x: Cx) -> Cx:

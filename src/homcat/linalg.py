@@ -2,7 +2,9 @@
 
 Everything downstream (module categories, complexes, derived Homs) bottoms
 out in the four workhorses here: ``rref``, ``kernel_basis``, ``solve`` and
-``quotient_structure``.  Matrices are small at desk scale (at most ~100
+``quotient_structure``, each one elimination (``quotient_structure`` adds a
+one-product certificate); a submodule, quotient or cohomology group is
+presented from one of them.  Matrices are small at desk scale (at most ~100
 columns), so storage is dense int64 numpy arrays with entries reduced mod p.
 
 Elimination runs on Python-int rows (``ndarray.tolist``), not numpy calls:
@@ -314,12 +316,10 @@ def kernel_basis(m: Mat) -> Mat:
     """
     r, pivots = rref(m)
     p = m.p
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    free = sorted(set(range(m.cols)).difference(pivots))
     basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r.a[i, f])) % p
+    basis[free, range(len(free))] = 1
+    basis[list(pivots), :] = -r.a[: len(pivots), free] % p
     return Mat._reduced(p, basis)
 
 
@@ -361,32 +361,30 @@ def in_column_span(basis: Mat, vecs: Mat) -> bool:
 
 
 def quotient_structure(ambient_dim: int, sub: Mat) -> tuple[Mat, Mat]:
-    """Projection and section presenting F_p^n / span(sub).
+    """Projection and section presenting F_p^n / span(sub), from one ``rref``.
 
     Returns (proj, section) with proj: F^n -> F^(n-r) whose kernel is exactly
     the column span of ``sub``, and proj @ section the identity of the
-    quotient.  ``sub`` may have dependent columns; it is reduced internally.
+    quotient.  ``sub`` may have dependent columns.  The pivots of the rref R of
+    sub^T are the pivot coordinates of the span; section is the unit columns
+    at the other (free) coordinates, and proj is the unit rows there with
+    -R[:, free]^T at the pivot columns, the one map that kills every row of R
+    and inverts section; one product, proj @ [sub | section] == [0 | I], checks it.
     """
     p = sub.p
     n = ambient_dim
     if sub.rows != n:
         raise ValueError(f"subspace lives in dim {sub.rows}, ambient is {n}")
-    basis = column_space(sub)
-    r = basis.cols
-    # pivot coordinates of the span, found on the transpose
-    _, pivot_coords = rref(basis.transpose())
-    free = [i for i in range(n) if i not in set(pivot_coords)]
-    # complement spanned by standard basis vectors at the free coordinates
-    comp = np.zeros((n, n - r), dtype=np.int64)
-    for k, f in enumerate(free):
-        comp[f, k] = 1
-    full = Mat._reduced(p, np.hstack([basis.a, comp]))
-    full_inv = inverse(full)
-    if full_inv is None:  # complement choice always works; defensive
-        raise ValueError("internal error: complement did not complete a basis")
-    proj = Mat._reduced(p, full_inv.a[r:, :])
-    section = Mat._reduced(p, comp)
-    return proj, section
+    red, pivots = rref(sub.transpose())
+    free = sorted(set(range(n)).difference(pivots))
+    section = np.zeros((n, len(free)), dtype=np.int64)
+    section[free, range(len(free))] = 1
+    proj = section.T.copy()
+    proj[:, list(pivots)] = -red.a[: len(pivots), free].T % p
+    cert = proj @ np.hstack([sub.a, section]) % p
+    if cert[:, : sub.cols].any() or not np.array_equal(cert[:, sub.cols :], np.eye(len(free), dtype=np.int64)):
+        raise ValueError("internal error: quotient projection failed its certificate")
+    return Mat._reduced(p, proj), Mat._reduced(p, section)
 
 
 def is_nilpotent(m: Mat) -> bool:

@@ -275,23 +275,26 @@ def regular_module(alg: Alg) -> Mod:
     return make_module(alg, [alg.right_mult(alg.basis_vector(i)) for i in range(alg.dim)])
 
 
-def _restricted_action(acts: np.ndarray, basis: Mat) -> np.ndarray:
-    """The stacked action matrices ``acts`` restricted to a column basis, with
-    one ``solve``; raises if the span is not invariant."""
+def _restricted_action(acts: np.ndarray, basis: Mat) -> tuple[Mat, np.ndarray]:
+    """The pivot columns of ``basis`` and the stacked action matrices ``acts``
+    restricted to their span, from one ``rref`` of [basis | acts @ basis]: each
+    moved column's entries in the pivot rows are its coordinates.  A pivot in
+    the moved block means the span is not invariant, which raises."""
     p, d, k = basis.p, len(acts), basis.cols
-    if k == 0:
-        return np.zeros((d, 0, 0), dtype=np.int64)
     moved = (acts @ basis.a) % p  # (d, dim, k): the images of the basis under each acts[i]
-    stacked = solve(basis, Mat._reduced(p, np.hstack(moved)))
-    if stacked is None:
+    red, pivots = rref(Mat._reduced(p, np.hstack([basis.a, *moved])))
+    if pivots and pivots[-1] >= k:
         raise ValidationError("column span is not invariant under the action")
-    return stacked.a.reshape(k, d, k).transpose(1, 0, 2)
+    r = len(pivots)
+    action = red.a[:r, k:].reshape(r, d, k)[:, :, list(pivots)].transpose(1, 0, 2)
+    return basis.take_columns(pivots), action
 
 
 def submodule(m: Mod, basis: Mat) -> tuple[Mod, MMap]:
-    """Submodule on a column span, with its inclusion."""
-    b = column_space(basis)
-    sub = make_module(m.alg, _restricted_action(m.acts, b))
+    """Submodule on a column span, with its inclusion on the pivot columns of
+    ``basis`` (which may be dependent), presented by one elimination."""
+    b, action = _restricted_action(m.acts, basis)
+    sub = make_module(m.alg, action)
     return sub, MMap(sub, m, b)
 
 
@@ -309,9 +312,7 @@ def projective_module(alg: Alg, j: int) -> Mod:
 
 @functools.lru_cache(maxsize=256)
 def _projective_with_inclusion(alg: Alg, j: int) -> tuple[Mod, Mat]:
-    reg = regular_module(alg)
-    basis = column_space(alg.left_mult(alg.idempotents[j]))
-    sub, inc = submodule(reg, basis)
+    sub, inc = submodule(regular_module(alg), alg.left_mult(alg.idempotents[j]))
     return sub, inc.mat
 
 
@@ -390,12 +391,11 @@ def hom_coords(m: Mod, n: Mod, mats) -> np.ndarray:
 
 def kci(f: MMap) -> tuple[tuple[Mod, MMap], tuple[Mod, MMap], tuple[Mod, MMap]]:
     """Kernel (with inclusion), cokernel (with projection), image (with inclusion)."""
-    ker_basis = kernel_basis(f.mat)
-    ker, ker_inc = submodule(f.src, ker_basis)
-    img_basis = column_space(f.mat)
-    img, img_inc = submodule(f.dst, img_basis)
-    cok, cok_proj = quotient_module(f.dst, img_basis)
-    assert ker.dim + img.dim == f.src.dim
+    ker, ker_inc = submodule(f.src, kernel_basis(f.mat))
+    img, img_inc = submodule(f.dst, f.mat)
+    cok, cok_proj = quotient_module(f.dst, img_inc.mat)
+    if ker.dim + img.dim != f.src.dim:
+        raise ValidationError("internal inconsistency: kernel and image dimensions do not add up")
     return (ker, ker_inc), (cok, cok_proj), (img, img_inc)
 
 
@@ -440,12 +440,12 @@ def direct_sum(mods: list[Mod], alg: Alg | None = None) -> tuple[Mod, list[MMap]
 
 
 def radical_submodule(m: Mod) -> Mat:
-    """Column basis of m * rad(A)."""
+    """Columns spanning m * rad(A), m's image under each radical basis element:
+    dependent in general, which ``submodule``, ``quotient_module`` and ``solve`` accept."""
     rad = m.alg.radical
     if rad.cols == 0 or m.dim == 0:
         return Mat.zeros(m.alg.p, m.dim, 0)
-    cols = [m.rho(rad.a[:, t]).a for t in range(rad.cols)]
-    return column_space(Mat(m.alg.p, np.hstack(cols)))
+    return Mat(m.alg.p, np.hstack([m.rho(rad.a[:, t]).a for t in range(rad.cols)]))
 
 
 def top(m: Mod) -> tuple[Mod, MMap]:
@@ -752,16 +752,13 @@ def decompose_with_maps(m: Mod) -> list[tuple[Mod, MMap, MMap]]:
     if f is None:
         return [(m, MMap.identity(m), MMap.identity(m))]
     power = f.power(1 << (m.dim.bit_length()))
-    ker = kernel_basis(power)
-    img = column_space(power)
-    u = hstack([ker, img])
-    u_inv = inverse(u)
-    if ker.cols == 0 or img.cols == 0 or u_inv is None:
+    parts = [submodule(m, kernel_basis(power)), submodule(m, power)]  # ker f^N, im f^N
+    u_inv = inverse(hstack([inc.mat for _, inc in parts]))
+    if not parts[0][0].dim or not parts[1][0].dim or u_inv is None:
         raise ValidationError("internal inconsistency: Fitting split failed")
     out: list[tuple[Mod, MMap, MMap]] = []
     offset = 0
-    for basis_mat in (ker, img):
-        part, inc = submodule(m, basis_mat)
+    for part, inc in parts:
         proj = MMap(m, part, Mat(m.alg.p, u_inv.a[offset : offset + part.dim, :]))
         offset += part.dim
         for piece, pinc, pproj in decompose_with_maps(part):

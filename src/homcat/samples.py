@@ -10,13 +10,13 @@ import numpy as np
 
 from homcat.algebras import Alg
 from homcat.complexes import CMap, Cx, Htp, chain_map_basis, make_complex
-from homcat.linalg import Mat, column_space, kernel_basis
+from homcat.linalg import Mat, kernel_basis
 from homcat.modules import (
     MMap,
     Mod,
+    _block_sum,
     _hom_basis,
     _indecomposable_injectives,
-    direct_sum,
     projective_module,
     quotient_module,
     submodule,
@@ -34,11 +34,14 @@ __all__ = [
 
 def random_module(alg: Alg, rng: np.random.Generator, max_projectives: int = 2, dim_cap: int = 6) -> Mod:
     """A random module: a sum of projectives, cut down by a random submodule
-    or quotient, capped in dimension."""
+    or quotient, capped in dimension.
+
+    The cut is the raw span of one or two cyclic generators, which
+    ``submodule`` and ``quotient_module`` reduce in their one elimination."""
     n_idem = len(alg.idempotents)
     count = int(rng.integers(1, max_projectives + 1))
     picks = [int(rng.integers(0, n_idem)) for _ in range(count)]
-    total, _, _ = direct_sum([projective_module(alg, j) for j in picks], alg)
+    total, _ = _block_sum(alg, [projective_module(alg, j) for j in picks])
     mode = int(rng.integers(0, 3))
     if mode == 0 or total.dim == 0:
         mod = total
@@ -48,7 +51,7 @@ def random_module(alg: Alg, rng: np.random.Generator, max_projectives: int = 2, 
         for _ in range(int(rng.integers(1, 3))):
             v = rng.integers(0, alg.p, size=total.dim)
             gens.append((total.acts @ v).T)  # column i: v times basis element i
-        span = column_space(Mat(alg.p, np.hstack(gens) % alg.p))
+        span = Mat(alg.p, np.hstack(gens))  # dependent columns; submodule and quotient_module reduce them
         if mode == 1:
             mod = submodule(total, span)[0]
         else:
@@ -78,6 +81,15 @@ def _constrained_random_map(
     return MMap(src, dst, Mat(p, np.tensordot(coeffs, basis, axes=1)))
 
 
+def _random_differentials(alg: Alg, lo: int, mods: list[Mod], rng: np.random.Generator) -> Cx:
+    """The complex on mods from degree lo, each differential drawn with
+    ``_constrained_random_map`` to compose to zero with the one before."""
+    diffs: list[MMap] = []
+    for k in range(len(mods) - 1):
+        diffs.append(_constrained_random_map(mods[k], mods[k + 1], rng, diffs[-1] if diffs else None))
+    return make_complex(alg, lo, mods, diffs)
+
+
 def random_complex(
     alg: Alg,
     rng: np.random.Generator,
@@ -98,13 +110,7 @@ def random_complex(
             mods.append(zero_module(alg))
         else:
             mods.append(random_module(alg, rng, dim_cap=dim_cap))
-    diffs = []
-    prev: MMap | None = None
-    for k in range(length - 1):
-        d = _constrained_random_map(mods[k], mods[k + 1], rng, prev)
-        diffs.append(d)
-        prev = d
-    return make_complex(alg, lo, mods, diffs)
+    return _random_differentials(alg, lo, mods, rng)
 
 
 def random_chain_map(x: Cx, y: Cx, rng: np.random.Generator) -> CMap:
@@ -159,11 +165,5 @@ def random_injective_complex(
     for _ in range(length):
         count = int(rng.integers(1, max_summands + 1))
         picks = [injectives[int(rng.integers(0, len(injectives)))] for _ in range(count)]
-        mods.append(direct_sum(picks, alg)[0])
-    diffs = []
-    prev = None
-    for k in range(length - 1):
-        d = _constrained_random_map(mods[k], mods[k + 1], rng, prev)
-        diffs.append(d)
-        prev = d
-    return make_complex(alg, lo, mods, diffs)
+        mods.append(_block_sum(alg, picks)[0])
+    return _random_differentials(alg, lo, mods, rng)

@@ -32,7 +32,7 @@ from homcat.complexes import (
     _sum_cx,
 )
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, block_diag, column_space, kernel_basis, rank, solve
+from homcat.linalg import Mat, block_diag, kernel_basis, rank, solve
 from homcat.modules import MMap, Mod, _block_inclusion, _block_projection, submodule
 
 __all__ = [
@@ -354,7 +354,7 @@ def semisimple_split(x: Cx) -> tuple[Cx, CMap, CMap, Htp]:
     for n in x.degrees():
         z_basis = kernel_basis(x._dmat(n))
         zmod, _ = submodule(x.obj(n), z_basis)
-        b_in_z = solve(z_basis, column_space(x._dmat(n - 1)))
+        b_in_z = solve(z_basis, x._dmat(n - 1))
         if b_in_z is None:
             raise ValidationError("boundaries escape cocycles; complex invalid")
         _, binc = submodule(zmod, b_in_z)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ from homcat.modules import (
     regular_module,
     simple_module,
 )
-from homcat.samples import random_complex, random_chain_map, random_homotopic_pair
+from homcat.samples import random_complex, random_chain_map, random_homotopic_pair, random_module
 from homcat.stable import stable_hom_via_cr, stable_indecomposables
 
 L1 = preset("lambda1", 101)
@@ -86,6 +87,29 @@ def test_d_squared_rejected():
     # s -> reg -> s composes to zero, but reg -> s -> reg does not
     with pytest.raises(ValidationError, match="d o d"):
         make_complex(T2, 0, [reg, s, reg], [down, up])
+
+
+# sha256 over the draws of the sample generators from default_rng(0) over
+# lambda1 at p = 101 (computed before their sums and spans were built by one
+# elimination each): a change to how samples are built must not change what
+# they draw
+SAMPLE_SHA256 = {
+    "random_module": "9164982099392234e1eb9b3faa3c486f9c050024bd570ef034c6f10d54cc56c0",
+    "random_complex": "db18bf27431e9025ada7a181b57868cf5bc77f83cf75fe652a83833ff4cecce5",
+}
+
+
+def test_sample_generators_draw_the_pinned_objects():
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256(b"".join(random_module(L1, rng).key() for _ in range(30)))
+    assert digest.hexdigest() == SAMPLE_SHA256["random_module"]
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for _ in range(20):  # degree window, every object's action, every differential
+        x = random_complex(L1, rng)
+        digest.update(x.lo.to_bytes(4, "little", signed=True))
+        digest.update(b"".join(m.key() for m in x.objects) + b"".join(d.mat.key() for d in x.diffs))
+    assert digest.hexdigest() == SAMPLE_SHA256["random_complex"]
 
 
 def test_shift_involution_and_cohomology():

@@ -224,6 +224,26 @@ def test_kernel_basis_columns_are_echelon_at_their_free_positions(m):
         assert not np.delete(k[free], t).any()
 
 
+def _looped_kernel(m):
+    """kernel_basis written entry by entry from the rref; the reference for
+    its indexed writes."""
+    r, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[f, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-int(r.a[i, f])) % m.p
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_basis_equals_the_looped_construction(m):
+    k = kernel_basis(m)
+    assert k.shape == (m.cols, m.cols - rank(m)) and np.array_equal(k.a, _looped_kernel(m))
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(max_dim=5), st.integers(min_value=0, max_value=4))
 def test_solve_round_trip(a, c):
@@ -245,6 +265,42 @@ def test_quotient_structure_properties(m):
     assert (proj @ m).is_zero()
     assert rank(proj) == m.rows - r
     assert proj @ sec == Mat.identity(m.p, m.rows - r)
+
+
+def _inverted_complement(n, sub):
+    """The column_space / transposed rref / inverse construction that the
+    single-rref quotient_structure replaced; the reference."""
+    basis = column_space(sub)
+    _, pivot_coords = rref(basis.transpose())
+    free = [i for i in range(n) if i not in pivot_coords]
+    comp = Mat(sub.p, np.eye(n, dtype=np.int64)[:, free])
+    return Mat(sub.p, inverse(hstack([basis, comp])).a[basis.cols :, :]), comp
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 101]),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from(["zero", "full", "dependent", "random"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_quotient_structure_equals_the_inverted_complement(p, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, n + 3))
+    if kind == "zero":
+        sub = np.zeros((n, k), dtype=np.int64)
+    elif kind == "full":  # spans everything: the identity in a random basis, plus extra columns
+        sub = np.hstack([np.eye(n, dtype=np.int64)[:, rng.permutation(n)], rng.integers(0, p, size=(n, k))])
+    elif kind == "dependent":  # k columns combined from r < k random ones
+        r = int(rng.integers(0, max(k, 1)))
+        sub = rng.integers(0, p, size=(n, r)) @ rng.integers(0, p, size=(r, k))
+    else:
+        sub = rng.integers(0, p, size=(n, k))
+    sub = Mat(p, sub)
+    proj, sec = quotient_structure(n, sub)
+    ref_proj, ref_sec = _inverted_complement(n, sub)
+    assert np.array_equal(proj.a, ref_proj.a) and np.array_equal(sec.a, ref_sec.a)
+    assert proj.shape == (n - rank(sub), n)
 
 
 def test_modulus_above_bound_is_refused():

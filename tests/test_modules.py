@@ -584,6 +584,53 @@ def test_hom_coords_match_the_solved_coordinates(p, name, kind_m, j_m, kind_n, j
         assert list(hom_coords(m, n, bad[None])[0]) == list(expected)
 
 
+def _solved_action(acts, basis):
+    """The one-``solve`` restriction of an action to an independent column
+    basis, which submodule's single rref replaced; the reference."""
+    p, d, k = basis.p, len(acts), basis.cols
+    if k == 0:
+        return np.zeros((d, 0, 0), dtype=np.int64)
+    stacked = solve(basis, Mat(p, np.hstack(acts @ basis.a)))
+    if stacked is None:
+        raise ValidationError("column span is not invariant under the action")
+    return stacked.a.reshape(k, d, k).transpose(1, 0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 101]),
+    st.sampled_from(["lambda1", "lambda2", "truncpoly(3)"]),
+    MODULE_KINDS,
+    st.integers(0, 2),
+    st.sampled_from(["zero", "full", "cyclic", "dependent", "random"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_submodule_equals_the_solved_restriction(p, name, kind, j, span_kind, seed):
+    alg = preset(name, p)
+    m = _preset_module(alg, kind, j)
+    rng = np.random.default_rng(seed)
+    if span_kind == "zero":
+        span = np.zeros((m.dim, int(rng.integers(0, 3))), dtype=np.int64)
+    elif span_kind == "full":
+        span = np.hstack([np.eye(m.dim, dtype=np.int64), rng.integers(0, p, size=(m.dim, 2))])
+    elif span_kind in ("cyclic", "dependent"):  # v times every basis element: invariant, dependent columns
+        span = np.hstack([(m.acts @ rng.integers(0, p, size=m.dim)).T for _ in range(int(rng.integers(1, 3)))])
+        if span_kind == "dependent":
+            span = np.hstack([span, span @ rng.integers(0, p, size=(span.shape[1], 2))])
+    else:  # most random spans are not invariant
+        span = rng.integers(0, p, size=(m.dim, int(rng.integers(1, m.dim + 1))))
+    span = Mat(p, span)
+    basis = column_space(span)
+    try:
+        ref = make_module(m.alg, _solved_action(m.acts, basis))
+    except ValidationError as err:
+        with pytest.raises(ValidationError, match=str(err)):
+            submodule(m, span)
+        return
+    sub, inc = submodule(m, span)
+    assert sub is ref and inc.mat == basis
+
+
 def test_hom_coords_refuses_a_stack_of_the_wrong_shape():
     p1, s1 = projective_module(L1, 0), simple_module(L1, 0)
     with pytest.raises(ValidationError, match="1x3"):

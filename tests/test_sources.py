@@ -1,5 +1,6 @@
 """Source hygiene: every top-level import of the library, the tests and the demos is used,
-and every module-level function and class of the library is named somewhere."""
+every module-level function and class of the library is named somewhere, and the
+library has no ``assert`` statement (``python -O`` strips them)."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,20 @@ def test_every_library_definition_is_named():
     library = sorted(Path(homcat.__file__).parent.glob("*.py"))
     readers = library + [p for d in ("tests", "demos", "benchmarks") for p in sorted((repo / d).glob("*.py"))]
     assert _unnamed_definitions(library, readers) == []
+
+
+def _assert_statements(path: Path) -> list[str]:
+    """Every ``assert`` statement of a module, as file:line."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+
+
+def test_assert_scan_finds_a_planted_assert(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text("def check(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n")
+    assert _assert_statements(src) == ["sample.py:3"]
+
+
+def test_library_has_no_assert_statements():
+    # a check that vanishes under python -O must raise a named error instead
+    library = sorted(Path(homcat.__file__).parent.glob("*.py"))
+    assert [hit for p in library for hit in _assert_statements(p)] == []
