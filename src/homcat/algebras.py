@@ -12,6 +12,11 @@ whose kernel is a nilpotent ideal proves the quotient is not semisimple.  In
 characteristic p the form also vanishes on a semisimple block M_n with p
 dividing n (M_2(F_2), say), and then validation raises GuardError instead of
 guessing.
+
+Elements are multiplied a table at a time: ``_products`` forms every product
+of two lists of vectors as two matrix products of the structure constants,
+and validation, generating sets, closure and e A e slices all read its
+tables; a span is extended by the pivots past it in one ``rref``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from homcat.errors import GuardError, ValidationError
 from homcat.linalg import (
     Mat,
     column_space,
-    in_column_span,
+    hstack,
     inverse,
     kernel_basis,
+    quotient_structure,
     rref,
     validate_prime,
 )
@@ -76,7 +82,7 @@ class Alg:
     # -- element arithmetic (coordinate vectors) ----------------------------
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x % self.p, y % self.p, self.structconst) % self.p
+        return _products(self.p, self.structconst, [x], [y])[0, 0]
 
     def left_mult(self, x: np.ndarray) -> Mat:
         """Matrix of a |-> x*a on coordinate columns."""
@@ -93,10 +99,7 @@ class Alg:
 
     def radical_powers(self) -> list[Mat]:
         """Column spans of rad, rad^2, ... down to zero (zero span included)."""
-        powers = _span_powers(self.p, self.structconst, self.radical)
-        if powers is None:
-            raise ValidationError("radical span is not nilpotent")
-        return powers
+        return list(_radical_powers(self))
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -132,6 +135,20 @@ class AlgIso:
 # -- validation ---------------------------------------------------------------
 
 
+def _products(p: int, c: np.ndarray, xs, ys) -> np.ndarray:
+    """Every product x_s * y_t of the rows of xs and ys, as a (len xs, len ys,
+    dim) array, in the algebra with structure constants c (reduced mod p).
+
+    Two matrix products, reduced between them: each sum has at most dim
+    terms below p^2 <= 2^42, so int64 never overflows.
+    """
+    d = len(c)
+    xs = np.asarray(xs, dtype=np.int64) % p
+    ys = np.asarray(ys, dtype=np.int64) % p
+    left = (xs @ c.reshape(d, d * d) % p).reshape(len(xs), d, d)  # left[s] = matrix of y -> x_s * y
+    return ys @ left % p
+
+
 def _span_powers(p: int, c: np.ndarray, span: Mat) -> list[Mat] | None:
     """Column spans of S, S^2, ... down to zero (zero span included), S the
     column span of ``span`` in the algebra with structure constants c; None
@@ -139,14 +156,22 @@ def _span_powers(p: int, c: np.ndarray, span: Mat) -> list[Mat] | None:
     powers = [column_space(span)]
     while powers[-1].cols > 0:
         prev = powers[-1]
-        # row s * span.cols + t of prods is prev_s * span_t, reduced between the two products
-        left = (prev.a.T @ c.reshape(len(c), -1) % p).reshape(prev.cols, len(c), len(c))
-        prods = (span.a.T @ left % p).reshape(prev.cols * span.cols, len(c))
+        prods = _products(p, c, prev.a.T, span.a.T).reshape(-1, len(c))
         nxt = column_space(Mat(p, prods.T))
         if nxt.cols >= prev.cols:
             return None
         powers.append(nxt)
     return powers
+
+
+@functools.lru_cache(maxsize=64)
+def _radical_powers(alg: Alg) -> tuple[Mat, ...]:
+    """``Alg.radical_powers``, computed once per algebra; a radical that is not
+    nilpotent raises, and is not cached."""
+    powers = _span_powers(alg.p, alg.structconst, alg.radical)
+    if powers is None:
+        raise ValidationError("radical span is not nilpotent")
+    return tuple(powers)
 
 
 def _check_associativity(p: int, c: np.ndarray) -> None:
@@ -162,75 +187,55 @@ def _check_associativity(p: int, c: np.ndarray) -> None:
 
 def _check_unit(alg: Alg) -> None:
     eye = np.eye(alg.dim, dtype=np.int64)
-    left = np.einsum("i,ijk->jk", alg.unit, alg.structconst) % alg.p
-    right = np.einsum("j,ijk->ik", alg.unit, alg.structconst) % alg.p
+    left = _products(alg.p, alg.structconst, [alg.unit], eye)[0]
+    right = _products(alg.p, alg.structconst, eye, [alg.unit])[:, 0]
     if not np.array_equal(left, eye) or not np.array_equal(right, eye):
         raise ValidationError("designated unit is not a two-sided identity")
 
 
 def _check_idempotents(alg: Alg) -> None:
-    for a, ea in enumerate(alg.idempotents):
-        for b, eb in enumerate(alg.idempotents):
-            prod = alg.mul(ea, eb)
-            want = ea if a == b else np.zeros(alg.dim, dtype=np.int64)
-            if not np.array_equal(prod, want % alg.p):
-                raise ValidationError(
-                    f"idempotents {a} and {b} fail e_a * e_b = delta * e_a",
-                    witness=(a, b),
-                )
-    total = np.zeros(alg.dim, dtype=np.int64)
-    for e in alg.idempotents:
-        total = (total + e) % alg.p
-    if not np.array_equal(total, alg.unit % alg.p):
+    es = np.array(alg.idempotents).reshape(-1, alg.dim)
+    want = np.eye(len(es), dtype=np.int64)[:, :, None] * es[:, None]  # [a, b] = delta_ab e_a
+    bad = np.argwhere((_products(alg.p, alg.structconst, es, es) != want).any(axis=2))
+    if bad.size:
+        a, b = (int(t) for t in bad[0])
+        raise ValidationError(f"idempotents {a} and {b} fail e_a * e_b = delta * e_a", witness=(a, b))
+    if not np.array_equal(es.sum(axis=0) % alg.p, alg.unit):
         raise ValidationError("idempotents do not sum to the unit")
 
 
-def _check_radical_ideal(alg: Alg) -> None:
+def _check_radical_ideal(alg: Alg) -> tuple[Mat, Mat]:
+    """Check that every b_i * r_t and r_t * b_i lies in the radical span, the
+    kernel of the projection onto A/rad; return (projection, section)."""
     rad = alg.radical
     if rad.rows != alg.dim:
         raise ValidationError("radical basis has wrong ambient dimension")
-    span = column_space(rad)
-    for i in range(alg.dim):
-        b = alg.basis_vector(i)
-        for t in range(rad.cols):
-            r = rad.a[:, t]
-            for prod, side in ((alg.mul(b, r), "left"), (alg.mul(r, b), "right")):
-                if not in_column_span(span, Mat.column(alg.p, prod)):
-                    raise ValidationError(
-                        f"radical is not a two-sided ideal ({side} product of basis {i} escapes)",
-                        witness=(i, t, side),
-                    )
+    proj, sec = quotient_structure(alg.dim, rad)
+    eye = np.eye(alg.dim, dtype=np.int64)
+    left = _products(alg.p, alg.structconst, eye, rad.a.T)  # [i, t] = b_i * r_t
+    right = _products(alg.p, alg.structconst, rad.a.T, eye).swapaxes(0, 1)  # [i, t] = r_t * b_i
+    bad = np.argwhere((np.stack([left, right], axis=2) @ proj.a.T % alg.p).any(axis=3))
+    if bad.size:
+        i, t, side = int(bad[0, 0]), int(bad[0, 1]), ("left", "right")[bad[0, 2]]
+        raise ValidationError(
+            f"radical is not a two-sided ideal ({side} product of basis {i} escapes)",
+            witness=(i, t, side),
+        )
+    return proj, sec
 
 
-def _quotient_algebra_data(alg: Alg) -> tuple[np.ndarray, Mat, Mat]:
-    """Structure constants of A/rad together with (proj, section)."""
-    from homcat.linalg import quotient_structure
-
-    proj, sec = quotient_structure(alg.dim, alg.radical)
+def _check_quotient_semisimple(alg: Alg, proj: Mat, sec: Mat) -> None:
+    """The trace form (x, y) -> tr(L_xy) of the quotient B = A/rad, presented
+    by (proj, sec), certifies B semisimple when nondegenerate.  Its kernel K
+    is a two-sided ideal of B: a nilpotent K proves B not semisimple; any
+    other K is a guard, since over F_p the form also vanishes on semisimple
+    blocks (M_2(F_2) has tr = 0)."""
     q = proj.rows
-    c = np.zeros((q, q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            prod = alg.mul(sec.a[:, i], sec.a[:, j])
-            c[i, j, :] = (proj.a @ prod) % alg.p
-    return c, proj, sec
-
-
-def _check_quotient_semisimple(alg: Alg) -> None:
-    """The trace form (x, y) -> tr(L_xy) of the quotient B = A/rad certifies B
-    semisimple when nondegenerate.  Its kernel K is a two-sided ideal of B: a
-    nilpotent K proves B not semisimple; any other K is a guard, since over
-    F_p the form also vanishes on semisimple blocks (M_2(F_2) has tr = 0)."""
-    c, _, sec = _quotient_algebra_data(alg)
-    q = c.shape[0]
     if q == 0:
         raise ValidationError("radical spans the whole algebra; no unit survives")
-    # trace form of the quotient's regular representation
-    left = [Mat(alg.p, np.einsum("jk->kj", c[i])) for i in range(q)]
-    gram = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            gram[i, j] = int(np.trace((left[i] @ left[j]).a)) % alg.p
+    c = _products(alg.p, alg.structconst, sec.a.T, sec.a.T) @ proj.a.T % alg.p  # B's structure constants
+    # tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b]: q^2 terms below p^2, no overflow for q < 1448
+    gram = c.reshape(q, q * q) @ c.swapaxes(1, 2).reshape(q, q * q).T % alg.p
     kernel = kernel_basis(Mat(alg.p, gram))
     if kernel.cols == 0:
         return
@@ -256,11 +261,15 @@ def make_algebra(
 ) -> Alg:
     """Build and exhaustively validate an algebra.
 
-    Raises ValidationError with a witness for: non-associativity, a bad unit,
-    non-orthogonal or non-idempotent designated idempotents, a radical that is
-    not a nilpotent two-sided ideal, or a quotient trace form degenerate on a
-    nilpotent ideal.  Raises GuardError when the trace form is degenerate on
-    an ideal that is not nilpotent: it cannot decide semisimplicity at this p.
+    Before any product: an idempotent of the wrong length, or zero, raises
+    ValidationError with its index as witness, and a radical ``Mat`` over
+    another prime raises ValueError ("mixed moduli").  Then ValidationError
+    with a witness is raised for: non-associativity, a bad unit,
+    non-orthogonal or non-idempotent designated idempotents, a radical that
+    is not a nilpotent two-sided ideal, or a quotient trace form degenerate
+    on a nilpotent ideal.  Raises GuardError when the trace form is
+    degenerate on an ideal that is not nilpotent: it cannot decide
+    semisimplicity at this p.
     """
     validate_prime(p)
     c = np.mod(np.asarray(structconst, dtype=np.int64), p)
@@ -270,7 +279,14 @@ def make_algebra(
     if u.shape != (dim,):
         raise ValidationError("unit vector has wrong length")
     es = tuple(np.mod(np.asarray(e, dtype=np.int64), p) for e in idempotents)
+    for t, e in enumerate(es):
+        if e.shape != (dim,):
+            raise ValidationError(f"idempotent {t} has wrong length", witness=t)
+        if not e.any():
+            raise ValidationError(f"idempotent {t} is zero", witness=t)
     rad = radical if isinstance(radical, Mat) else Mat(p, np.asarray(radical, dtype=np.int64).reshape(dim, -1))
+    if rad.p != p:
+        raise ValueError(f"mixed moduli {rad.p} and {p}")
     if labels is None:
         labels = tuple(f"b{i}" for i in range(dim))
     alg = Alg(
@@ -286,9 +302,9 @@ def make_algebra(
     _check_associativity(alg.p, alg.structconst)
     _check_unit(alg)
     _check_idempotents(alg)
-    _check_radical_ideal(alg)
+    proj, sec = _check_radical_ideal(alg)
     alg.radical_powers()  # raises if not nilpotent
-    _check_quotient_semisimple(alg)
+    _check_quotient_semisimple(alg, proj, sec)
     return alg
 
 
@@ -414,14 +430,9 @@ def algebra_generators(alg: Alg) -> list[np.ndarray]:
     """
     gens = [np.asarray(e) for e in alg.idempotents]
     powers = alg.radical_powers()
-    rad = powers[0]
-    rad2 = powers[1] if len(powers) > 1 else Mat.zeros(alg.p, alg.dim, 0)
-    span = rad2
-    for t in range(rad.cols):
-        col = Mat.column(alg.p, rad.a[:, t])
-        if span.cols == 0 or not in_column_span(span, col):
-            gens.append(rad.a[:, t].copy())
-            span = Mat(alg.p, np.hstack([span.a, col.a]))  # col is outside the span
+    rad, rad2 = powers[0], powers[min(1, len(powers) - 1)]  # rad^2 = rad = 0 when rad = 0
+    _, pivots = rref(hstack([rad2, rad]))  # the radical columns past rad^2 lift rad/rad^2
+    gens += [rad.a[:, t - rad2.cols].copy() for t in pivots if t >= rad2.cols]
     if _close_under_products(alg, alg, [(g, g) for g in gens]) is None:
         gens = [alg.basis_vector(i) for i in range(alg.dim)]
     return gens
@@ -459,38 +470,30 @@ def _arrow_slices(alg: Alg) -> dict[tuple[int, int], np.ndarray]:
     """
     m = len(alg.idempotents)
     powers = alg.radical_powers()
-    r1 = powers[0]
-    r2 = powers[1] if len(powers) > 1 else Mat.zeros(alg.p, alg.dim, 0)
+    r1, r2 = powers[0], powers[min(1, len(powers) - 1)]
     arrows: dict[tuple[int, int], np.ndarray] = {}
     for i in range(m):
         for j in range(m):
             s1 = _peirce_slice(alg, i, j, r1)
             s2 = _peirce_slice(alg, i, j, r2)
-            excess = s1.cols - s2.cols
-            if excess == 0:
-                continue
-            if excess > 1:
+            # the columns of s1 past the span of s2 lift the slice of rad/rad^2
+            past = [t - s2.cols for t in rref(hstack([s2, s1]))[1] if t >= s2.cols]
+            if len(past) > 1:
                 raise ValidationError(
                     "isomorphism search supports at most one arrow per idempotent pair",
                     witness=(i, j),
                 )
-            # generator: a column of s1 outside the span of s2
-            for t in range(s1.cols):
-                cand = Mat.column(alg.p, s1.a[:, t])
-                if s2.cols == 0 or not in_column_span(s2, cand):
-                    arrows[(i, j)] = s1.a[:, t].copy()
-                    break
+            if past:
+                arrows[(i, j)] = s1.a[:, past[0]].copy()
     return arrows
 
 
 def _is_algebra_map(a: Alg, b: Alg, phi: Mat) -> bool:
     if not np.array_equal((phi.a @ a.unit) % b.p, b.unit):
         return False
-    # phi(x*y) = phi(x)*phi(y) on all basis pairs
-    prod_a = a.structconst  # (i,j,k)
-    lhs = np.einsum("ijk,lk->ijl", prod_a, phi.a) % b.p
-    rhs = np.einsum("im,jn,mnl->ijl", phi.a.T, phi.a.T, b.structconst) % b.p
-    return np.array_equal(lhs, rhs)
+    # phi(b_i * b_j) = phi(b_i) * phi(b_j) on all basis pairs
+    lhs = a.structconst @ phi.a.T % b.p
+    return np.array_equal(lhs, _products(b.p, b.structconst, phi.a.T, phi.a.T))
 
 
 def _close_under_products(
@@ -498,37 +501,26 @@ def _close_under_products(
 ) -> Mat | None:
     """Extend generator images multiplicatively until the span fills a.
 
-    Returns the matrix of the induced linear map, or None if the generators
-    do not span a as an algebra.
+    Works in rounds: each forms every product of the vectors so far (and of
+    their images in b) and keeps the products past the span of the vectors,
+    the pivots of one ``rref``.  Returns the matrix of the induced linear map
+    on the independent vectors, or None when a round adds nothing before
+    the span fills a: the generators do not span a as an algebra.
     """
-    vecs = [g for g, _ in gens]
-    imgs = [h for _, h in gens]
-    span = column_space(Mat(a.p, np.array(vecs).T))
-    changed = True
-    while span.cols < a.dim and changed:
-        changed = False
-        for s in range(len(vecs)):
-            for t in range(len(vecs)):
-                w = a.mul(vecs[s], vecs[t])
-                if not w.any():
-                    continue
-                if in_column_span(span, Mat.column(a.p, w)):
-                    continue
-                vecs.append(w)
-                imgs.append(b.mul(imgs[s], imgs[t]))
-                span = Mat(a.p, np.hstack([span.a, w[:, None]]))  # w is independent of the span
-                changed = True
-    if span.cols < a.dim:
-        return None
-    v = Mat(a.p, np.array(vecs).T)
-    w = Mat(a.p, np.array(imgs).T)
-    _, pivots = rref(v)
-    v_sq = v.take_columns(pivots)
-    w_sq = w.take_columns(pivots)
-    v_inv = inverse(v_sq)
-    if v_inv is None:
-        return None
-    return w_sq @ v_inv
+    vecs = np.array([g for g, _ in gens], dtype=np.int64)
+    imgs = np.array([h for _, h in gens], dtype=np.int64)
+    pivots = list(rref(Mat(a.p, vecs.T))[1])
+    while len(pivots) < a.dim:
+        k = len(vecs)
+        prods = _products(a.p, a.structconst, vecs, vecs).reshape(k * k, a.dim)
+        new = [t - k for t in rref(Mat(a.p, np.vstack([vecs, prods]).T))[1] if t >= k]
+        if not new:
+            return None
+        pivots += range(k, k + len(new))  # each new vector lies past every earlier one
+        vecs = np.vstack([vecs, prods[new]])
+        imgs = np.vstack([imgs, _products(b.p, b.structconst, imgs, imgs).reshape(k * k, b.dim)[new]])
+    v_inv = inverse(Mat(a.p, vecs[pivots].T))
+    return None if v_inv is None else Mat(b.p, imgs[pivots].T) @ v_inv
 
 
 def _scalar_assignments(p: int, n_arrows: int):

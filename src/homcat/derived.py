@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homcat.algebras import Alg, algebra_iso_search, make_algebra, opposite
+from homcat.algebras import Alg, _products, algebra_iso_search, make_algebra, opposite
 from homcat.complexes import (
     CMap,
     Cx,
@@ -434,31 +434,20 @@ def idempotent_slice_algebra(alg: Alg, indices) -> tuple[Alg, Mat, np.ndarray]:
         e = (e + alg.idempotents[i]) % alg.p
     peirce = alg.left_mult(e) @ alg.right_mult(e)
     basis = column_space(peirce)
-    g = basis.cols
-    c = np.zeros((g, g, g), dtype=np.int64)
-    for i in range(g):
-        for j in range(g):
-            prod = alg.mul(basis.a[:, i], basis.a[:, j])
-            coords = solve(basis, Mat.column(alg.p, prod))
-            if coords is None:
-                raise ValidationError("slice not closed under multiplication")
-            c[i, j, :] = coords.a[:, 0]
-    unit_coords = solve(basis, Mat.column(alg.p, e))
-    idem_coords = [solve(basis, Mat.column(alg.p, alg.idempotents[i])).a[:, 0] for i in indices]
-    rad_cols = []
-    for t in range(alg.radical.cols):
-        img = (peirce @ Mat.column(alg.p, alg.radical.a[:, t])).a[:, 0]
-        if img.any():
-            rad_cols.append(solve(basis, Mat.column(alg.p, img)).a[:, 0])
-    rad = column_space(
-        Mat(alg.p, np.stack(rad_cols, axis=1) if rad_cols else np.zeros((g, 0), dtype=np.int64))
-    )
+    g, k = basis.cols, len(indices)
+    # Gamma coordinates of the basis products, e, the idempotents and e rad e, from one solve
+    prods = _products(alg.p, alg.structconst, basis.a.T, basis.a.T).reshape(g * g, alg.dim)
+    idems = np.array(alg.idempotents)[indices]
+    coords = solve(basis, Mat(alg.p, np.hstack([prods.T, e[:, None], idems.T, (peirce @ alg.radical).a])))
+    if coords is None:
+        raise ValidationError("slice not closed under multiplication")
+    x = coords.a
     gamma = make_algebra(
         g,
-        c,
-        unit_coords.a[:, 0],
-        idem_coords,
-        rad,
+        x[:, : g * g].T.reshape(g, g, g),
+        x[:, g * g],
+        list(x[:, g * g + 1 : g * g + 1 + k].T),
+        column_space(Mat(alg.p, x[:, g * g + 1 + k :])),
         alg.p,
         name=f"slice({alg.name})",
     )

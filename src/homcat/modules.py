@@ -686,30 +686,31 @@ def _split_or_certify(m: Mod) -> Mat | None:
     return None
 
 
-def _indecomposable_iso(x: Mod, y: Mod) -> MMap | None:
-    """An isomorphism between indecomposables, or None (exact).
+def _basis_iso(m: Mod, n: Mod) -> MMap | None:
+    """The first invertible element of the Hom(m, n) basis, or None.
 
-    X and Y are isomorphic exactly when some g o f, with f and g from the
-    Hom bases of (X, Y) and (Y, X), is invertible: the non-units of the
-    local ring End(X) form the subspace rad End(X), which cannot contain the
-    identity g' o f' of an isomorphism.  Then f is the isomorphism.
+    Between indecomposables this decides isomorphism exactly.  If X and Y are
+    isomorphic through phi, the non-isomorphisms X -> Y are phi o rad End(X),
+    a proper subspace since End(X) is local, and no basis of Hom(X, Y) lies
+    in a proper subspace.
     """
-    if x.dim != y.dim or x.dim_vector() != y.dim_vector():
+    if m.dim_vector() != n.dim_vector():
         return None
-    p, fs = x.alg.p, _hom_basis(x, y)[0]
-    prods = _hom_basis(y, x)[0][None] @ fs[:, None] % p  # prods[t, s] = g_s o f_t
-    t = next((t for t, gf in enumerate(prods) if any(is_invertible(Mat._reduced(p, g)) for g in gf)), None)
-    return None if t is None else MMap(x, y, Mat._reduced(p, fs[t]))
+    for f in _hom_basis(m, n)[0]:
+        if is_invertible(g := Mat._reduced(m.alg.p, f)):
+            return MMap(m, n, g)
+    return None
 
 
 def is_isomorphic(m: Mod, n: Mod) -> MMap | None:
     """A verified isomorphism m -> n, or None; exact at every prime.
 
     Returns a Hom basis element when one is invertible.  Otherwise both
-    modules are decomposed and their summands matched pairwise
-    (``_indecomposable_iso``); the matched isomorphisms are assembled
-    through the inclusions and projections and checked on construction.
-    Raises GuardError when a decomposition does (see ``decompose_with_maps``).
+    modules are decomposed and their summands matched pairwise by the same
+    scan (``_basis_iso``, exact between indecomposables); the matched
+    isomorphisms are assembled through the inclusions and projections and
+    checked on construction.  Raises GuardError when a decomposition does
+    (see ``decompose_with_maps``).
     """
     if m.alg != n.alg or m.dim != n.dim:
         return None
@@ -717,14 +718,13 @@ def is_isomorphic(m: Mod, n: Mod) -> MMap | None:
         return MMap.zero(m, n)
     if m.dim_vector() != n.dim_vector():
         return None
-    for f in _hom_basis(m, n)[0]:
-        if is_invertible(g := Mat._reduced(m.alg.p, f)):
-            return MMap(m, n, g)
+    if (f := _basis_iso(m, n)) is not None:
+        return f
     targets = decompose_with_maps(n)
     total = Mat.zeros(m.alg.p, n.dim, m.dim)
     for x, _, onto_x in decompose_with_maps(m):
         for k, (y, inc_y, _) in enumerate(targets):
-            f = _indecomposable_iso(x, y)
+            f = _basis_iso(x, y)
             if f is not None:
                 total = total + inc_y.mat @ f.mat @ onto_x.mat
                 del targets[k]

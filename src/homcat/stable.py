@@ -31,7 +31,7 @@ from homcat.algebras import Alg
 from homcat.complexes import Cx, _blocks, _hom_window, make_complex, zero_complex
 from homcat.derived import _cover_chain, _dual_side, _projective_side
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, column_space, kernel_basis, rank
+from homcat.linalg import Mat, kernel_basis, rank, rref
 from homcat.modules import (
     MMap,
     Mod,
@@ -117,14 +117,10 @@ def stable_hom(m: Mod, n: Mod) -> tuple[int, list[MMap]]:
     if not len(basis):
         return 0, []
     through = _projective_factoring_subspace(m, n)
-    # representatives: extend a basis of the factoring subspace by columns of
-    # the full Hom space; the added columns represent a stable basis
-    through_basis = column_space(through)
-    dim_through = through_basis.cols
-    combined = column_space(Mat(p, np.hstack([through_basis.a, basis.reshape(len(basis), -1).T])))
-    reps = []
-    for t in range(dim_through, combined.cols):
-        reps.append(MMap(m, n, Mat(p, combined.a[:, t].reshape(n.dim, m.dim))))
+    # representatives: the Hom basis elements past the factoring subspace,
+    # the pivots of one rref of [through | basis], represent a stable basis
+    _, pivots = rref(Mat(p, np.hstack([through.a, basis.reshape(len(basis), -1).T])))
+    reps = [MMap(m, n, Mat._reduced(p, basis[t - through.cols])) for t in pivots if t >= through.cols]
     return len(reps), reps
 
 

@@ -1,5 +1,8 @@
 """Algebra construction, presets, opposites, isomorphism search, JSON format."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -340,3 +343,79 @@ def test_incremental_span_keeps_generators_and_isomorphisms(p, monkeypatch):
     assert sum(o is not None and not isinstance(o, str) for o in outcomes) >= len(algs)
     monkeypatch.setattr(algebras, "_close_under_products", _reference_close)
     assert outcomes == [_iso_outcome(a, b) for a in algs for b in algs]
+
+
+SWEEP_SHA256 = "31cebdf234de681cbd81f6e610a37a19ac51783c484499d0fb956cc0a54dc34e"
+SWEEP_PRESETS = ("lambda1", "lambda2", "lambda3", "truncpoly(3)", "truncpoly(4)")
+
+
+def _validation_sweep():
+    """(zero first idempotent?, outcome) of 570 make_algebra calls on preset
+    data: every radical spanned by at most three basis vectors, ten random
+    two-column radicals, and the first idempotent plus each basis vector."""
+    for p in (2, 3, 101):
+        for name in SWEEP_PRESETS:
+            a = preset(name, p)
+            eye = np.eye(a.dim, dtype=np.int64)
+            rng = np.random.default_rng(0)
+            subsets = [list(s) for k in range(4) for s in itertools.combinations(range(a.dim), k)]
+            cases = [(a.idempotents, eye[:, s]) for s in subsets]
+            cases += [(a.idempotents, rng.integers(0, p, (a.dim, 2))) for _ in range(10)]
+            cases += [(((a.idempotents[0] + eye[j]) % p,) + a.idempotents[1:], a.radical.a) for j in range(a.dim)]
+            for es, rad in cases:
+                try:
+                    make_algebra(a.dim, a.structconst, a.unit, es, Mat(p, rad), p)
+                    outcome = None
+                except (ValidationError, GuardError) as err:
+                    outcome = (type(err).__name__, str(err), getattr(err, "witness", None))
+                yield not es[0].any(), outcome
+
+
+def test_validation_outcomes_are_pinned():
+    # verdicts, messages and witnesses as computed one product at a time; the
+    # digest was taken before products became tables.  The five calls whose
+    # first idempotent is 2 e_0 = 0 at p = 2 now meet the zero-idempotent guard
+    # (they raised "idempotents do not sum to the unit" before it existed)
+    sweep = list(_validation_sweep())
+    assert len(sweep) == 570
+    zero = [o for z, o in sweep if z]
+    assert zero == [("ValidationError", "idempotent 0 is zero", 0)] * 5
+    kept = repr([o for z, o in sweep if not z]).encode()
+    assert hashlib.sha256(kept).hexdigest() == SWEEP_SHA256
+
+
+def test_radical_and_idempotent_witnesses_are_pinned():
+    lam = preset("lambda1", 101)
+    for label, message, witness in (
+        ("E12", "right product of basis 4", (4, 0, "right")),
+        ("E23", "left product of basis 1", (1, 0, "left")),
+    ):
+        rad = Mat(101, lam.basis_vector(lam.labels.index(label))[:, None])
+        with pytest.raises(ValidationError, match=message) as err:
+            make_algebra(6, lam.structconst, lam.unit, lam.idempotents, rad, 101)
+        assert err.value.witness == witness
+    lam2 = preset("lambda2", 2)
+    es = ((lam2.idempotents[0] + lam2.basis_vector(lam2.labels.index("E12"))) % 2,) + lam2.idempotents[1:]
+    with pytest.raises(ValidationError, match="idempotents 0 and 1") as err:
+        make_algebra(5, lam2.structconst, lam2.unit, es, lam2.radical, 2)
+    assert err.value.witness == (0, 1)
+
+
+def test_make_algebra_refuses_an_idempotent_of_the_wrong_length():
+    a = preset("truncpoly(3)", 5)
+    with pytest.raises(ValidationError, match="idempotent 1 has wrong length") as err:
+        make_algebra(3, a.structconst, a.unit, [[1, 0, 0], [0, 0]], a.radical, 5)
+    assert err.value.witness == 1
+
+
+def test_make_algebra_refuses_a_zero_idempotent():
+    a = preset("truncpoly(3)", 5)
+    with pytest.raises(ValidationError, match="idempotent 1 is zero") as err:
+        make_algebra(3, a.structconst, a.unit, [[1, 0, 0], [0, 0, 0]], a.radical, 5)
+    assert err.value.witness == 1
+
+
+def test_make_algebra_refuses_a_radical_over_another_prime():
+    a = preset("truncpoly(3)", 5)
+    with pytest.raises(ValueError, match="mixed moduli 7 and 5"):
+        make_algebra(3, a.structconst, a.unit, a.idempotents, Mat(7, a.radical.a), 5)

@@ -2,6 +2,7 @@
 endomorphism algebras, tilting, Hom-agreement with injective complexes."""
 
 import ast
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import homcat
-from homcat.algebras import algebra_iso_search, opposite, preset
+from homcat.algebras import algebra_iso_search, make_algebra, opposite, preset
 from homcat.complexes import (
     CMap,
     cohomology_dim,
@@ -36,6 +37,7 @@ from homcat.derived import (
     tilting_check,
 )
 from homcat.errors import CapExhausted, ValidationError
+from homcat.linalg import Mat, column_space, solve
 from homcat.exercises import _ext_table_rows
 from homcat.modules import (
     direct_sum,
@@ -430,6 +432,44 @@ def test_idempotent_slice_of_regular():
     from homcat.linalg import rank as _rank
 
     assert sliced.obj(0).dim == _rank(reg.rho(e)) == 1
+
+
+def _reference_slice_algebra(alg, indices):
+    """e A e one product and one solve at a time, with zero images of the radical skipped."""
+    e = sum(alg.idempotents[i] for i in indices) % alg.p
+    peirce = alg.left_mult(e) @ alg.right_mult(e)
+    basis = column_space(peirce)
+    g = basis.cols
+    c = np.zeros((g, g, g), dtype=np.int64)
+    for i in range(g):
+        for j in range(g):
+            coords = solve(basis, Mat.column(alg.p, alg.mul(basis.a[:, i], basis.a[:, j])))
+            assert coords is not None
+            c[i, j, :] = coords.a[:, 0]
+    unit = solve(basis, Mat.column(alg.p, e)).a[:, 0]
+    idems = [solve(basis, Mat.column(alg.p, alg.idempotents[i])).a[:, 0] for i in indices]
+    rad_cols = []
+    for t in range(alg.radical.cols):
+        img = (peirce @ Mat.column(alg.p, alg.radical.a[:, t])).a[:, 0]
+        if img.any():
+            rad_cols.append(solve(basis, Mat.column(alg.p, img)).a[:, 0])
+    rad = column_space(Mat(alg.p, np.stack(rad_cols, axis=1) if rad_cols else np.zeros((g, 0), dtype=np.int64)))
+    return make_algebra(g, c, unit, idems, rad, alg.p, name=f"slice({alg.name})"), basis, e
+
+
+def test_idempotent_slice_algebra_matches_the_per_product_reference():
+    count = 0
+    for p in (2, 3, 101):
+        for name in ("lambda1", "lambda2", "lambda3", "truncpoly(3)", "truncpoly(4)"):
+            alg = preset(name, p)
+            m = len(alg.idempotents)
+            for indices in (list(s) for k in range(1, m + 1) for s in itertools.combinations(range(m), k)):
+                gamma, basis, e = idempotent_slice_algebra(alg, indices)
+                ref_gamma, ref_basis, ref_e = _reference_slice_algebra(alg, indices)
+                assert gamma == ref_gamma and gamma.labels == ref_gamma.labels and gamma.name == ref_gamma.name
+                assert basis == ref_basis and np.array_equal(e, ref_e)
+                count += 1
+    assert count == 69
 
 
 def test_end_algebra_of_regular_is_the_algebra():

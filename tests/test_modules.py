@@ -45,6 +45,7 @@ from homcat.modules import (
     top,
     zero_module,
     MMap,
+    _basis_iso,
     _first_iso,
     _hom_basis,
     _projective_with_inclusion,
@@ -356,6 +357,35 @@ def test_is_isomorphic_basics():
     m = projective_module(L1, 1)
     assert is_isomorphic(m, m) is not None
     assert is_isomorphic(simple_module(L1, 0), simple_module(L1, 1)) is None
+
+
+def _reference_indecomposable_iso(x, y):
+    """The g o f rule: f from the Hom(X, Y) basis is an isomorphism when some
+    g o f, g from the Hom(Y, X) basis, is invertible."""
+    if x.dim != y.dim or x.dim_vector() != y.dim_vector():
+        return None
+    p, fs = x.alg.p, _hom_basis(x, y)[0]
+    gs = _hom_basis(y, x)[0]
+    for f in fs:
+        if any(is_invertible(Mat(p, g @ f % p)) for g in gs):
+            return Mat(p, f)
+    return None
+
+
+def test_summands_are_matched_by_the_first_invertible_basis_map():
+    # the basis scan of is_isomorphic returns the g o f rule's map on every
+    # pair of indecomposables, their rebased copies included
+    count = isomorphic = 0
+    for p in (2, 3, 101):
+        for name in ("lambda1", "lambda2", "lambda3", "truncpoly(3)", "truncpoly(4)"):
+            ind = classify_indecomposables(preset(name, p))
+            mods = ind + [_rebased(m, k) for k, m in enumerate(ind)]
+            for x, y in itertools.product(mods, repeat=2):
+                got, want = _basis_iso(x, y), _reference_indecomposable_iso(x, y)
+                assert (got is None) == (want is None) and (got is None or got.mat == want)
+                count += 1
+                isomorphic += got is not None
+    assert (count, isomorphic) == (1464, 288)  # each class: a module and its rebased copy
 
 
 def test_p2_isomorphic_to_radical_of_p1():

@@ -1,12 +1,14 @@
 """Stable category machinery over self-injective algebras."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from homcat.algebras import algebra_from_json, preset
 from homcat.complexes import make_complex, shift, squares_system
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, rank
+from homcat.linalg import Mat, column_space, rank
 from homcat.modules import (
     MMap,
     direct_sum,
@@ -18,6 +20,7 @@ from homcat.modules import (
 )
 from homcat.stable import (
     _interior_h0,
+    _projective_factoring_subspace,
     assert_self_injective,
     complete_resolution,
     cosyzygy,
@@ -73,6 +76,28 @@ def test_stable_hom_projective_source_or_target():
     k = _kmod(T2)
     assert stable_hom(reg, k)[0] == 0
     assert stable_hom(k, reg)[0] == 0
+
+
+def _reference_stable_reps(m, n):
+    """Stable representatives by two column spaces: a basis of the factoring
+    subspace, extended by the Hom basis columns outside it."""
+    p = m.alg.p
+    through = column_space(_projective_factoring_subspace(m, n))
+    flat = [f.mat.a.reshape(-1) for f in hom_space(m, n)]
+    combined = column_space(Mat(p, np.column_stack([through.a] + flat)))
+    return [Mat(p, combined.a[:, t].reshape(n.dim, m.dim)) for t in range(through.cols, combined.cols)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_stable_hom_representatives_match_the_two_span_reference(p):
+    count = 0
+    for k in range(2, 6):
+        mods = known_indecomposables(preset(f"truncpoly({k})", p))
+        for x, y in itertools.product(mods, repeat=2):
+            dim, reps = stable_hom(x, y)
+            assert dim == len(reps) and [f.mat for f in reps] == _reference_stable_reps(x, y)
+            count += 1
+    assert count == 54
 
 
 def test_stable_hom_simple_truncpoly2():
