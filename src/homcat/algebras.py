@@ -15,8 +15,9 @@ guessing.
 
 Elements are multiplied a table at a time: ``_products`` forms every product
 of two lists of vectors as two matrix products of the structure constants,
-and validation, generating sets, closure and e A e slices all read its
-tables; a span is extended by the pivots past it in one ``rref``.
+and validation, generating sets and closure read its tables; a span is
+extended by the pivots past it in one ``rref``.  Every Peirce slice e_i S e_j
+is cut by one cached table of the operators x -> e_i x e_j, ``_peirce_ops``.
 """
 
 from __future__ import annotations
@@ -438,28 +439,32 @@ def algebra_generators(alg: Alg) -> list[np.ndarray]:
     return gens
 
 
-# -- isomorphism search -------------------------------------------------------
+# -- Peirce slices and isomorphism search -------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def _peirce_ops(alg: Alg) -> np.ndarray:
+    """Read-only (m, m, dim, dim) array whose [i, j] is the matrix of x -> e_i * x * e_j,
+    from the table of the e_i * b_t and one product with the matrices of x -> x * e_j."""
+    es, eye = np.array(alg.idempotents), np.eye(alg.dim, dtype=np.int64)
+    left = _products(alg.p, alg.structconst, es, eye).transpose(0, 2, 1)  # [i] = matrix of x -> e_i * x
+    right = _products(alg.p, alg.structconst, eye, es).transpose(1, 2, 0)  # [j] = matrix of x -> x * e_j
+    ops = left[:, None] @ right % alg.p  # dim terms below p^2 per entry: no int64 overflow
+    ops.flags.writeable = False
+    return ops
 
 
 def _peirce_slice(alg: Alg, i: int, j: int, within: Mat | None = None) -> Mat:
     """Basis of e_i * S * e_j where S is the whole algebra or a given span."""
-    op = alg.left_mult(alg.idempotents[i]) @ alg.right_mult(alg.idempotents[j])
-    src = Mat.identity(alg.p, alg.dim) if within is None else within
-    return column_space(op @ src)
+    op = Mat._reduced(alg.p, _peirce_ops(alg)[i, j])
+    return column_space(op if within is None else op @ within)
 
 
 def _slice_dims(alg: Alg) -> list[np.ndarray]:
     """dims of e_i R^t e_j for t = 0, 1, ... (t=0 means the whole algebra)."""
-    m = len(alg.idempotents)
+    m = range(len(alg.idempotents))
     layers = [None] + alg.radical_powers()
-    out = []
-    for within in layers:
-        d = np.zeros((m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                d[i, j] = _peirce_slice(alg, i, j, within).cols
-        out.append(d)
-    return out
+    return [np.array([[_peirce_slice(alg, i, j, within).cols for j in m] for i in m]) for within in layers]
 
 
 def _arrow_slices(alg: Alg) -> dict[tuple[int, int], np.ndarray]:
@@ -545,7 +550,9 @@ def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
     scope (all Peirce slices of rad/rad^2 at most 1-dimensional).  When the
     scalar tuples number more than 1024 only the all-ones tuple is tried, and
     a search that then finds nothing raises GuardError instead of answering
-    None.
+    None.  So does a search that finds nothing after some permutation matched
+    every invariant while an arrow's correction slice e_i rad^2 e_j is
+    nonzero: arrow images are scaled but not corrected by that slice.
     """
     if a.p != b.p or a.dim != b.dim:
         return None
@@ -562,7 +569,7 @@ def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
         return None
     m = len(a.idempotents)
     arrow_keys = sorted(arrows_a)
-    partial = False
+    partial = corrected = False
     for sigma in itertools.permutations(range(m)):
         if not all(
             da[i, j] == db[sigma[i], sigma[j]]
@@ -574,6 +581,7 @@ def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
         if sorted((sigma[i], sigma[j]) for i, j in arrow_keys) != sorted(arrows_b):
             continue
         partial = partial or (a.p - 1) ** len(arrow_keys) > 1024
+        corrected = corrected or any(dims_b[2][sigma[i], sigma[j]] for i, j in arrow_keys)
         for scalars in _scalar_assignments(a.p, len(arrow_keys)):
             gens: list[tuple[np.ndarray, np.ndarray]] = []
             for i in range(m):
@@ -592,6 +600,8 @@ def algebra_iso_search(a: Alg, b: Alg) -> AlgIso | None:
         raise GuardError(
             f"algebra isomorphism search: {a.p - 1}^{len(arrow_keys)} arrow scalings exceed the 1024 sweep"
         )
+    if corrected:
+        raise GuardError("algebra isomorphism search: an arrow's correction slice e_i rad^2 e_j is nonzero")
     return None
 
 

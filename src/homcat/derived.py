@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homcat.algebras import Alg, _products, algebra_iso_search, make_algebra, opposite
+from homcat.algebras import Alg, _peirce_ops, _products, algebra_iso_search, make_algebra, opposite
 from homcat.complexes import (
     CMap,
     Cx,
@@ -429,15 +429,13 @@ def idempotent_slice_algebra(alg: Alg, indices) -> tuple[Alg, Mat, np.ndarray]:
     Returns (Gamma, basis, e) with basis the columns embedding Gamma into A.
     """
     indices = [indices] if isinstance(indices, int) else list(indices)
-    e = np.zeros(alg.dim, dtype=np.int64)
-    for i in indices:
-        e = (e + alg.idempotents[i]) % alg.p
-    peirce = alg.left_mult(e) @ alg.right_mult(e)
+    idems = np.array(alg.idempotents)[indices]
+    e = idems.sum(axis=0) % alg.p
+    peirce = Mat(alg.p, _peirce_ops(alg)[np.ix_(indices, indices)].sum(axis=(0, 1)))
     basis = column_space(peirce)
     g, k = basis.cols, len(indices)
     # Gamma coordinates of the basis products, e, the idempotents and e rad e, from one solve
     prods = _products(alg.p, alg.structconst, basis.a.T, basis.a.T).reshape(g * g, alg.dim)
-    idems = np.array(alg.idempotents)[indices]
     coords = solve(basis, Mat(alg.p, np.hstack([prods.T, e[:, None], idems.T, (peirce @ alg.radical).a])))
     if coords is None:
         raise ValidationError("slice not closed under multiplication")

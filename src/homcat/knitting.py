@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from homcat import linalg, modules
-from homcat.algebras import Alg, opposite
+from homcat.algebras import Alg, _peirce_ops, opposite
 from homcat.errors import CapExhausted, GuardError, ValidationError
 from homcat.linalg import Mat, rank
 from homcat.modules import (
@@ -164,17 +164,14 @@ def almost_split_sequence(x: Mod, *, z: Mod | None = None) -> tuple[MMap, MMap] 
     return left, right
 
 
-def _peirce_connected(projs: list[Mod]) -> bool:
+def _peirce_connected(alg: Alg) -> bool:
     """Whether the graph on the idempotents, with i - j where e_i A e_j or e_j A e_i is nonzero, is connected."""
-    slices = np.array([pm.dim_vector() for pm in projs])  # slices[i, j] = dim e_i A e_j
-    linked = (slices + slices.T) > 0
-    seen, stack = {0}, [0]
-    while stack:
-        for j in np.flatnonzero(linked[stack.pop()]).tolist():
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(projs)
+    slices = _peirce_ops(alg).any(axis=(2, 3))  # slices[i, j]: e_i A e_j is nonzero
+    linked = slices | slices.T
+    seen = np.eye(len(linked), dtype=bool)[0]
+    for _ in linked:  # after k rounds, seen holds every vertex within k steps of vertex 0
+        seen = seen | linked[seen].any(axis=0)
+    return bool(seen.all())
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,9 +191,9 @@ def knit(alg: Alg) -> tuple[list[Mod], tuple[tuple[int, int, int], ...]]:
     additions were hits on vertices already certified isomorphic.
     """
     _require_split_basic(alg)
-    projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
-    if not _peirce_connected(projs):
+    if not _peirce_connected(alg):
         raise GuardError("classification needs a connected algebra (Auslander's theorem)")
+    projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
     max_dim = _KNIT_DIM_FACTOR * alg.dim
     found: list[Mod] = []
     buckets: dict[tuple, list[int]] = {}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from homcat.algebras import Alg, algebra_generators, opposite
+from homcat.algebras import Alg, _peirce_ops, algebra_generators, opposite
 from homcat.errors import GuardError, ValidationError
 from homcat.linalg import (
     Mat,
@@ -271,8 +271,8 @@ def zero_module(alg: Alg) -> Mod:
 
 @functools.lru_cache(maxsize=64)
 def regular_module(alg: Alg) -> Mod:
-    """The algebra acting on itself by right multiplication."""
-    return make_module(alg, [alg.right_mult(alg.basis_vector(i)) for i in range(alg.dim)])
+    """The algebra acting on itself by right multiplication: b_i acts by [k, j] = c[j][i][k]."""
+    return make_module(alg, alg.structconst.transpose(1, 2, 0))
 
 
 def _restricted_action(acts: np.ndarray, basis: Mat) -> tuple[Mat, np.ndarray]:
@@ -312,7 +312,7 @@ def projective_module(alg: Alg, j: int) -> Mod:
 
 @functools.lru_cache(maxsize=256)
 def _projective_with_inclusion(alg: Alg, j: int) -> tuple[Mod, Mat]:
-    sub, inc = submodule(regular_module(alg), alg.left_mult(alg.idempotents[j]))
+    sub, inc = submodule(regular_module(alg), Mat(alg.p, _peirce_ops(alg)[j].sum(axis=0)))
     return sub, inc.mat
 
 

@@ -72,8 +72,8 @@ def assert_self_injective(alg: Alg) -> list[tuple[Mod, Mod]]:
     cogenerator) and matches every summand against the list of projectives;
     returns the matching as a certificate, or raises with the witness summand.
     """
-    # built over alg itself: b_i acts on the dual of A by the transpose of left multiplication
-    cogenerator = make_module(alg, [alg.left_mult(alg.basis_vector(i)).transpose() for i in range(alg.dim)])
+    # built over alg itself: b_i acts on the dual of A by the transpose of x -> b_i * x, which is structconst[i]
+    cogenerator = make_module(alg, alg.structconst)
     projs = [projective_module(alg, j) for j in range(len(alg.idempotents))]
     matching = []
     for piece, _, _ in decompose_with_maps(cogenerator):

@@ -1,4 +1,4 @@
-"""Algebra construction, presets, opposites, isomorphism search, JSON format."""
+"""Algebra construction, presets, opposites, isomorphism search, Peirce slices, JSON format."""
 
 import hashlib
 import itertools
@@ -8,7 +8,7 @@ import pytest
 
 from homcat import algebras
 from homcat.errors import GuardError, ValidationError
-from homcat.linalg import Mat, column_space, in_column_span, inverse, rref
+from homcat.linalg import Mat, column_space, hstack, in_column_span, inverse, rref
 from homcat.algebras import (
     algebra_from_json,
     algebra_generators,
@@ -18,6 +18,8 @@ from homcat.algebras import (
     opposite,
     preset,
 )
+from homcat.derived import idempotent_slice_algebra
+from homcat.modules import _projective_with_inclusion, regular_module, submodule
 
 ALL_PRESETS = ["lambda1", "lambda2", "lambda3", "ground_field", "truncpoly(2)", "truncpoly(4)"]
 
@@ -238,6 +240,113 @@ def test_iso_search_refuses_to_answer_no_when_the_sweep_is_partial():
     with pytest.raises(GuardError, match="1024"):
         algebra_iso_search(a, b)
     assert algebra_iso_search(a, a) is not None
+
+
+def _corrected_arrow_pair(p: int):
+    """Path algebra A of 1 -a-> 2 -b-> 3 -d-> 4 and 1 -c-> 3 with cd = 0, and its
+    copy B rebased to c' = c + ab, with the change of basis A -> B and back.
+
+    Basis e1, e2, e3, e4, a, b, c, d, ab, bd, abd; products read left to right.
+    Both radicals are given as the unit columns 5-11.  No isomorphism sends c to
+    a multiple of c', since (c + ab)d = abd is not zero."""
+    ends = {4: (0, 1), 5: (1, 2), 6: (0, 2), 7: (2, 3), 8: (0, 2), 9: (1, 3), 10: (0, 3)}
+    c = np.zeros((11, 11, 11), dtype=np.int64)
+    for i in range(4):
+        c[i, i, i] = 1
+    for x, (s, t) in ends.items():
+        c[s, x, x] = c[x, t, x] = 1
+    c[4, 5, 8] = c[5, 7, 9] = c[4, 9, 10] = c[8, 7, 10] = 1  # a b, b d, a bd, ab d
+    q = np.eye(11, dtype=np.int64)
+    q[8, 6] = 1  # column c' = c + ab
+    q_inv = inverse(Mat(p, q)).a
+    rebased = algebras._products(p, c, q.T, q.T) @ q_inv.T % p
+
+    def description(consts):
+        return {
+            "prime": p,
+            "dim": 11,
+            "structconst": [[int(i), int(j), int(k), int(consts[i, j, k])] for i, j, k in zip(*np.nonzero(consts))],
+            "unit": [1, 1, 1, 1] + [0] * 7,
+            "idempotents": [[int(k == i) for k in range(11)] for i in range(4)],
+            "radical": [[int(k == x) for k in range(11)] for x in range(4, 11)],
+        }
+
+    return algebra_from_json(description(c)), algebra_from_json(description(rebased)), Mat(p, q_inv), Mat(p, q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_iso_search_refuses_to_answer_no_when_an_arrow_needs_a_correction(p):
+    a, b, forward, backward = _corrected_arrow_pair(p)
+    assert algebras._is_algebra_map(a, b, forward) and algebras._is_algebra_map(b, a, backward)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(GuardError, match="correction slice"):
+            algebra_iso_search(x, y)
+
+
+def _reference_peirce_slice(alg, i, j, within=None):
+    """e_i S e_j from the operator product left_mult(e_i) @ right_mult(e_j)."""
+    op = alg.left_mult(alg.idempotents[i]) @ alg.right_mult(alg.idempotents[j])
+    return column_space(op @ (Mat.identity(alg.p, alg.dim) if within is None else within))
+
+
+def _reference_arrow_lifts(alg):
+    m = len(alg.idempotents)
+    powers = alg.radical_powers()
+    r1, r2 = powers[0], powers[min(1, len(powers) - 1)]
+    lifts = {}
+    for i, j in itertools.product(range(m), repeat=2):
+        s1, s2 = _reference_peirce_slice(alg, i, j, r1), _reference_peirce_slice(alg, i, j, r2)
+        past = [t - s2.cols for t in rref(hstack([s2, s1]))[1] if t >= s2.cols]
+        if past:
+            lifts[(i, j)] = s1.a[:, past[0]]
+    return lifts
+
+
+def _rebased(alg):
+    """alg in the basis v_t = b_0 + ... + b_t, which mixes Peirce blocks."""
+    p, q = alg.p, np.triu(np.ones((alg.dim, alg.dim), dtype=np.int64))
+    q_inv = inverse(Mat(p, q)).a
+    consts = algebras._products(p, alg.structconst, q.T, q.T) @ q_inv.T % p
+    idems = [q_inv @ e % p for e in alg.idempotents]
+    return make_algebra(alg.dim, consts, q_inv @ alg.unit, idems, Mat(p, q_inv @ alg.radical.a), p)
+
+
+def _triangular(n: int):
+    return algebras._matrix_units_algebra([(a, b) for a in range(n) for b in range(a, n)], set(), 101, f"T{n}")
+
+
+def _peirce_case(label: str, p: int):
+    if label.startswith("op "):
+        return opposite(preset(label[len("op ") :], p))
+    if label.startswith("rebased "):
+        return _rebased(preset(label[len("rebased ") :], p))
+    return _triangular(int(label[1:])) if label.startswith("T") else preset(label, p)
+
+
+PEIRCE_CASES = [(label, p) for name in ALL_PRESETS for label in (name, f"op {name}") for p in (2, 3, 101)]
+PEIRCE_CASES += [(f"T{n}", 101) for n in range(6, 11)]
+PEIRCE_CASES += [(f"rebased {name}", p) for name in ("lambda1", "truncpoly(4)") for p in (2, 3, 101)]
+
+
+@pytest.mark.parametrize("label, p", PEIRCE_CASES)
+def test_peirce_slices_match_the_operator_product_reference(label, p):
+    # slice tables, arrow lifts, e A e bases and projective inclusions, against left_mult(e_i) @ right_mult(e_j)
+    alg = _peirce_case(label, p)
+    m = len(alg.idempotents)
+    want = [
+        np.array([[_reference_peirce_slice(alg, i, j, w).cols for j in range(m)] for i in range(m)])
+        for w in [None] + alg.radical_powers()
+    ]
+    got = algebras._slice_dims(alg)
+    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    lifts, want_lifts = algebras._arrow_slices(alg), _reference_arrow_lifts(alg)
+    assert lifts.keys() == want_lifts.keys() and all(np.array_equal(lifts[k], want_lifts[k]) for k in lifts)
+    for indices in [[i] for i in range(m)] + ([[0, m - 1]] if m > 1 else []):
+        e = sum(alg.idempotents[i] for i in indices) % p
+        assert idempotent_slice_algebra(alg, indices)[1] == column_space(alg.left_mult(e) @ alg.right_mult(e))
+    for j in range(m):
+        inc = submodule(regular_module(alg), alg.left_mult(alg.idempotents[j]))[1].mat
+        assert _projective_with_inclusion(alg, j)[1] == inc
 
 
 def test_json_round_trip():

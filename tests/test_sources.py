@@ -1,6 +1,7 @@
 """Source hygiene: every top-level import of the library, the tests and the demos is used,
-every module-level function and class of the library is named somewhere, and the
-library has no ``assert`` statement (``python -O`` strips them)."""
+every module-level function and class of the library is named somewhere, the
+library has no ``assert`` statement (``python -O`` strips them), and every cache of
+the library is a ``functools.lru_cache`` with a literal bound."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,59 @@ def test_library_has_no_assert_statements():
     # a check that vanishes under python -O must raise a named error instead
     library = sorted(Path(homcat.__file__).parent.glob("*.py"))
     assert [hit for p in library for hit in _assert_statements(p)] == []
+
+
+def _unbounded_caches(path: Path) -> list[str]:
+    """Every use of ``functools`` caching other than ``functools.lru_cache(maxsize=<int literal>)``,
+    as file:line: ``functools.cache``, ``maxsize=None``, a bare or positional ``lru_cache``, and
+    any cache imported by name from ``functools``."""
+    tree = ast.parse(path.read_text())
+    bounded = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and not node.args
+        and [k.arg for k in node.keywords] == ["maxsize"]
+        and isinstance(node.keywords[0].value, ast.Constant)
+        and type(node.keywords[0].value.value) is int
+    }
+    caches = {"cache", "lru_cache", "cached_property"}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in caches for alias in node.names):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            if node.attr in caches and not (node.attr == "lru_cache" and id(node) in bounded):
+                hits.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(hits)]
+
+
+def test_cache_scan_finds_planted_unbounded_caches(tmp_path):
+    src = tmp_path / "sample.py"
+    src.write_text(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def bounded(x):\n"
+        "    return x\n"
+        "@functools.cache\n"
+        "def forever(x):\n"
+        "    return x\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def unbounded(x):\n"
+        "    return x\n"
+        "@functools.lru_cache\n"
+        "def default_bound(x):\n"
+        "    return x\n"
+        "@functools.lru_cache(128)\n"
+        "def positional(x):\n"
+        "    return x\n"
+    )
+    assert _unbounded_caches(src) == ["sample.py:2", "sample.py:6", "sample.py:9", "sample.py:12", "sample.py:15"]
+
+
+def test_every_library_cache_is_a_literally_bounded_lru_cache():
+    # one cache mechanism, and no cache that grows for the life of the process
+    library = sorted(Path(homcat.__file__).parent.glob("*.py"))
+    assert [hit for p in library for hit in _unbounded_caches(p)] == []

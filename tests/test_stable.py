@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from homcat import stable
 from homcat.algebras import algebra_from_json, preset
 from homcat.complexes import make_complex, shift, squares_system
 from homcat.errors import GuardError, ValidationError
@@ -15,6 +16,7 @@ from homcat.modules import (
     hom_space,
     is_isomorphic,
     is_projective,
+    make_module,
     regular_module,
     simple_module,
 )
@@ -49,6 +51,23 @@ def test_self_injective_certificates():
     assert assert_self_injective(T2)
     assert assert_self_injective(T3)
     assert assert_self_injective(GF)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_regular_module_and_cogenerator_are_the_per_basis_constructions(p, monkeypatch):
+    # one stacked array of structure constants gives the interned module of one matrix per basis element
+    built = []
+    monkeypatch.setattr(stable, "make_module", lambda alg, acts: built.append(make_module(alg, acts)) or built[-1])
+    for name in ("lambda1", "lambda2", "lambda3", "ground_field", "truncpoly(2)", "truncpoly(4)"):
+        alg = preset(name, p)
+        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        assert regular_module.__wrapped__(alg) is make_module(alg, [alg.right_mult(b) for b in basis])
+        built.clear()
+        try:
+            assert_self_injective.__wrapped__(alg)
+        except ValidationError:
+            pass
+        assert built[0] is make_module(alg, [alg.left_mult(b).transpose() for b in basis])
 
 
 def test_lambda1_not_self_injective():
